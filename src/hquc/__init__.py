@@ -20,7 +20,6 @@ from .cli import ComparisonReport, RunSpec, compare, run
 from .errors import (
     DimensionMismatch,
     DuplicateId,
-    HasCouplings,
     Infeasible,
     InfeasibleCommitment,
     InfeasibleRelaxation,

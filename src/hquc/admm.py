@@ -29,16 +29,9 @@ import numpy as np
 
 from .errors import InvariantViolation, LengthMismatch
 from .qaoa import QaoaConfig, QaoaParams, solve_qubo_qaoa
-from .qpblock import Block1Problem, solve_block1
+from .qpblock import Block1Problem, block1_objective, solve_block1
 from .qubo import QuboProblem, build_qubo, solve_qubo_perbit
-from .ucmodel import (
-    Commitment,
-    InfeasibleCommitment,
-    UCInstance,
-    UCSolution,
-    economic_dispatch,
-    evaluate_cost,
-)
+from .ucmodel import Commitment, UCInstance, UCSolution, cheapest_servable
 
 BACKEND_CLASSICAL = "classical"
 BACKEND_QAOA = "qaoa"
@@ -71,6 +64,10 @@ class AdmmConfig:
     initial_lambda: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("rho", "beta", "epsilon"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvariantViolation(f"{name}={value} is not finite")
         if not (self.rho > self.beta > 0.0):
             raise InvariantViolation(
                 f"need rho > beta > 0, got rho={self.rho}, beta={self.beta}"
@@ -183,26 +180,6 @@ def residual(
     return math.fsum(abs(v) for v in (y_arr - z_arr + r_arr))
 
 
-def _full_lagrangian(
-    instance: UCInstance,
-    y: np.ndarray,
-    p: np.ndarray,
-    z: np.ndarray,
-    r: np.ndarray,
-    lam: np.ndarray,
-    rho: float,
-    beta: float,
-) -> float:
-    slack = y - z + r
-    terms = []
-    for i, g in enumerate(instance.generators):
-        terms.append(g.a * y[i] + g.b * p[i] + g.c * p[i] * p[i])
-        terms.append((beta / 2.0) * r[i] * r[i])
-        terms.append(lam[i] * slack[i])
-        terms.append((rho / 2.0) * slack[i] * slack[i])
-    return math.fsum(terms)
-
-
 def _initial_vector(
     value: tuple[float, ...] | None, n: int, name: str
 ) -> np.ndarray:
@@ -211,22 +188,6 @@ def _initial_vector(
     if len(value) != n:
         raise LengthMismatch(f"{name} has length {len(value)}, expected {n}")
     return np.asarray(value, dtype=float)
-
-
-def _cheapest_servable(
-    instance: UCInstance, candidates: Sequence[Commitment]
-) -> UCSolution | None:
-    """Cheapest dispatchable candidate; ties break toward the smallest bits."""
-    best: UCSolution | None = None
-    for commitment in candidates:
-        try:
-            dispatch = economic_dispatch(instance, commitment)
-        except InfeasibleCommitment:
-            continue
-        cost = evaluate_cost(instance, commitment, dispatch)
-        if best is None or (cost, commitment.bits) < (best.cost, best.commitment.bits):
-            best = UCSolution(commitment, dispatch, cost)
-    return best
 
 
 def _polish(instance: UCInstance, commitment: Commitment) -> UCSolution | None:
@@ -239,15 +200,15 @@ def _polish(instance: UCInstance, commitment: Commitment) -> UCSolution | None:
     relax-round-polish (Takapoui, Moehle, Boyd and Bemporad,
     arXiv:1509.08416) with its search limited to the 1-flip neighbourhood.
     """
-    served = _cheapest_servable(instance, (commitment,))
+    served = cheapest_servable(instance, (commitment.bits,))
     if served is not None:
         return served
     neighbours = []
     for i in range(len(commitment)):
         bits = list(commitment.bits)
         bits[i] ^= 1
-        neighbours.append(Commitment(tuple(bits)))
-    return _cheapest_servable(instance, neighbours)
+        neighbours.append(tuple(bits))
+    return cheapest_servable(instance, neighbours)
 
 
 def run_admm(
@@ -312,8 +273,8 @@ def run_admm(
 
         r = update_r(y, z, lam, config.rho, config.beta)
         res = residual(y, z, r)
-        objective = _full_lagrangian(
-            instance, y, p, z, r, lam, config.rho, config.beta
+        objective = block1_objective(
+            Block1Problem(instance, z, r, lam, config.rho, config.beta), y, p
         )
         lam = update_dual(lam, y, z, r, config.rho)
         trace.append(

@@ -7,8 +7,9 @@ Three modes:
 * ``s2`` runs it with the QAOA statevector backend.
 
 Outputs land in the chosen directory: ``solution.csv`` always (when a
-solution exists), ``trace.csv`` for the ADMM modes, and per-iteration
-``histogram_iter<k>.csv`` bitstring probabilities for s2 when requested.
+solution exists), ``trace.csv`` with every ``TraceRow`` column for the ADMM
+modes, and per-iteration ``histogram_iter<k>.csv`` bitstring probabilities
+for s2 when requested.
 Exit codes: 0 success, 1 input error, 2 infeasible, 3 not converged.
 """
 
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .admm import (
@@ -27,6 +28,7 @@ from .admm import (
     BACKEND_CLASSICAL,
     BACKEND_QAOA,
     SolveReport,
+    TraceRow,
     default_config,
     run_admm,
 )
@@ -139,9 +141,11 @@ def build_admm_config(spec: RunSpec) -> AdmmConfig:
 
 
 def trace_to_csv(report: SolveReport) -> str:
-    lines = ["iter,residual,objective"]
+    """Render every :class:`TraceRow` column, one row per iteration."""
+    names = [f.name for f in fields(TraceRow)]
+    lines = [",".join(names)]
     for row in report.trace:
-        lines.append(f"{row.iter},{row.residual!r},{row.objective!r}")
+        lines.append(",".join(str(getattr(row, name)) for name in names))
     return "\n".join(lines) + "\n"
 
 

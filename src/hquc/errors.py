@@ -37,10 +37,6 @@ class InfeasibleRelaxation(SolverError):
     """The relaxed first block is infeasible, hence so is the full problem."""
 
 
-class HasCouplings(SolverError):
-    """A solver limited to diagonal QUBOs received quadratic couplings."""
-
-
 class TooManyQubits(SolverError):
     """Statevector simulation size guard exceeded."""
 

@@ -26,7 +26,7 @@ constant offset restored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -133,17 +133,14 @@ def init_uniform(n: int) -> Statevector:
 
 def _phase_energies(qubo: QuboProblem, scale: float | None) -> np.ndarray:
     """Offset-free QUBO energies for phase construction, optionally rescaled."""
-    idx = np.arange(1 << qubo.n)
-    e = np.zeros(1 << qubo.n)
-    for i, q in enumerate(qubo.linear):
-        e += q * ((idx >> i) & 1)
+    e = QuboProblem(qubo.linear).energies()
     if scale is not None:
         e = e / scale
     return e
 
 
 def phase_scale(qubo: QuboProblem) -> float:
-    """Coefficient normalizer: ``max_i |q_i]``, or 1 for an all-zero objective."""
+    """Coefficient normalizer: ``max_i |q_i|``, or 1 for an all-zero objective."""
     if qubo.n == 0:
         return 1.0
     biggest = max(abs(q) for q in qubo.linear)
@@ -275,14 +272,7 @@ def solve_qubo_qaoa(
     if qubo.n > MAX_QUBITS:
         raise TooManyQubits(f"n={qubo.n} exceeds simulation guard {MAX_QUBITS}")
     if warm is not None:
-        config = QaoaConfig(
-            depth=warm.depth,
-            optimizer_budget=config.optimizer_budget,
-            initial_params=warm,
-            extraction=config.extraction,
-            sample_seed=config.sample_seed,
-            normalize_scale=config.normalize_scale,
-        )
+        config = replace(config, depth=warm.depth, initial_params=warm)
     params, value = optimize_params(qubo, config)
     state = run_circuit(qubo, params, config.normalize_scale)
     bits = extract_solution(state, config)

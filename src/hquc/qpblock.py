@@ -19,6 +19,8 @@ which has a closed form: either the unconstrained stationary point or the
 best of the three edges.  Strict convexity in ``y`` (rho > 0) makes the
 per-unit response unique and continuous whenever ``c > 0``; ``c == 0`` units
 respond with one flat price step that a final in-bracket allocation settles.
+The bisection and the settle are the price-clearing kernel of
+``hquc.ucmodel``, shared with the economic dispatch of a fixed commitment.
 
 The returned point is certified a posteriori: the KKT residual is the largest
 distance of any per-unit gradient from the normal cone of its active
@@ -35,9 +37,7 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .errors import InfeasibleRelaxation, InvariantViolation, LengthMismatch
-from .ucmodel import UCInstance
-
-_BISECT_ITERS = 200
+from .ucmodel import UCInstance, _step_output, bisect_price, settle_bracket
 
 
 @dataclass(frozen=True)
@@ -112,10 +112,7 @@ def _unit_response(
             return y0, p0
 
     # Edge y = 1.
-    if c > 0.0:
-        p1 = min(max((mu - b) / (2.0 * c), pmin), pmax)
-    else:
-        p1 = pmax if mu > b else pmin
+    p1 = _step_output(b, c, pmin, pmax, mu)
     best_y, best_p = 1.0, p1
     best_val = c * p1 * p1 + (b - mu) * p1 + rho / 2.0 + g_lin
 
@@ -227,31 +224,10 @@ def solve_block1(problem: Block1Problem, tol: float = 1e-9) -> Block1Solution:
     else:
         raise InvariantViolation("failed to bracket the clearing price from above")
 
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if supply(mid) <= load:
-            lo = mid
-        else:
-            hi = mid
-
-    y_lo, p_lo = _profile(data, lo)
+    lo, hi = bisect_price(supply, load, lo, hi)
+    y, p_lo = _profile(data, lo)
     _, p_hi = _profile(data, hi)
-    # Settle the remaining gap inside the final bracket (flat c == 0 steps and
-    # the last few ulps of the smooth units).
-    need = load - math.fsum(p_lo)
-    y = list(y_lo)
-    p = list(p_lo)
-    for i in range(len(p)):
-        if need <= 0.0:
-            break
-        room = p_hi[i] - p_lo[i]
-        if room <= 0.0:
-            continue
-        add = min(need, room)
-        p[i] += add
-        need -= add
+    p = settle_bracket(p_lo, p_hi, load)
 
     mu = 0.5 * (lo + hi)
     return Block1Solution(

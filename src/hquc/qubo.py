@@ -10,9 +10,6 @@ QUBO: ``energy(z) = sum_i q_i z_i + constant`` with
 
     q_i      = -lam_i + rho * (1/2 - a_i)
     constant = sum_i (lam_i * a_i + (rho / 2) * a_i**2)
-
-The representation keeps an (always empty here) coupling slot so future
-quadratic terms have somewhere to go; the solvers guard against it.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HasCouplings, InvariantViolation, LengthMismatch, TooLarge
+from .errors import InvariantViolation, LengthMismatch, TooLarge
 
 #: Exhaustive QUBO solve guard (2**24 assignments).
 EXACT_SOLVE_LIMIT = 24
@@ -35,11 +32,9 @@ class QuboProblem:
 
     linear: tuple[float, ...]
     constant: float = 0.0
-    couplings: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "linear", tuple(float(q) for q in self.linear))
-        object.__setattr__(self, "couplings", tuple(self.couplings))
 
     @property
     def n(self) -> int:
@@ -48,7 +43,6 @@ class QuboProblem:
     def energy(self, bits: Sequence[int]) -> float:
         if len(bits) != self.n:
             raise LengthMismatch(f"got {len(bits)} bits, expected {self.n}")
-        self._require_diagonal()
         e = 0.0
         for q, z in zip(self.linear, bits):
             if z:
@@ -57,7 +51,6 @@ class QuboProblem:
 
     def energies(self) -> np.ndarray:
         """Energy of every assignment, indexed by the bits-as-integer value."""
-        self._require_diagonal()
         if self.n > EXACT_SOLVE_LIMIT:
             raise TooLarge(f"n={self.n} exceeds limit {EXACT_SOLVE_LIMIT}")
         idx = np.arange(1 << self.n)
@@ -65,10 +58,6 @@ class QuboProblem:
         for i, q in enumerate(self.linear):
             e += q * ((idx >> i) & 1)
         return e + self.constant
-
-    def _require_diagonal(self) -> None:
-        if self.couplings:
-            raise HasCouplings("operation requires a coupling-free QUBO")
 
 
 @dataclass(frozen=True)
@@ -112,18 +101,9 @@ def build_qubo(
 
 def to_spin(qubo: QuboProblem) -> IsingProblem:
     """Map bits to spins via ``s = 2 z - 1``; energies are preserved exactly."""
-    qubo._require_diagonal()
     h = tuple(q / 2.0 for q in qubo.linear)
     offset = qubo.constant + math.fsum(h)
     return IsingProblem(h, offset)
-
-
-def _energy_like_exact(qubo: QuboProblem, bits: Sequence[int]) -> float:
-    # Same accumulation order as energies(): linear terms by index, then constant.
-    e = 0.0
-    for q, z in zip(qubo.linear, bits):
-        e += q * z
-    return e + qubo.constant
 
 
 def solve_qubo_exact(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:
@@ -132,7 +112,6 @@ def solve_qubo_exact(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:
     Ties break toward bit value 0 scanning from unit 1 upward, i.e. toward the
     lexicographically smallest bits tuple.
     """
-    qubo._require_diagonal()
     n = qubo.n
     if n > EXACT_SOLVE_LIMIT:
         raise TooLarge(f"n={n} exceeds limit {EXACT_SOLVE_LIMIT}")
@@ -144,7 +123,7 @@ def solve_qubo_exact(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:
         tuple(int(m >> i) & 1 for i in range(n))
         for m in np.flatnonzero(energies == emin)
     )
-    return best, _energy_like_exact(qubo, best)
+    return best, qubo.energy(best)
 
 
 def solve_qubo_perbit(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:
@@ -152,6 +131,5 @@ def solve_qubo_perbit(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:
 
     Matches :func:`solve_qubo_exact` bit-for-bit including the tie rule.
     """
-    qubo._require_diagonal()
     bits = tuple(1 if q < 0.0 else 0 for q in qubo.linear)
-    return bits, _energy_like_exact(qubo, bits)
+    return bits, qubo.energy(bits)

@@ -9,7 +9,10 @@ Dispatch uses marginal-price bisection: for a trial price ``mu`` each committed
 unit produces ``clamp((mu - b) / (2 c), p_min, p_max)``; the price is bisected
 until the balance closes.  Units with ``c == 0`` respond with a step at
 ``mu == b`` and are settled by a final greedy allocation inside the last
-bisection bracket, which keeps the kernel exact for them too.
+bisection bracket, which keeps the kernel exact for them too.  The bisection
+(:func:`bisect_price`) and the settle (:func:`settle_bracket`) are the one
+price-clearing kernel of the package: the first ADMM block (``hquc.qpblock``)
+clears its price with them too, over its own per-unit response.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import (
     DuplicateId,
@@ -56,6 +59,10 @@ class GeneratorParams:
     p_max: float
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "c", "p_min", "p_max"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvariantViolation(f"unit {self.id}: {name}={value} is not finite")
         if not (0.0 <= self.p_min <= self.p_max):
             raise InvariantViolation(
                 f"unit {self.id}: need 0 <= p_min <= p_max, "
@@ -83,6 +90,8 @@ class UCInstance:
         object.__setattr__(self, "generators", tuple(self.generators))
         if len(self.generators) < 1:
             raise InvariantViolation("instance needs at least one generator")
+        if not math.isfinite(self.load):
+            raise InvariantViolation(f"load {self.load} is not finite")
         if self.load < 0.0:
             raise InvariantViolation(f"load {self.load} < 0")
         ids = [g.id for g in self.generators]
@@ -246,39 +255,35 @@ def _step_output(b: float, c: float, lo: float, hi: float, mu: float) -> float:
     return hi if mu > b else lo
 
 
-def _dispatch_committed(
-    units: Sequence[GeneratorParams], load: float
-) -> list[float]:
-    """Exact dispatch of ``load`` over committed units via price bisection.
+def bisect_price(
+    supply: Callable[[float], float], load: float, lo: float, hi: float
+) -> tuple[float, float]:
+    """Narrow a clearing-price bracket until it cannot shrink further.
 
-    Assumes sum(p_min) <= load <= sum(p_max); the caller checks that.
+    ``supply(mu)`` must be nondecreasing in ``mu`` and the caller's bracket
+    must hold ``supply(lo) <= load <= supply(hi)``; the invariant is kept.
     """
-    p_min_sum = math.fsum(g.p_min for g in units)
-    p_max_sum = math.fsum(g.p_max for g in units)
-    if load == p_min_sum:
-        return [g.p_min for g in units]
-    if load == p_max_sum:
-        return [g.p_max for g in units]
-
-    def profile(mu: float) -> list[float]:
-        return [_step_output(g.b, g.c, g.p_min, g.p_max, mu) for g in units]
-
-    lo = min(g.b + 2.0 * g.c * g.p_min for g in units) - 1.0
-    hi = max(g.b + 2.0 * g.c * g.p_max for g in units) + 1.0
-    # Invariant: sum(profile(lo)) <= load <= sum(profile(hi)).
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if math.fsum(profile(mid)) <= load:
+        if supply(mid) <= load:
             lo = mid
         else:
             hi = mid
-    p_lo = profile(lo)
-    p_hi = profile(hi)
-    # Close the residual gap inside the final bracket.  For smooth units the
-    # gap is a few ulps; for c == 0 units sitting exactly at their price step
-    # this allocates greedily in unit order across the flat segment.
+    return lo, hi
+
+
+def settle_bracket(
+    p_lo: Sequence[float], p_hi: Sequence[float], load: float
+) -> list[float]:
+    """Close the balance gap left between the outputs at the bracket ends.
+
+    Starts from ``p_lo`` and raises units toward ``p_hi`` greedily in unit
+    order.  For smooth units the gap is a few ulps; for ``c == 0`` units
+    sitting exactly at their price step this allocates across the flat
+    segment.
+    """
     need = load - math.fsum(p_lo)
     out = list(p_lo)
     for i in range(len(out)):
@@ -293,6 +298,41 @@ def _dispatch_committed(
     return out
 
 
+def _dispatch(instance: UCInstance, bits: Sequence[int]) -> list[float] | None:
+    """Exact dispatch of the load over the units ``bits`` commits.
+
+    Returns ``None`` when the load falls outside the committed capacity
+    range ``[sum p_min, sum p_max]``.
+    """
+    on = [g for g, y in zip(instance.generators, bits) if y]
+    load = instance.load
+    p_min_sum = math.fsum(g.p_min for g in on)
+    p_max_sum = math.fsum(g.p_max for g in on)
+    if not (p_min_sum <= load <= p_max_sum):
+        return None
+    if load == p_min_sum:
+        on_p = [g.p_min for g in on]
+    elif load == p_max_sum:
+        on_p = [g.p_max for g in on]
+    else:
+
+        def profile(mu: float) -> list[float]:
+            return [_step_output(g.b, g.c, g.p_min, g.p_max, mu) for g in on]
+
+        # Every unit sits at p_min at lo and at p_max at hi.
+        lo, hi = bisect_price(
+            lambda mu: math.fsum(profile(mu)),
+            load,
+            min(g.b + 2.0 * g.c * g.p_min for g in on) - 1.0,
+            max(g.b + 2.0 * g.c * g.p_max for g in on) + 1.0,
+        )
+        on_p = settle_bracket(profile(lo), profile(hi), load)
+    dispatch = [0.0] * instance.n
+    for g, p in zip(on, on_p):
+        dispatch[g.id - 1] = p
+    return dispatch
+
+
 def economic_dispatch(
     instance: UCInstance, commitment: Commitment
 ) -> tuple[float, ...]:
@@ -302,19 +342,35 @@ def economic_dispatch(
     capacity range ``[sum p_min, sum p_max]``.
     """
     _require_length(instance, commitment.bits, "commitment")
-    on = [g for g, y in zip(instance.generators, commitment.bits) if y]
-    p_min_sum = math.fsum(g.p_min for g in on)
-    p_max_sum = math.fsum(g.p_max for g in on)
-    if not (p_min_sum <= instance.load <= p_max_sum):
+    dispatch = _dispatch(instance, commitment.bits)
+    if dispatch is None:
+        on = [g for g, y in zip(instance.generators, commitment.bits) if y]
         raise InfeasibleCommitment(
             f"load {instance.load} outside committed range "
-            f"[{p_min_sum}, {p_max_sum}] of units {[g.id for g in on]}"
+            f"[{math.fsum(g.p_min for g in on)}, {math.fsum(g.p_max for g in on)}] "
+            f"of units {[g.id for g in on]}"
         )
-    dispatch = [0.0] * instance.n
-    if on:
-        for g, p in zip(on, _dispatch_committed(on, instance.load)):
-            dispatch[g.id - 1] = p
     return tuple(dispatch)
+
+
+def cheapest_servable(
+    instance: UCInstance, candidates: Iterable[tuple[int, ...]]
+) -> UCSolution | None:
+    """Cheapest candidate bits tuple that can serve the load, else ``None``.
+
+    Ties in cost break toward the lexicographically smallest bits tuple
+    (unit 1 first).
+    """
+    best: UCSolution | None = None
+    for bits in candidates:
+        dispatch = _dispatch(instance, bits)
+        if dispatch is None:
+            continue
+        commitment = Commitment(bits)
+        cost = evaluate_cost(instance, commitment, dispatch)
+        if best is None or (cost, commitment.bits) < (best.cost, best.commitment.bits):
+            best = UCSolution(commitment, tuple(dispatch), cost)
+    return best
 
 
 def enumerate_uc(instance: UCInstance) -> UCSolution:
@@ -327,27 +383,10 @@ def enumerate_uc(instance: UCInstance) -> UCSolution:
     n = instance.n
     if n > ENUMERATION_LIMIT:
         raise TooLarge(f"N={n} exceeds enumeration limit {ENUMERATION_LIMIT}")
-    gens = instance.generators
-    best_cost = math.inf
-    best: UCSolution | None = None
-    for mask in range(1 << n):
-        bits = tuple((mask >> i) & 1 for i in range(n))
-        on = [g for g, y in zip(gens, bits) if y]
-        p_min_sum = math.fsum(g.p_min for g in on)
-        p_max_sum = math.fsum(g.p_max for g in on)
-        if not (p_min_sum <= instance.load <= p_max_sum):
-            continue
-        dispatch = [0.0] * n
-        if on:
-            for g, p in zip(on, _dispatch_committed(on, instance.load)):
-                dispatch[g.id - 1] = p
-        commitment = Commitment(bits)
-        cost = evaluate_cost(instance, commitment, dispatch)
-        if cost < best_cost or (
-            cost == best_cost and best is not None and bits < best.commitment.bits
-        ):
-            best_cost = cost
-            best = UCSolution(commitment, tuple(dispatch), cost)
+    best = cheapest_servable(
+        instance,
+        (tuple((mask >> i) & 1 for i in range(n)) for mask in range(1 << n)),
+    )
     if best is None:
         raise Infeasible(f"no commitment can serve load {instance.load}")
     return best

@@ -96,7 +96,9 @@ class TestAdmmModes:
         )
         assert code == EXIT_OK
         trace_lines = (out / "trace.csv").read_text().splitlines()
-        assert trace_lines[0] == "iter,residual,objective"
+        assert trace_lines[0] == (
+            "iter,residual,objective,block1_objective,block1_kkt,block2_energy"
+        )
         final_residual = float(trace_lines[-1].split(",")[1])
         assert final_residual <= 1e-6
         parsed = solution_from_csv((out / "solution.csv").read_text())
@@ -197,9 +199,39 @@ class TestInputErrors:
         assert "bogus" in capsys.readouterr().err
 
     def test_negative_load(self, gen_csv, tmp_path, capsys):
-        code = main(_args("baseline", gen_csv, -5, tmp_path / "o"))
+        # Non-finite loads are bad input too, never "infeasible".
+        for mode in ("baseline", "s1"):
+            for load in ("-5", "nan", "inf"):
+                code = main(_args(mode, gen_csv, load, tmp_path / "o"))
+                assert code == 1, (mode, load)
+                assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["baseline", "s1"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("a", "nan"), ("b", "nan"), ("c", "inf"),
+            ("p_min", "nan"), ("p_max", "inf"),
+        ],
+    )
+    def test_non_finite_generator_field(self, tmp_path, capsys, mode, field, value):
+        row = dict(id="1", a="660", b="25.92", c="0.00413", p_min="10", p_max="55")
+        row[field] = value
+        bad = tmp_path / "bad.csv"
+        bad.write_text("id,a,b,c,p_min,p_max\n" + ",".join(row.values()) + "\n")
+        code = main(_args(mode, bad, 30, tmp_path / "o"))
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "not finite" in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--rho", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf")]
+    )
+    def test_non_finite_admm_setting(self, gen_csv, tmp_path, capsys, flag, value):
+        code = main(_args("s1", gen_csv, 800, tmp_path / "o", flag, value))
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestCompare:

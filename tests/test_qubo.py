@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hquc import (
-    HasCouplings,
     InvariantViolation,
     LengthMismatch,
     QuboProblem,
@@ -124,12 +123,20 @@ class TestExactSolver:
         with pytest.raises(TooLarge):
             solve_qubo_exact(QuboProblem((1.0,) * 25))
 
-    def test_coupling_guard(self):
-        qubo = QuboProblem((1.0, 1.0), 0.0, couplings=((0, 1, 0.5),))
-        with pytest.raises(HasCouplings):
-            solve_qubo_exact(qubo)
-        with pytest.raises(HasCouplings):
-            solve_qubo_perbit(qubo)
+    def test_energy_matches_energy_table_exactly(self):
+        # The solvers report qubo.energy(bits) for the minimum of the table
+        # qubo.energies(); the two must agree bit for bit, not approximately.
+        rng = np.random.default_rng(307)
+        for _ in range(200):
+            n = int(rng.integers(1, 11))
+            linear = rng.normal(0.0, 100.0, n)
+            linear[rng.random(n) < 0.2] = 0.0
+            qubo = QuboProblem(tuple(linear), float(rng.normal(0.0, 1e3)))
+            table = qubo.energies()
+            for mask in range(1 << n):
+                bits = tuple((mask >> i) & 1 for i in range(n))
+                assert qubo.energy(bits) == table[mask]
+            assert solve_qubo_exact(qubo)[1] == table.min()
 
 
 class TestPerBitSolver:
