@@ -33,6 +33,7 @@ from .errors import (
 )
 from .qaoa import (
     MAX_QUBITS,
+    ProductState,
     QaoaConfig,
     QaoaOutcome,
     QaoaParams,

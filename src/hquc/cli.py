@@ -89,13 +89,32 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-_CONFIG_FILE_KEYS = frozenset(
-    {
-        "rho", "beta", "epsilon", "max_iters", "warm_start",
-        "initial_z", "initial_r", "initial_lambda",
-        "qaoa_depth", "qaoa_budget", "extract",
-    }
-)
+def _is_real(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real_list(value: object) -> bool:
+    return isinstance(value, list) and all(_is_real(v) for v in value)
+
+
+#: Config-file keys with the JSON type each must have.
+_CONFIG_FILE_TYPES = {
+    "rho": (_is_real, "a number"),
+    "beta": (_is_real, "a number"),
+    "epsilon": (_is_real, "a number"),
+    "max_iters": (_is_int, "an integer"),
+    "qaoa_depth": (_is_int, "an integer"),
+    "qaoa_budget": (_is_int, "an integer"),
+    "warm_start": (lambda v: isinstance(v, bool), "true or false"),
+    "extract": (lambda v: isinstance(v, str), "a string"),
+    "initial_z": (_is_real_list, "a list of numbers"),
+    "initial_r": (_is_real_list, "a list of numbers"),
+    "initial_lambda": (_is_real_list, "a list of numbers"),
+}
 
 
 def _load_file_overrides(spec: RunSpec) -> dict:
@@ -105,11 +124,18 @@ def _load_file_overrides(spec: RunSpec) -> dict:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise SolverError(f"config file {spec.config_path}: expected a JSON object")
-    unknown = set(data) - _CONFIG_FILE_KEYS
+    unknown = set(data) - set(_CONFIG_FILE_TYPES)
     if unknown:
         raise SolverError(
             f"config file {spec.config_path}: unknown keys {sorted(unknown)}"
         )
+    for key, value in data.items():
+        check, expected = _CONFIG_FILE_TYPES[key]
+        if not check(value):
+            raise SolverError(
+                f"config file {spec.config_path}: {key} must be {expected}, "
+                f"got {value!r}"
+            )
     for key in ("initial_z", "initial_r", "initial_lambda"):
         if key in data:
             data[key] = tuple(data[key])

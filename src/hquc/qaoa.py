@@ -1,4 +1,4 @@
-"""Dense statevector simulation of QAOA for diagonal QUBO objectives.
+"""QAOA for diagonal QUBO objectives, simulated as a product state.
 
 The circuit follows the usual alternating structure at depth P:
 
@@ -10,6 +10,25 @@ as a per-basis-state phase, and the transverse-field mixer
 single-qubit rotation ``cos(pi beta / 2) I + i sin(pi beta / 2) X`` applied to
 every qubit.  Note the pi/2 factor inside both exponents; the variational
 angles are dimensionless.
+
+Product form: the block-2 QUBO has no couplings, ``C = sum_i h_i z_i``, so
+``exp(i pi gamma C / 2)`` is the tensor product of the single-qubit phases
+``diag(1, exp(i pi gamma h_i / 2))``.  The mixer is a tensor product of
+single-qubit rotations too, and so is ``H^n |0>``.  A product of single-qubit
+gates keeps a product state a product state, so the QAOA state is one
+amplitude pair ``(a0_i, a1_i)`` per qubit at every depth, exactly: no
+approximation is made.  :func:`run_circuit` evolves the n pairs, which costs
+O(n P) per circuit instead of O(n 2^n P), and returns a :class:`ProductState`.
+The expectation is ``sum_i q_i P_i(1) + constant`` from the per-qubit
+marginals, and the most probable bitstring takes each bit from its own qubit.
+The 2^n amplitudes are built (by Kronecker product) only when asked for.
+
+Dense oracle: :class:`Statevector`, :func:`init_uniform`,
+:func:`apply_cost_layer` and :func:`apply_mixer_layer` simulate the same
+circuit on the full 2^n statevector, layer by layer.  No solver path uses
+them; the tests compare the product kernel against them.  Both state classes
+offer the same read methods, so :func:`expectation` and
+:func:`extract_solution` accept either.
 
 Bit convention: variable ``i`` (1-based) lives on qubit ``i - 1``, the least
 significant bit of the basis index, and bitstrings render most significant
@@ -52,6 +71,59 @@ class Statevector:
     def norm_error(self) -> float:
         """Deviation of the total probability from one."""
         return abs(float(np.sum(self.probabilities())) - 1.0)
+
+    def marginals(self) -> np.ndarray:
+        """Per-qubit probability of reading 1, ``P_i(1)``."""
+        probs = self.probabilities()
+        return np.array(
+            [probs.reshape(-1, 2, 1 << i)[:, 1, :].sum() for i in range(self.n)]
+        )
+
+    def most_probable_bits(self) -> tuple[int, ...]:
+        """Bits of the most probable basis state; ties go to the smallest index."""
+        index = int(np.argmax(self.probabilities()))
+        return tuple((index >> i) & 1 for i in range(self.n))
+
+
+@dataclass(frozen=True, eq=False)
+class ProductState:
+    """Unentangled n-qubit state: row ``i`` of ``pairs`` is ``(a0_i, a1_i)``."""
+
+    pairs: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.pairs)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The 2**n amplitudes, qubit 0 as the least significant bit."""
+        if self.n > MAX_QUBITS:
+            raise TooManyQubits(f"n={self.n} exceeds simulation guard {MAX_QUBITS}")
+        amps = np.ones(1, dtype=complex)
+        for pair in self.pairs:
+            amps = np.kron(pair, amps)
+        return amps
+
+    def probabilities(self) -> np.ndarray:
+        return np.abs(self.amplitudes) ** 2
+
+    def norm_error(self) -> float:
+        """Deviation of the total probability from one."""
+        return abs(float(np.prod(np.sum(np.abs(self.pairs) ** 2, axis=1))) - 1.0)
+
+    def marginals(self) -> np.ndarray:
+        """Per-qubit probability of reading 1, ``P_i(1)``."""
+        return np.abs(self.pairs[:, 1]) ** 2
+
+    def most_probable_bits(self) -> tuple[int, ...]:
+        """Each bit is 1 iff ``P_i(1) > P_i(0)``; ties go to 0.
+
+        For a product state this is the argmax over basis states with the
+        smallest-index tie rule of :meth:`Statevector.most_probable_bits`.
+        """
+        probs = np.abs(self.pairs) ** 2
+        return tuple(int(p1 > p0) for p0, p1 in probs)
 
 
 @dataclass(frozen=True)
@@ -179,21 +251,36 @@ def apply_mixer_layer(state: Statevector, beta: float) -> Statevector:
 
 def run_circuit(
     qubo: QuboProblem, params: QaoaParams, normalize_scale: bool = True
-) -> Statevector:
-    """Prepare the uniform state, then apply P (cost, mixer) layer pairs."""
-    scale = phase_scale(qubo) if normalize_scale else None
-    state = init_uniform(qubo.n)
+) -> ProductState:
+    """Prepare the uniform state, then apply P (cost, mixer) layer pairs.
+
+    Each qubit evolves on its own: the cost step multiplies ``a1_i`` by
+    ``exp(i pi gamma h_i / 2)`` and the mixer step rotates the pair, so the
+    result equals the dense layer-by-layer composition up to rounding.
+    """
+    if qubo.n < 1:
+        raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
+    h = np.asarray(qubo.linear)
+    if normalize_scale:
+        h = h / phase_scale(qubo)
+    a0 = np.full(qubo.n, 2.0 ** -0.5, dtype=complex)
+    a1 = a0.copy()
     for gamma, beta in zip(params.gammas, params.betas):
-        state = apply_cost_layer(state, qubo, gamma, scale=scale)
-        state = apply_mixer_layer(state, beta)
-    return state
+        a1 = a1 * np.exp(1j * math.pi * gamma * h / 2.0)
+        c = math.cos(math.pi * beta / 2.0)
+        s = 1j * math.sin(math.pi * beta / 2.0)
+        a0, a1 = c * a0 + s * a1, s * a0 + c * a1
+    return ProductState(np.stack((a0, a1), axis=1))
 
 
-def expectation(state: Statevector, qubo: QuboProblem) -> float:
-    """Expected full QUBO energy (constant restored, original units)."""
+def expectation(state: Statevector | ProductState, qubo: QuboProblem) -> float:
+    """Expected full QUBO energy (constant restored, original units).
+
+    For a diagonal QUBO this is ``sum_i q_i P_i(1) + constant`` for any state.
+    """
     if qubo.n != state.n:
         raise DimensionMismatch(f"qubo n={qubo.n} but state n={state.n}")
-    return float(state.probabilities() @ qubo.energies())
+    return float(state.marginals() @ np.asarray(qubo.linear)) + qubo.constant
 
 
 class _BudgetExhausted(Exception):
@@ -242,19 +329,20 @@ def optimize_params(
     return QaoaParams(tuple(best_x[:depth]), tuple(best_x[depth:])), best_val
 
 
-def extract_solution(state: Statevector, config: QaoaConfig) -> tuple[int, ...]:
+def extract_solution(
+    state: Statevector | ProductState, config: QaoaConfig
+) -> tuple[int, ...]:
     """Read a bit assignment out of the final state.
 
     argmax mode returns the most probable basis state, ties resolved toward
     the smallest basis index; sample mode draws once from the distribution
     seeded by ``config.sample_seed``.
     """
-    probs = state.probabilities()
     if config.extraction == "argmax":
-        index = int(np.argmax(probs))
-    else:
-        rng = np.random.default_rng(config.sample_seed)
-        index = int(rng.choice(len(probs), p=probs / probs.sum()))
+        return state.most_probable_bits()
+    probs = state.probabilities()
+    rng = np.random.default_rng(config.sample_seed)
+    index = int(rng.choice(len(probs), p=probs / probs.sum()))
     return tuple((index >> i) & 1 for i in range(state.n))
 
 

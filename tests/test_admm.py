@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from helpers import random_instance
+from helpers import dense_run_circuit, random_instance
 
+import hquc.qaoa
 from hquc import (
     AdmmConfig,
     Commitment,
@@ -23,6 +24,7 @@ from hquc import (
     evaluate_cost,
     preset_penalties,
     residual,
+    UCInstance,
     run_admm,
     update_dual,
     update_r,
@@ -332,3 +334,36 @@ class TestFinalRepair:
         report = run_admm(inst, default_config(5.0))
         assert report.converged
         assert report.final is None
+
+
+class TestQaoaKernelTrajectory:
+    """The product-state kernel leaves every s2 trajectory bit-identical.
+
+    The speedup relies on this: ADMM sees only the extracted bits, and those
+    match the dense statevector simulation's, even where the optimized angles
+    differ in their last digits.
+    """
+
+    @staticmethod
+    def _run(inst):
+        states = []
+        report = run_admm(
+            inst, default_config(inst.load, backend="qaoa"), observer=states.append
+        )
+        return (
+            report.iterations,
+            report.converged,
+            report.trace,
+            [state.z for state in states],
+            report.final,
+        )
+
+    def test_dense_and_product_kernels_agree(
+        self, four_unit, ten_unit_generators, monkeypatch
+    ):
+        for inst in (four_unit(50.0), UCInstance(ten_unit_generators[:6], 200.0)):
+            product = self._run(inst)
+            with monkeypatch.context() as patch:
+                patch.setattr(hquc.qaoa, "run_circuit", dense_run_circuit)
+                dense = self._run(inst)
+            assert product == dense

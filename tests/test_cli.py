@@ -198,6 +198,23 @@ class TestInputErrors:
         assert code == 1
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rho", "abc"), ("epsilon", None), ("max_iters", 1.5),
+            ("initial_z", 5), ("qaoa_depth", "2"), ("initial_z", ["a"] * 10),
+            ("warm_start", "no"),
+        ],
+    )
+    def test_config_value_of_wrong_type(self, gen_csv, tmp_path, capsys, key, value):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: value}))
+        code = main(_args("s2", gen_csv, 800, tmp_path / "o", "--config", str(config)))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert key in err
+
     def test_negative_load(self, gen_csv, tmp_path, capsys):
         # Non-finite loads are bad input too, never "infeasible".
         for mode in ("baseline", "s1"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from helpers import dense_run_circuit
 from hquc import (
     DimensionMismatch,
     InvariantViolation,
@@ -188,6 +189,57 @@ class TestRunCircuit:
             oracle = _dense_circuit_oracle(qubo, params)
             assert np.max(np.abs(mine.amplitudes - oracle)) < 1e-9
             assert mine.norm_error() < 1e-10
+
+
+class TestProductKernel:
+    def test_matches_dense_layers(self):
+        # Penalty-sized slopes (up to 1e6), about one in five exactly zero.
+        # The tolerance grows with the largest cost phase the circuit builds,
+        # because both kernels round that phase angle: at normalize_scale=False
+        # it reaches 1e6 rad and the two round differently near 1e-10.
+        rng = np.random.default_rng(2024)
+        config = QaoaConfig()
+        for _ in range(200):
+            n = int(rng.integers(1, 11))
+            depth = int(rng.integers(1, 4))
+            size = 10.0 ** rng.uniform(0, 6)
+            linear = rng.normal(0, size, n)
+            linear[rng.random(n) < 0.2] = 0.0
+            qubo = QuboProblem(tuple(linear), float(rng.normal(0, size * n)))
+            params = QaoaParams(
+                tuple(rng.uniform(-2, 2, depth)), tuple(rng.uniform(-2, 2, depth))
+            )
+            for normalize in (True, False):
+                product = run_circuit(qubo, params, normalize)
+                dense = dense_run_circuit(qubo, params, normalize)
+                h = np.abs(linear) / (phase_scale(qubo) if normalize else 1.0)
+                phase = math.pi / 2 * np.sum(np.abs(params.gammas)) * h.sum()
+                tol = 1e-12 * max(1.0, phase)
+                assert np.max(np.abs(product.amplitudes - dense.amplitudes)) <= tol
+                probs = dense.probabilities()
+                assert np.max(np.abs(product.probabilities() - probs)) <= tol
+                energy_size = max(1.0, np.abs(linear).sum() + abs(qubo.constant))
+                assert abs(
+                    expectation(product, qubo) - expectation(dense, qubo)
+                ) <= tol * energy_size
+                top, runner_up = np.sort(probs)[::-1][:2]
+                if top - runner_up > tol:
+                    assert extract_solution(product, config) == extract_solution(
+                        dense, config
+                    )
+
+    def test_zero_slope_qubit_ties_to_zero(self):
+        # A zero slope leaves its qubit in |+>: an exact tie on both kernels.
+        qubo = QuboProblem((0.0, -3.0, 0.0, 2.0))
+        params = QaoaParams((0.8, 0.3), (0.4, -0.6))
+        product = run_circuit(qubo, params)
+        probs = np.abs(product.pairs) ** 2
+        assert probs[0, 0] == probs[0, 1] and probs[2, 0] == probs[2, 1]
+        bits = extract_solution(product, QaoaConfig())
+        assert bits[0] == bits[2] == 0
+        assert bits == extract_solution(
+            dense_run_circuit(qubo, params), QaoaConfig()
+        )
 
 
 class TestExpectation:
