@@ -1,12 +1,11 @@
 """Single-period unit commitment via three-block ADMM, with the binary block
-solvable exactly or by a QAOA statevector simulation."""
+solvable exactly or by a QAOA circuit simulated as a product state."""
 
 from .admm import (
     AdmmConfig,
     AdmmState,
     BACKEND_CLASSICAL,
     BACKEND_QAOA,
-    QaoaIterationRecord,
     SolveReport,
     TraceRow,
     default_config,
@@ -16,7 +15,7 @@ from .admm import (
     update_dual,
     update_r,
 )
-from .cli import ComparisonReport, RunSpec, compare, run
+from .cli import ComparisonReport, compare
 from .errors import (
     DimensionMismatch,
     DuplicateId,

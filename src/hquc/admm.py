@@ -4,8 +4,8 @@ Each iteration solves, in order:
 
 1. the convex QP over the relaxed commitments and outputs (``qpblock``),
 2. the diagonal QUBO over the auxiliary bits ``z`` (classical per-bit solve
-   or a QAOA statevector solve, optionally warm started with the previous
-   iteration's angles),
+   or a QAOA solve simulated as a product state, optionally warm started
+   with the previous iteration's angles),
 3. the unconstrained quadratic over the slack ``r``, which has the closed
    form ``r = -(lam + rho (y - z)) / (beta + rho)``,
 
@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvariantViolation, LengthMismatch
-from .qaoa import QaoaConfig, QaoaParams, solve_qubo_qaoa
+from .qaoa import QaoaConfig, QaoaOutcome, QaoaParams, solve_qubo_qaoa
 from .qpblock import Block1Problem, block1_objective, solve_block1
-from .qubo import QuboProblem, build_qubo, solve_qubo_perbit
+from .qubo import build_qubo, solve_qubo_perbit
 from .ucmodel import Commitment, UCInstance, UCSolution, cheapest_servable
 
 BACKEND_CLASSICAL = "classical"
@@ -68,6 +68,10 @@ class AdmmConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvariantViolation(f"{name}={value} is not finite")
+        for name in ("initial_z", "initial_r", "initial_lambda"):
+            value = getattr(self, name)
+            if value is not None and not all(math.isfinite(v) for v in value):
+                raise InvariantViolation(f"{name}={value} has a non-finite entry")
         if not (self.rho > self.beta > 0.0):
             raise InvariantViolation(
                 f"need rho > beta > 0, got rho={self.rho}, beta={self.beta}"
@@ -117,22 +121,16 @@ class TraceRow:
 
 
 @dataclass(frozen=True)
-class QaoaIterationRecord:
-    iter: int
-    params: QaoaParams
-    expectation: float
-    probabilities: dict[str, float]
-    qubo: QuboProblem
-
-
-@dataclass(frozen=True)
 class SolveReport:
+    """Result of :func:`run_admm`; ``qaoa_diagnostics`` holds the qaoa
+    backend's outcome of every iteration, in order."""
+
     instance: UCInstance
     converged: bool
     iterations: int
     final: UCSolution | None
     trace: tuple[TraceRow, ...]
-    qaoa_diagnostics: tuple[QaoaIterationRecord, ...] | None = None
+    qaoa_diagnostics: tuple[QaoaOutcome, ...] | None = None
 
 
 def update_r(
@@ -235,7 +233,7 @@ def run_admm(
 
     qaoa_params: QaoaParams | None = None
     trace: list[TraceRow] = []
-    diagnostics: list[QaoaIterationRecord] = []
+    diagnostics: list[QaoaOutcome] = []
     converged = False
     iterations = 0
 
@@ -263,12 +261,7 @@ def run_admm(
             bits = outcome.bits
             block2_energy = qubo.energy(bits)
             qaoa_params = outcome.params
-            diagnostics.append(
-                QaoaIterationRecord(
-                    it, outcome.params, outcome.expectation,
-                    outcome.probabilities, qubo,
-                )
-            )
+            diagnostics.append(outcome)
         z = np.asarray(bits, dtype=float)
 
         r = update_r(y, z, lam, config.rho, config.beta)

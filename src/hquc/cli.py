@@ -4,13 +4,14 @@ Three modes:
 
 * ``baseline`` solves the instance exactly by enumeration,
 * ``s1`` runs the three-block ADMM with the classical QUBO solver,
-* ``s2`` runs it with the QAOA statevector backend.
+* ``s2`` runs it with the QAOA backend, simulated as a product state.
 
 Outputs land in the chosen directory: ``solution.csv`` always (when a
 solution exists), ``trace.csv`` with every ``TraceRow`` column for the ADMM
 modes, and per-iteration ``histogram_iter<k>.csv`` bitstring probabilities
 for s2 when requested.
-Exit codes: 0 success, 1 input error, 2 infeasible, 3 not converged.
+Exit codes: 0 success, 1 input error (usage errors included), 2 infeasible,
+3 not converged.
 """
 
 from __future__ import annotations
@@ -49,31 +50,12 @@ EXIT_INFEASIBLE = 2
 EXIT_NOT_CONVERGED = 3
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything one invocation needs; mirrors the CLI flags."""
-
-    mode: str
-    generators_path: str
-    load: float
-    output_dir: str = "out"
-    config_path: str | None = None
-    rho: float | None = None
-    beta: float | None = None
-    epsilon: float | None = None
-    max_iters: int | None = None
-    qaoa_depth: int | None = None
-    qaoa_budget: int | None = None
-    warm_start: bool | None = None
-    extract: str | None = None
-    seed: int = 0
-    emit_histograms: bool = False
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise SolverError(f"unknown mode {self.mode!r}")
-        if self.load < 0.0:
-            raise SolverError(f"load {self.load} < 0")
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SolverError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -101,7 +83,8 @@ def _is_real_list(value: object) -> bool:
     return isinstance(value, list) and all(_is_real(v) for v in value)
 
 
-#: Config-file keys with the JSON type each must have.
+#: Config-file keys with the JSON type each must have.  Each key is also the
+#: name of the CLI flag that overrides it, where there is one.
 _CONFIG_FILE_TYPES = {
     "rho": (_is_real, "a number"),
     "beta": (_is_real, "a number"),
@@ -116,25 +99,28 @@ _CONFIG_FILE_TYPES = {
     "initial_lambda": (_is_real_list, "a list of numbers"),
 }
 
+#: Settings that are :class:`QaoaConfig` fields, by field name.
+_QAOA_FIELDS = {
+    "qaoa_depth": "depth",
+    "qaoa_budget": "optimizer_budget",
+    "extract": "extraction",
+}
 
-def _load_file_overrides(spec: RunSpec) -> dict:
-    if spec.config_path is None:
+
+def _load_file_overrides(path: str | None) -> dict:
+    if path is None:
         return {}
-    with open(spec.config_path) as handle:
-        data = json.load(handle)
+    data = json.loads(_read_text(path))
     if not isinstance(data, dict):
-        raise SolverError(f"config file {spec.config_path}: expected a JSON object")
+        raise SolverError(f"config file {path}: expected a JSON object")
     unknown = set(data) - set(_CONFIG_FILE_TYPES)
     if unknown:
-        raise SolverError(
-            f"config file {spec.config_path}: unknown keys {sorted(unknown)}"
-        )
+        raise SolverError(f"config file {path}: unknown keys {sorted(unknown)}")
     for key, value in data.items():
         check, expected = _CONFIG_FILE_TYPES[key]
         if not check(value):
             raise SolverError(
-                f"config file {spec.config_path}: {key} must be {expected}, "
-                f"got {value!r}"
+                f"config file {path}: {key} must be {expected}, got {value!r}"
             )
     for key in ("initial_z", "initial_r", "initial_lambda"):
         if key in data:
@@ -142,28 +128,19 @@ def _load_file_overrides(spec: RunSpec) -> dict:
     return data
 
 
-def build_admm_config(spec: RunSpec) -> AdmmConfig:
+def build_admm_config(args: argparse.Namespace) -> AdmmConfig:
     """Assemble the ADMM config: flags over config file over load presets."""
-    merged: dict = dict(_load_file_overrides(spec))
-    for key in ("rho", "beta", "epsilon", "max_iters", "warm_start"):
-        value = getattr(spec, key)
+    settings = _load_file_overrides(args.config)
+    for key in _CONFIG_FILE_TYPES:
+        value = getattr(args, key, None)
         if value is not None:
-            merged[key] = value
-    qaoa_kwargs = {
-        "depth": merged.pop("qaoa_depth", None),
-        "optimizer_budget": merged.pop("qaoa_budget", None),
-        "extraction": merged.pop("extract", None),
-        "sample_seed": spec.seed,
+            settings[key] = value
+    qaoa_fields = {
+        name: settings.pop(key) for key, name in _QAOA_FIELDS.items() if key in settings
     }
-    if spec.qaoa_depth is not None:
-        qaoa_kwargs["depth"] = spec.qaoa_depth
-    if spec.qaoa_budget is not None:
-        qaoa_kwargs["optimizer_budget"] = spec.qaoa_budget
-    if spec.extract is not None:
-        qaoa_kwargs["extraction"] = spec.extract
-    qaoa = QaoaConfig(**{k: v for k, v in qaoa_kwargs.items() if v is not None})
-    backend = BACKEND_QAOA if spec.mode == "s2" else BACKEND_CLASSICAL
-    return default_config(spec.load, backend=backend, qaoa=qaoa, **merged)
+    qaoa = QaoaConfig(sample_seed=args.seed, **qaoa_fields)
+    backend = BACKEND_QAOA if args.mode == "s2" else BACKEND_CLASSICAL
+    return default_config(args.load, backend=backend, qaoa=qaoa, **settings)
 
 
 def trace_to_csv(report: SolveReport) -> str:
@@ -226,14 +203,12 @@ def compare(report_a: SolveReport, report_b: SolveReport) -> ComparisonReport:
     )
 
 
-def run(spec: RunSpec) -> int:
-    """Execute one run spec; writes artifacts and returns the exit code."""
-    with open(spec.generators_path) as handle:
-        generators = parse_generators(handle)
-    instance = UCInstance(generators, spec.load)
-    out = Path(spec.output_dir)
+def _run(args: argparse.Namespace) -> int:
+    """Execute one parsed command line; writes artifacts, returns the exit code."""
+    instance = UCInstance(parse_generators(_read_text(args.generators)), args.load)
+    out = Path(args.out)
 
-    if spec.mode == "baseline":
+    if args.mode == "baseline":
         try:
             solution = enumerate_uc(instance)
         except Infeasible as exc:
@@ -246,18 +221,18 @@ def run(spec: RunSpec) -> int:
         )
         return EXIT_OK
 
-    config = build_admm_config(spec)
+    config = build_admm_config(args)
     try:
         report = run_admm(instance, config)
     except InfeasibleRelaxation as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     _atomic_write(out / "trace.csv", trace_to_csv(report))
-    if spec.mode == "s2" and spec.emit_histograms and report.qaoa_diagnostics:
-        for record in report.qaoa_diagnostics:
+    if args.emit_histograms and report.qaoa_diagnostics:
+        for k, outcome in enumerate(report.qaoa_diagnostics, start=1):
             _atomic_write(
-                out / f"histogram_iter{record.iter}.csv",
-                probabilities_to_csv(record.probabilities),
+                out / f"histogram_iter{k}.csv",
+                probabilities_to_csv(outcome.probabilities),
             )
     if report.final is not None:
         _atomic_write(out / "solution.csv", solution_to_csv(report.final))
@@ -276,7 +251,7 @@ def run(spec: RunSpec) -> int:
         )
         return EXIT_INFEASIBLE
     print(
-        f"{spec.mode} converged in {report.iterations} iterations: "
+        f"{args.mode} converged in {report.iterations} iterations: "
         f"commitment |{report.final.commitment.bitstring}> cost {report.final.cost}"
     )
     return EXIT_OK
@@ -312,26 +287,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        spec = RunSpec(
-            mode=args.mode,
-            generators_path=args.generators,
-            load=args.load,
-            output_dir=args.out,
-            config_path=args.config,
-            rho=args.rho,
-            beta=args.beta,
-            epsilon=args.epsilon,
-            max_iters=args.max_iters,
-            qaoa_depth=args.qaoa_depth,
-            qaoa_budget=args.qaoa_budget,
-            warm_start=args.warm_start,
-            extract=args.extract,
-            seed=args.seed,
-            emit_histograms=args.emit_histograms,
-        )
-        return run(spec)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed "error:" and the usage; --help exits 0.
+        if exc.code == 0:
+            raise
+        return EXIT_ERROR
+    try:
+        return _run(args)
     except (OSError, json.JSONDecodeError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

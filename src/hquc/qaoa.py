@@ -35,17 +35,17 @@ significant bit of the basis index, and bitstrings render most significant
 qubit first, so basis index 11 on four qubits is '1011'.
 
 Phase scaling: penalty-sized QUBO coefficients (thousands and up) would wrap
-the cost phases many times over and shred the parameter landscape, so by
-default the linear coefficients are divided by ``max_i |q_i|`` before phase
-construction.  Positive rescaling never changes the argmin over bitstrings,
-and expectation values are always reported in original units with the
-constant offset restored.
+the cost phases many times over and shred the parameter landscape, so
+:func:`run_circuit` divides the linear coefficients by ``max_i |q_i|`` before
+phase construction.  Positive rescaling never changes the argmin over
+bitstrings, and expectation values are always reported in original units with
+the constant offset restored.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -147,19 +147,12 @@ class QaoaParams:
         return len(self.gammas)
 
 
-def _default_initial_params(depth: int) -> QaoaParams:
-    # Small nonzero angles avoid the flat-gradient point at exactly zero.
-    return QaoaParams((0.1,) * depth, (0.1,) * depth)
-
-
 @dataclass(frozen=True)
 class QaoaConfig:
     depth: int = 2
     optimizer_budget: int = 100
-    initial_params: QaoaParams | None = None
     extraction: str = "argmax"
     sample_seed: int = 0
-    normalize_scale: bool = True
 
     def __post_init__(self) -> None:
         if self.depth < 1:
@@ -168,24 +161,25 @@ class QaoaConfig:
             raise InvariantViolation(f"budget {self.optimizer_budget} < 1")
         if self.extraction not in ("argmax", "sample"):
             raise InvariantViolation(f"unknown extraction mode {self.extraction!r}")
-        if (
-            self.initial_params is not None
-            and self.initial_params.depth != self.depth
-        ):
-            raise InvariantViolation(
-                f"initial params depth {self.initial_params.depth} != {self.depth}"
-            )
-
-    def start_params(self) -> QaoaParams:
-        return self.initial_params or _default_initial_params(self.depth)
+        if self.sample_seed < 0:
+            raise InvariantViolation(f"sample seed {self.sample_seed} < 0")
 
 
 @dataclass(frozen=True)
 class QaoaOutcome:
+    """One QAOA solve: its QUBO, bits, optimized angles, expectation and state."""
+
+    qubo: QuboProblem
     bits: tuple[int, ...]
     params: QaoaParams
     expectation: float
-    probabilities: dict[str, float]
+    state: ProductState = field(compare=False)
+
+    @property
+    def probabilities(self) -> dict[str, float]:
+        """Probability of every bitstring, built from the 2**n amplitudes on read."""
+        probs = self.state.probabilities()
+        return {format(i, f"0{self.state.n}b"): float(p) for i, p in enumerate(probs)}
 
 
 def bits_to_string(bits: Sequence[int]) -> str:
@@ -249,20 +243,17 @@ def apply_mixer_layer(state: Statevector, beta: float) -> Statevector:
     return Statevector(amps, state.n)
 
 
-def run_circuit(
-    qubo: QuboProblem, params: QaoaParams, normalize_scale: bool = True
-) -> ProductState:
+def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
     """Prepare the uniform state, then apply P (cost, mixer) layer pairs.
 
     Each qubit evolves on its own: the cost step multiplies ``a1_i`` by
-    ``exp(i pi gamma h_i / 2)`` and the mixer step rotates the pair, so the
-    result equals the dense layer-by-layer composition up to rounding.
+    ``exp(i pi gamma h_i / 2)``, with ``h = q / phase_scale(qubo)``, and the
+    mixer step rotates the pair, so the result equals the dense
+    layer-by-layer composition at ``scale=phase_scale(qubo)`` up to rounding.
     """
     if qubo.n < 1:
         raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
-    h = np.asarray(qubo.linear)
-    if normalize_scale:
-        h = h / phase_scale(qubo)
+    h = np.asarray(qubo.linear) / phase_scale(qubo)
     a0 = np.full(qubo.n, 2.0 ** -0.5, dtype=complex)
     a1 = a0.copy()
     for gamma, beta in zip(params.gammas, params.betas):
@@ -288,17 +279,20 @@ class _BudgetExhausted(Exception):
 
 
 def optimize_params(
-    qubo: QuboProblem, config: QaoaConfig
+    qubo: QuboProblem, config: QaoaConfig, start: QaoaParams | None = None
 ) -> tuple[QaoaParams, float]:
     """Derivative-free (Nelder-Mead) search over the angles.
 
-    Spends at most ``config.optimizer_budget`` expectation evaluations and
-    returns the best parameters seen, so the result is never worse than the
-    starting point.
+    Starts from ``start``, whose depth sets the number of angles, or from
+    ``(0.1,) * config.depth`` when it is ``None``: small nonzero angles avoid
+    the flat-gradient point at exactly zero.  Spends at most
+    ``config.optimizer_budget`` expectation evaluations and returns the best
+    parameters seen, so the result is never worse than the starting point.
     """
-    start = config.start_params()
+    if start is None:
+        start = QaoaParams((0.1,) * config.depth, (0.1,) * config.depth)
     x0 = np.array(start.gammas + start.betas, dtype=float)
-    depth = config.depth
+    depth = start.depth
     budget = config.optimizer_budget
     evals = 0
     best_x = x0.copy()
@@ -310,7 +304,7 @@ def optimize_params(
             raise _BudgetExhausted
         evals += 1
         params = QaoaParams(tuple(x[:depth]), tuple(x[depth:]))
-        val = expectation(run_circuit(qubo, params, config.normalize_scale), qubo)
+        val = expectation(run_circuit(qubo, params), qubo)
         if val < best_val:
             best_val = val
             best_x = np.array(x, dtype=float)
@@ -353,22 +347,16 @@ def solve_qubo_qaoa(
 ) -> QaoaOutcome:
     """Optimize the angles, run the circuit at the optimum, extract bits.
 
-    ``warm`` overrides the configured starting point; passing the previous
-    solve's optimum implements warm starting across outer iterations.
+    ``warm`` is the starting point of the angle search (see
+    :func:`optimize_params`); passing the previous solve's optimum implements
+    warm starting across outer iterations.
     """
     config = config or QaoaConfig()
     if qubo.n > MAX_QUBITS:
         raise TooManyQubits(f"n={qubo.n} exceeds simulation guard {MAX_QUBITS}")
-    if warm is not None:
-        config = replace(config, depth=warm.depth, initial_params=warm)
-    params, value = optimize_params(qubo, config)
-    state = run_circuit(qubo, params, config.normalize_scale)
-    bits = extract_solution(state, config)
-    probs = state.probabilities()
-    prob_map = {
-        format(i, f"0{state.n}b"): float(probs[i]) for i in range(len(probs))
-    }
-    return QaoaOutcome(bits, params, value, prob_map)
+    params, value = optimize_params(qubo, config, warm)
+    state = run_circuit(qubo, params)
+    return QaoaOutcome(qubo, extract_solution(state, config), params, value, state)
 
 
 def probabilities_to_csv(probabilities: dict[str, float]) -> str:

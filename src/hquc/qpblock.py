@@ -174,15 +174,13 @@ def _kkt_residual(
     return max(worst, balance)
 
 
-def solve_block1(problem: Block1Problem, tol: float = 1e-9) -> Block1Solution:
-    """Solve the first block to a KKT residual of roughly ``tol`` or better.
+def solve_block1(problem: Block1Problem) -> Block1Solution:
+    """Solve the first block by price bisection; the result carries its KKT residual.
 
     Raises InfeasibleRelaxation when the load exceeds the fleet capacity or is
     negative; in that case the original binary problem is infeasible as well
     and the caller should stop.
     """
-    if tol < 1e-12:
-        raise InvariantViolation(f"tol {tol} < 1e-12")
     inst = problem.instance
     load = inst.load
     cap = inst.total_p_max()

@@ -80,15 +80,14 @@ def grid_min_two_unit(instance, z, r, lam, rho, beta, step=1e-3):
     return float(obj.min())
 
 
-def dense_run_circuit(qubo, params, normalize_scale=True):
+def dense_run_circuit(qubo, params):
     """The QAOA circuit on the full 2^n statevector, one dense layer at a time.
 
     Same signature and result API as :func:`hquc.qaoa.run_circuit`, so it can
     stand in for the product-state kernel as its oracle.
     """
-    scale = phase_scale(qubo) if normalize_scale else None
     state = init_uniform(qubo.n)
     for gamma, beta in zip(params.gammas, params.betas):
-        state = apply_cost_layer(state, qubo, gamma, scale=scale)
+        state = apply_cost_layer(state, qubo, gamma, scale=phase_scale(qubo))
         state = apply_mixer_layer(state, beta)
     return state

@@ -367,3 +367,12 @@ class TestQaoaKernelTrajectory:
                 patch.setattr(hquc.qaoa, "run_circuit", dense_run_circuit)
                 dense = self._run(inst)
             assert product == dense
+
+    def test_argmax_run_never_builds_the_amplitudes(self, four_unit, monkeypatch):
+        # Only sample extraction and histograms read the 2^n amplitudes.
+        def refuse(state):
+            raise AssertionError("the 2^n amplitudes were built")
+
+        monkeypatch.setattr(hquc.qaoa.ProductState, "amplitudes", property(refuse))
+        report = run_admm(four_unit(50.0), default_config(50.0, backend="qaoa"))
+        assert len(report.qaoa_diagnostics) == report.iterations

@@ -203,7 +203,9 @@ class TestInputErrors:
         [
             ("rho", "abc"), ("epsilon", None), ("max_iters", 1.5),
             ("initial_z", 5), ("qaoa_depth", "2"), ("initial_z", ["a"] * 10),
-            ("warm_start", "no"),
+            ("warm_start", "no"), ("initial_z", [float("nan")] * 10),
+            ("initial_r", [float("inf")] * 10),
+            ("initial_lambda", [0.0] * 9 + [float("-inf")]),
         ],
     )
     def test_config_value_of_wrong_type(self, gen_csv, tmp_path, capsys, key, value):
@@ -214,6 +216,52 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert key in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--mode", "s1", "--generators", "g.csv", "--load", "abc"],
+            ["--mode", "s9", "--generators", "g.csv", "--load", "800"],
+            ["--generators", "g.csv", "--load", "800"],
+        ],
+        ids=["load-not-a-number", "unknown-mode", "missing-mode"],
+    )
+    def test_usage_error(self, capsys, argv):
+        # Exit 2 means "infeasible" here, so usage errors exit 1 instead.
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--mode" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["s1", "s2"])
+    def test_negative_seed(self, gen_csv, tmp_path, capsys, mode):
+        extra = ("--extract", "sample", "--seed", "-1")
+        code = main(_args(mode, gen_csv, 800, tmp_path / "o", *extra))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "seed" in err
+
+    def test_non_utf8_files(self, gen_csv, tmp_path, capsys):
+        bad_csv = tmp_path / "latin1.csv"
+        bad_csv.write_bytes(b"id,a,b,c,p_min,p_max\n1,660,25.92,0.00413,10,55\xb5\n")
+        code = main(_args("baseline", bad_csv, 30, tmp_path / "o"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "latin1.csv" in err
+
+        bad_config = tmp_path / "latin1.json"
+        bad_config.write_bytes(b'{"rho": 4000, "\xe9": 1}')
+        code = main(
+            _args("s1", gen_csv, 800, tmp_path / "o", "--config", str(bad_config))
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "latin1.json" in err
 
     def test_negative_load(self, gen_csv, tmp_path, capsys):
         # Non-finite loads are bad input too, never "infeasible".

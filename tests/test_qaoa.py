@@ -195,8 +195,7 @@ class TestProductKernel:
     def test_matches_dense_layers(self):
         # Penalty-sized slopes (up to 1e6), about one in five exactly zero.
         # The tolerance grows with the largest cost phase the circuit builds,
-        # because both kernels round that phase angle: at normalize_scale=False
-        # it reaches 1e6 rad and the two round differently near 1e-10.
+        # because both kernels round that phase angle.
         rng = np.random.default_rng(2024)
         config = QaoaConfig()
         for _ in range(200):
@@ -209,24 +208,23 @@ class TestProductKernel:
             params = QaoaParams(
                 tuple(rng.uniform(-2, 2, depth)), tuple(rng.uniform(-2, 2, depth))
             )
-            for normalize in (True, False):
-                product = run_circuit(qubo, params, normalize)
-                dense = dense_run_circuit(qubo, params, normalize)
-                h = np.abs(linear) / (phase_scale(qubo) if normalize else 1.0)
-                phase = math.pi / 2 * np.sum(np.abs(params.gammas)) * h.sum()
-                tol = 1e-12 * max(1.0, phase)
-                assert np.max(np.abs(product.amplitudes - dense.amplitudes)) <= tol
-                probs = dense.probabilities()
-                assert np.max(np.abs(product.probabilities() - probs)) <= tol
-                energy_size = max(1.0, np.abs(linear).sum() + abs(qubo.constant))
-                assert abs(
-                    expectation(product, qubo) - expectation(dense, qubo)
-                ) <= tol * energy_size
-                top, runner_up = np.sort(probs)[::-1][:2]
-                if top - runner_up > tol:
-                    assert extract_solution(product, config) == extract_solution(
-                        dense, config
-                    )
+            product = run_circuit(qubo, params)
+            dense = dense_run_circuit(qubo, params)
+            h = np.abs(linear) / phase_scale(qubo)
+            phase = math.pi / 2 * np.sum(np.abs(params.gammas)) * h.sum()
+            tol = 1e-12 * max(1.0, phase)
+            assert np.max(np.abs(product.amplitudes - dense.amplitudes)) <= tol
+            probs = dense.probabilities()
+            assert np.max(np.abs(product.probabilities() - probs)) <= tol
+            energy_size = max(1.0, np.abs(linear).sum() + abs(qubo.constant))
+            assert abs(
+                expectation(product, qubo) - expectation(dense, qubo)
+            ) <= tol * energy_size
+            top, runner_up = np.sort(probs)[::-1][:2]
+            if top - runner_up > tol:
+                assert extract_solution(product, config) == extract_solution(
+                    dense, config
+                )
 
     def test_zero_slope_qubit_ties_to_zero(self):
         # A zero slope leaves its qubit in |+>: an exact tie on both kernels.
@@ -277,8 +275,8 @@ class TestOptimizeParams:
     def test_budget_one_returns_initial(self):
         qubo = QuboProblem((-1.0, 2.0))
         start = QaoaParams((0.3, 0.4), (0.5, 0.6))
-        config = QaoaConfig(depth=2, optimizer_budget=1, initial_params=start)
-        params, value = optimize_params(qubo, config)
+        config = QaoaConfig(depth=2, optimizer_budget=1)
+        params, value = optimize_params(qubo, config, start)
         assert params == start
         assert value == pytest.approx(
             expectation(run_circuit(qubo, start), qubo)
@@ -300,12 +298,8 @@ class TestOptimizeParams:
             start = QaoaParams(
                 tuple(rng.uniform(-1, 1, depth)), tuple(rng.uniform(-1, 1, depth))
             )
-            config = QaoaConfig(
-                depth=depth,
-                optimizer_budget=int(rng.integers(1, 40)),
-                initial_params=start,
-            )
-            params, value = optimize_params(qubo, config)
+            config = QaoaConfig(optimizer_budget=int(rng.integers(1, 40)))
+            params, value = optimize_params(qubo, config, start)
             f_start = expectation(run_circuit(qubo, start), qubo)
             f_end = expectation(run_circuit(qubo, params), qubo)
             assert f_end <= f_start + 1e-12
@@ -360,6 +354,10 @@ class TestSolveQuboQaoa:
         warm = QaoaParams((0.9, -0.2), (0.4, 0.7))
         outcome = solve_qubo_qaoa(qubo, config, warm=warm)
         assert outcome.params == warm
+
+    def test_negative_sample_seed_rejected(self):
+        with pytest.raises(InvariantViolation):
+            QaoaConfig(extraction="sample", sample_seed=-1)
 
     def test_size_guard(self):
         with pytest.raises(TooManyQubits):
