@@ -44,18 +44,16 @@ from .qaoa import (
     extract_solution,
     init_uniform,
     optimize_params,
-    phase_scale,
     run_circuit,
     solve_qubo_qaoa,
 )
 from .qpblock import Block1Problem, Block1Solution, block1_objective, solve_block1
 from .qubo import (
-    IsingProblem,
     QuboProblem,
     build_qubo,
+    phase_scale,
     solve_qubo_exact,
     solve_qubo_perbit,
-    to_spin,
 )
 from .ucmodel import (
     Commitment,
@@ -71,6 +69,7 @@ from .ucmodel import (
     parse_generators,
     solution_from_csv,
     solution_to_csv,
+    solve_uc_exact,
 )
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Three modes:
 
-* ``baseline`` solves the instance exactly by enumeration,
+* ``baseline`` solves the instance exactly by branch and bound
+  (:func:`hquc.ucmodel.solve_uc_exact`), at any size,
 * ``s1`` runs the three-block ADMM with the classical QUBO solver,
 * ``s2`` runs it with the QAOA backend, simulated as a product state.
 
@@ -40,7 +41,7 @@ from .errors import (
     SolverError,
 )
 from .qaoa import QaoaConfig, probabilities_to_csv
-from .ucmodel import UCInstance, enumerate_uc, parse_generators, solution_to_csv
+from .ucmodel import UCInstance, parse_generators, solution_to_csv, solve_uc_exact
 
 MODES = ("baseline", "s1", "s2")
 
@@ -210,7 +211,7 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.mode == "baseline":
         try:
-            solution = enumerate_uc(instance)
+            solution = solve_uc_exact(instance)
         except Infeasible as exc:
             print(f"infeasible: {exc}", file=sys.stderr)
             return EXIT_INFEASIBLE

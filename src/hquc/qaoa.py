@@ -37,9 +37,10 @@ qubit first, so basis index 11 on four qubits is '1011'.
 Phase scaling: penalty-sized QUBO coefficients (thousands and up) would wrap
 the cost phases many times over and shred the parameter landscape, so
 :func:`run_circuit` divides the linear coefficients by ``max_i |q_i|`` before
-phase construction.  Positive rescaling never changes the argmin over
-bitstrings, and expectation values are always reported in original units with
-the constant offset restored.
+phase construction (:attr:`QuboProblem.phase_slopes`, built once per QUBO).
+Positive rescaling never changes the argmin over bitstrings, and expectation
+values are always reported in original units with the constant offset
+restored.
 """
 
 from __future__ import annotations
@@ -205,14 +206,6 @@ def _phase_energies(qubo: QuboProblem, scale: float | None) -> np.ndarray:
     return e
 
 
-def phase_scale(qubo: QuboProblem) -> float:
-    """Coefficient normalizer: ``max_i |q_i|``, or 1 for an all-zero objective."""
-    if qubo.n == 0:
-        return 1.0
-    biggest = max(abs(q) for q in qubo.linear)
-    return biggest if biggest > 0.0 else 1.0
-
-
 def apply_cost_layer(
     state: Statevector,
     qubo: QuboProblem,
@@ -253,7 +246,7 @@ def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
     """
     if qubo.n < 1:
         raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
-    h = np.asarray(qubo.linear) / phase_scale(qubo)
+    h = qubo.phase_slopes
     a0 = np.full(qubo.n, 2.0 ** -0.5, dtype=complex)
     a1 = a0.copy()
     for gamma, beta in zip(params.gammas, params.betas):

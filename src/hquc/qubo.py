@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -49,6 +50,15 @@ class QuboProblem:
                 e += q
         return e + self.constant
 
+    @cached_property
+    def phase_slopes(self) -> np.ndarray:
+        """``linear / phase_scale(self)``, read-only: the per-qubit slopes the
+        QAOA cost layer turns into phases.  Built once per problem, since the
+        angle search runs the circuit on one problem about a hundred times."""
+        slopes = np.asarray(self.linear) / phase_scale(self)
+        slopes.flags.writeable = False
+        return slopes
+
     def energies(self) -> np.ndarray:
         """Energy of every assignment, indexed by the bits-as-integer value."""
         if self.n > EXACT_SOLVE_LIMIT:
@@ -60,23 +70,12 @@ class QuboProblem:
         return e + self.constant
 
 
-@dataclass(frozen=True)
-class IsingProblem:
-    """Spin form of a diagonal QUBO under the substitution ``z = (s + 1) / 2``."""
-
-    h: tuple[float, ...]
-    offset: float
-
-    @property
-    def n(self) -> int:
-        return len(self.h)
-
-    def energy(self, spins: Sequence[int]) -> float:
-        if len(spins) != self.n:
-            raise LengthMismatch(f"got {len(spins)} spins, expected {self.n}")
-        if any(s not in (-1, 1) for s in spins):
-            raise InvariantViolation(f"spins must be +/-1, got {tuple(spins)}")
-        return math.fsum(hi * s for hi, s in zip(self.h, spins)) + self.offset
+def phase_scale(qubo: QuboProblem) -> float:
+    """Coefficient normalizer: ``max_i |q_i|``, or 1 for an all-zero objective."""
+    if qubo.n == 0:
+        return 1.0
+    biggest = max(abs(q) for q in qubo.linear)
+    return biggest if biggest > 0.0 else 1.0
 
 
 def build_qubo(
@@ -97,13 +96,6 @@ def build_qubo(
     linear = -lam_arr + rho * (0.5 - a)
     constant = math.fsum(lam_arr * a + (rho / 2.0) * a * a)
     return QuboProblem(tuple(linear), constant)
-
-
-def to_spin(qubo: QuboProblem) -> IsingProblem:
-    """Map bits to spins via ``s = 2 z - 1``; energies are preserved exactly."""
-    h = tuple(q / 2.0 for q in qubo.linear)
-    offset = qubo.constant + math.fsum(h)
-    return IsingProblem(h, offset)
 
 
 def solve_qubo_exact(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:

@@ -1,5 +1,6 @@
 """Single-period unit commitment: data model, cost and feasibility semantics,
-an exact economic dispatch kernel, and a brute-force enumeration oracle.
+an exact economic dispatch kernel, an exact branch-and-bound solve and the
+brute-force enumeration oracle it is tested against.
 
 The problem is the classic one: pick on/off states ``y_i`` and outputs ``p_i``
 minimizing ``sum_i (a_i y_i + b_i p_i + c_i p_i^2)`` subject to the power
@@ -13,6 +14,11 @@ bisection bracket, which keeps the kernel exact for them too.  The bisection
 (:func:`bisect_price`) and the settle (:func:`settle_bracket`) are the one
 price-clearing kernel of the package: the first ADMM block (``hquc.qpblock``)
 clears its price with them too, over its own per-unit response.
+
+:func:`solve_uc_exact` searches the commitments depth first and prunes with
+the Lagrangian dual of the balance constraint, whose price is bisected by the
+same kernel; it prices leaves as :func:`enumerate_uc` does and returns the
+same answer, tie rule and cost float included, without the 2**N walk.
 """
 
 from __future__ import annotations
@@ -387,6 +393,128 @@ def enumerate_uc(instance: UCInstance) -> UCSolution:
         instance,
         (tuple((mask >> i) & 1 for i in range(n)) for mask in range(1 << n)),
     )
+    if best is None:
+        raise Infeasible(f"no commitment can serve load {instance.load}")
+    return best
+
+
+def _dual_term(g: GeneratorParams, mu: float) -> tuple[float, float]:
+    """``phi(mu) = a + min over p in [p_min, p_max] of (b p + c p^2 - mu p)``
+    for unit ``g``, with the minimizing output ``p``."""
+    p = _step_output(g.b, g.c, g.p_min, g.p_max, mu)
+    return g.a + g.b * p + g.c * p * p - mu * p, p
+
+
+def _dual_bound(
+    on: Sequence[GeneratorParams], free: Sequence[GeneratorParams], load: float
+) -> tuple[float, float]:
+    """Lagrangian lower bound on every commitment that keeps ``on`` on and
+    may add any of ``free``, with the price ``mu`` it was taken at.
+
+    Dualizing the balance with a price ``mu`` gives the bound
+    ``mu * load + sum_on phi_i(mu) + sum_free min(0, phi_i(mu))`` (see
+    :func:`_dual_term`).  It is concave in ``mu`` and its supergradient is
+    ``load`` minus the output of the on units and of the free units with
+    ``phi_i < 0``; that output is nondecreasing in ``mu``, so
+    :func:`bisect_price` brackets the maximizer.  By weak duality every
+    ``mu`` gives a valid bound, so a loose bracket only weakens it.
+    """
+
+    def supply(mu: float) -> float:
+        total = 0.0
+        for g in on:
+            total += _step_output(g.b, g.c, g.p_min, g.p_max, mu)
+        for g in free:
+            phi, p = _dual_term(g, mu)
+            if phi < 0.0:
+                total += p
+        return total
+
+    def value(mu: float) -> float:
+        terms = [mu * load]
+        terms.extend(_dual_term(g, mu)[0] for g in on)
+        terms.extend(min(0.0, _dual_term(g, mu)[0]) for g in free)
+        return math.fsum(terms)
+
+    units = (*on, *free)
+    # Below every b each unit sits at p_min and, for a >= 0, phi_i >= 0; above
+    # every marginal and average cost at p_max each sits at p_max, phi_i < 0.
+    lo, hi = bisect_price(
+        supply,
+        load,
+        min(g.b for g in units) - 1.0,
+        max(
+            max(g.b + 2.0 * g.c * g.p_max, g.a / g.p_max + g.b + g.c * g.p_max)
+            if g.p_max > 0.0
+            else g.b
+            for g in units
+        )
+        + 1.0,
+    )
+    v_lo, v_hi = value(lo), value(hi)
+    return (lo, v_lo) if v_lo >= v_hi else (hi, v_hi)
+
+
+#: Relative margin by which a node's bound must exceed the incumbent's cost
+#: before the node is pruned; it absorbs the rounding of bound and leaf costs.
+_PRUNE_RTOL = 1e-9
+
+
+def solve_uc_exact(instance: UCInstance) -> UCSolution:
+    """Exact solve by depth-first branch and bound: the answer of
+    :func:`enumerate_uc`, without its size limit.
+
+    Branches on the units in id order, the off branch first, so leaves are
+    met in the order of :func:`enumerate_uc`'s tie rule and an incumbent is
+    replaced only by a strictly cheaper leaf.  A node is pruned when its
+    committed capacity range cannot hold the load, or when a Lagrangian
+    bound on its leaves (:func:`_dual_bound`) exceeds the incumbent's cost by
+    more than a relative ``1e-9``.  A node's bound at its parent's price is
+    tried first, since it costs one unit's term.  Leaves are priced by
+    :func:`cheapest_servable`, so the returned cost is the float
+    :func:`enumerate_uc` returns.  Raises Infeasible when no commitment can
+    serve the load.
+    """
+    gens = instance.generators
+    load = instance.load
+    best: UCSolution | None = None
+
+    def pruned(bound: float) -> bool:
+        return best is not None and bound > best.cost + _PRUNE_RTOL * abs(best.cost)
+
+    # Each entry is the bits of units 1..k with a lower bound on its leaves.
+    # The off child is pushed last, so it is searched first.
+    stack: list[tuple[tuple[int, ...], float]] = [((), -math.inf)]
+    while stack:
+        bits, floor = stack.pop()
+        if pruned(floor):
+            continue
+        k = len(bits)
+        if k == instance.n:
+            leaf = cheapest_servable(instance, (bits,))
+            if leaf is not None and (best is None or leaf.cost < best.cost):
+                best = leaf
+            continue
+        on = [g for g, y in zip(gens, bits) if y]
+        free = gens[k:]
+        # One fsum per side, as in _dispatch, so a prune never drops a leaf
+        # that _dispatch would accept.
+        if math.fsum(g.p_min for g in on) > load:
+            continue
+        if math.fsum(g.p_max for g in (*on, *free)) < load:
+            continue
+        floor_off = floor_on = -math.inf
+        if best is not None:
+            mu, bound = _dual_bound(on, free, load)
+            if pruned(bound):
+                continue
+            # At the same mu, fixing unit k off drops min(0, phi_k) from the
+            # bound and fixing it on adds max(0, phi_k).
+            phi = _dual_term(gens[k], mu)[0]
+            floor_off = bound - min(0.0, phi)
+            floor_on = bound + max(0.0, phi)
+        stack.append((bits + (1,), floor_on))
+        stack.append((bits + (0,), floor_off))
     if best is None:
         raise Infeasible(f"no commitment can serve load {instance.load}")
     return best

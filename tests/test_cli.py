@@ -1,22 +1,31 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from conftest import TEN_UNIT_CSV
+from helpers import random_generators
 
 from hquc import (
+    Commitment,
+    InfeasibleCommitment,
     InstanceMismatch,
     UCInstance,
+    check_feasible,
     compare,
     default_config,
+    economic_dispatch,
     enumerate_uc,
     evaluate_cost,
     parse_generators,
     run_admm,
     solution_from_csv,
+    solution_to_csv,
 )
 from hquc.cli import EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, EXIT_OK, main
+
+LOAD_SUITE = (100.0, 200.0, 400.0, 800.0, 1000.0)
 
 
 @pytest.fixture
@@ -47,15 +56,42 @@ def _args(mode, gen_path, load, out, *extra):
 
 
 class TestBaselineMode:
-    def test_writes_solution_matching_enumeration(self, gen_csv, tmp_path):
-        out = tmp_path / "out"
-        assert main(_args("baseline", gen_csv, 800, out)) == EXIT_OK
-        text = (out / "solution.csv").read_text()
-        parsed = solution_from_csv(text)
+    def test_writes_solution_matching_enumeration(self, gen_csv, tmp_path, capsys):
+        gens = parse_generators(gen_csv.read_text())
+        for load in LOAD_SUITE:
+            out = tmp_path / f"out{load:g}"
+            assert main(_args("baseline", gen_csv, load, out)) == EXIT_OK
+            expected = enumerate_uc(UCInstance(gens, load))
+            assert (out / "solution.csv").read_text() == solution_to_csv(expected)
+            assert capsys.readouterr().out == (
+                f"baseline commitment |{expected.commitment.bitstring}> "
+                f"cost {expected.cost}\n"
+            )
 
-        inst = UCInstance(parse_generators(gen_csv.read_text()), 800.0)
-        expected = enumerate_uc(inst)
-        assert parsed == expected
+    def test_solves_fleets_past_the_enumeration_limit(self, tmp_path):
+        # 30 units: enumeration refuses (2^30 commitments), branch and bound
+        # does not.
+        gens = random_generators(np.random.default_rng(30), 30, allow_zero_c=True)
+        lines = ["id,a,b,c,p_min,p_max"]
+        lines += [f"{g.id},{g.a!r},{g.b!r},{g.c!r},{g.p_min!r},{g.p_max!r}" for g in gens]
+        path = tmp_path / "thirty.csv"
+        path.write_text("\n".join(lines) + "\n")
+        load = 0.4 * sum(g.p_max for g in gens)
+        out = tmp_path / "out"
+        assert main(_args("baseline", path, repr(load), out)) == EXIT_OK
+
+        inst = UCInstance(parse_generators(path.read_text()), load)
+        sol = solution_from_csv((out / "solution.csv").read_text())
+        assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
+        for i in range(inst.n):
+            bits = list(sol.commitment.bits)
+            bits[i] = 1 - bits[i]
+            flipped = Commitment(tuple(bits))
+            try:
+                dispatch = economic_dispatch(inst, flipped)
+            except InfeasibleCommitment:
+                continue
+            assert evaluate_cost(inst, flipped, dispatch) >= sol.cost
 
     def test_round_trip_recosting(self, gen_csv, tmp_path):
         out = tmp_path / "out"

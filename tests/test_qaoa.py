@@ -5,6 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from helpers import dense_run_circuit
+
+import hquc.qubo
 from hquc import (
     DimensionMismatch,
     InvariantViolation,
@@ -368,3 +370,20 @@ class TestSolveQuboQaoa:
         outcome = solve_qubo_qaoa(qubo, QaoaConfig(depth=2, optimizer_budget=60))
         total = sum(outcome.probabilities.values())
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_phase_slopes_built_once_per_solve(self, monkeypatch):
+        # The angle search runs the circuit once per evaluation; the scaled
+        # slopes are a property of the QUBO, computed on the first of them.
+        calls = []
+        original = hquc.qubo.phase_scale
+
+        def counted(qubo):
+            calls.append(qubo)
+            return original(qubo)
+
+        monkeypatch.setattr(hquc.qubo, "phase_scale", counted)
+        qubo = QuboProblem((4000.0, -3999.0, 12.0))
+        outcome = solve_qubo_qaoa(qubo, QaoaConfig(depth=2, optimizer_budget=60))
+        assert calls == [qubo]
+        assert np.array_equal(qubo.phase_slopes, np.array(qubo.linear) / 4000.0)
+        assert outcome.bits == (0, 1, 0)

@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from hquc import (
     build_qubo,
     solve_qubo_exact,
     solve_qubo_perbit,
-    to_spin,
 )
 
 
@@ -63,44 +61,6 @@ class TestBuildQubo:
                 direct = _direct_z_terms(y, r, lam, rho, bits)
                 got = qubo.energy(bits)
                 assert got == pytest.approx(direct, rel=1e-9, abs=1e-9)
-
-
-class TestToSpin:
-    def test_single_variable(self):
-        ising = to_spin(QuboProblem((-1.0,), 1.0))
-        assert ising.h == (-0.5,)
-        assert ising.offset == pytest.approx(0.5)
-
-    def test_zero_slopes(self):
-        ising = to_spin(QuboProblem((0.0, 0.0), 7.0))
-        assert ising.h == (0.0, 0.0)
-        assert ising.offset == pytest.approx(7.0)
-
-    def test_two_variable_table(self):
-        qubo = QuboProblem((1.0, 2.0), 0.0)
-        ising = to_spin(qubo)
-        assert ising.h == (0.5, 1.0)
-        assert ising.offset == pytest.approx(1.5)
-        for bits in itertools.product((0, 1), repeat=2):
-            spins = tuple(2 * b - 1 for b in bits)
-            assert ising.energy(spins) == pytest.approx(qubo.energy(bits))
-
-    def test_round_trip_energy_identity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            n = int(rng.integers(1, 9))
-            qubo = QuboProblem(tuple(rng.normal(0, 50, n)), float(rng.normal()))
-            ising = to_spin(qubo)
-            for bits in itertools.product((0, 1), repeat=n):
-                spins = tuple(2 * b - 1 for b in bits)
-                assert ising.energy(spins) == pytest.approx(
-                    qubo.energy(bits), abs=1e-12 * max(1.0, abs(qubo.constant) + 50 * n)
-                )
-
-    def test_spin_values_validated(self):
-        ising = to_spin(QuboProblem((1.0,), 0.0))
-        with pytest.raises(InvariantViolation):
-            ising.energy((0,))
 
 
 class TestExactSolver:

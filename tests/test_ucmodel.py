@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_instance
+from helpers import random_generators, random_instance
 
 from hquc import (
     Commitment,
@@ -25,7 +27,19 @@ from hquc import (
     parse_generators,
     solution_from_csv,
     solution_to_csv,
+    solve_uc_exact,
 )
+
+#: The exact solvers, which must agree bit for bit and float for float.
+EXACT_SOLVERS = (enumerate_uc, solve_uc_exact)
+
+
+def _answer(solve, instance):
+    try:
+        solution = solve(instance)
+    except Infeasible:
+        return "infeasible"
+    return solution.commitment.bits, solution.cost, solution.dispatch
 
 
 class TestParseGenerators:
@@ -289,30 +303,35 @@ class TestEnumerate:
             enumerate_uc(UCInstance(gens, 5.0))
 
     def test_infeasible_load(self, ten_unit):
-        with pytest.raises(Infeasible):
-            enumerate_uc(ten_unit(2000.0))
+        for solve in EXACT_SOLVERS:
+            with pytest.raises(Infeasible):
+                solve(ten_unit(2000.0))
+            with pytest.raises(Infeasible):
+                solve(ten_unit(5.0))  # below every p_min
 
     def test_zero_load_all_off(self, ten_unit):
-        sol = enumerate_uc(ten_unit(0.0))
-        assert sol.commitment.bits == (0,) * 10
-        assert sol.cost == 0.0
+        for solve in EXACT_SOLVERS:
+            sol = solve(ten_unit(0.0))
+            assert sol.commitment.bits == (0,) * 10
+            assert sol.cost == 0.0
 
     def test_ten_unit_golden_solutions(self, ten_unit):
         # Hand-verified optima: unit 4 alone at 100 MW; unit 9 alone at 200
         # and 400; units 6+9 at 800 (unit 9 capped, marginal costs checked).
-        sol = enumerate_uc(ten_unit(100.0))
-        assert sol.commitment.bits == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
-        assert sol.cost == pytest.approx(2351.1, rel=1e-12)
+        for solve in EXACT_SOLVERS:
+            sol = solve(ten_unit(100.0))
+            assert sol.commitment.bits == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+            assert sol.cost == pytest.approx(2351.1, rel=1e-12)
 
-        sol = enumerate_uc(ten_unit(200.0))
-        assert sol.commitment.bits == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
-        assert sol.cost == pytest.approx(4257.2, rel=1e-12)
+            sol = solve(ten_unit(200.0))
+            assert sol.commitment.bits == (0, 0, 0, 0, 0, 0, 0, 0, 1, 0)
+            assert sol.cost == pytest.approx(4257.2, rel=1e-12)
 
-        sol = enumerate_uc(ten_unit(800.0))
-        assert sol.commitment.bits == (0, 0, 0, 0, 0, 1, 0, 0, 1, 0)
-        assert sol.cost == pytest.approx(15427.41975, rel=1e-12)
-        assert sol.dispatch[5] == pytest.approx(345.0, abs=1e-8)
-        assert sol.dispatch[8] == pytest.approx(455.0, abs=1e-8)
+            sol = solve(ten_unit(800.0))
+            assert sol.commitment.bits == (0, 0, 0, 0, 0, 1, 0, 0, 1, 0)
+            assert sol.cost == pytest.approx(15427.41975, rel=1e-12)
+            assert sol.dispatch[5] == pytest.approx(345.0, abs=1e-8)
+            assert sol.dispatch[8] == pytest.approx(455.0, abs=1e-8)
 
     def test_never_loses_to_random_commitments(self, ten_unit):
         rng = np.random.default_rng(17)
@@ -335,8 +354,9 @@ class TestEnumerate:
             GeneratorParams(1, 5.0, 1.0, 0.0, 0.0, 10.0),
             GeneratorParams(2, 5.0, 1.0, 0.0, 0.0, 10.0),
         )
-        sol = enumerate_uc(UCInstance(gens, 10.0))
-        assert sol.commitment.bits == (0, 1)
+        for solve in EXACT_SOLVERS:
+            sol = solve(UCInstance(gens, 10.0))
+            assert sol.commitment.bits == (0, 1)
 
     def test_solution_dispatch_feasible_and_costed(self, ten_unit):
         inst = ten_unit(777.0)
@@ -347,6 +367,71 @@ class TestEnumerate:
         for bit, p in zip(sol.commitment.bits, sol.dispatch):
             if bit == 0:
                 assert p == 0.0
+
+
+def _sweep_instance(rng, n):
+    """A random fleet in which some units copy, or nearly copy, another.
+
+    An exact copy makes two commitments cost the same float, which only the
+    tie rule can order.  A copy whose commitment cost differs by 1e-7 makes
+    a near tie that a bound pruning without its margin, or an over-estimated
+    bound, would get wrong.
+    """
+    gens = list(random_generators(rng, n, allow_zero_c=True))
+    for i in range(1, n):
+        if rng.random() < 0.25:
+            src = gens[int(rng.integers(0, i))]
+            nudge = float(rng.choice((0.0, -1e-7, 1e-7)))
+            gens[i] = GeneratorParams(
+                i + 1, src.a + nudge, src.b, src.c, src.p_min, src.p_max
+            )
+    cap = sum(g.p_max for g in gens)
+    return UCInstance(tuple(gens), float(rng.uniform(0.0, 1.05)) * cap)
+
+
+class TestSolveUcExact:
+    """Branch and bound returns exactly what enumeration returns."""
+
+    def test_matches_enumeration_on_seeded_sweep(self):
+        rng = np.random.default_rng(2026)
+        infeasible = 0
+        for _ in range(300):
+            inst = _sweep_instance(rng, int(rng.integers(1, 10)))
+            expected = _answer(enumerate_uc, inst)
+            assert _answer(solve_uc_exact, inst) == expected
+            infeasible += expected == "infeasible"
+        assert 0 < infeasible < 300
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        units=st.lists(
+            st.tuples(
+                st.floats(0.0, 1000.0),
+                st.floats(0.0, 40.0),
+                st.one_of(st.just(0.0), st.floats(1e-4, 0.01)),
+                st.floats(0.0, 50.0),
+                st.floats(0.0, 200.0),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        load_frac=st.floats(0.0, 1.05),
+    )
+    def test_matches_enumeration_property(self, units, load_frac):
+        gens = tuple(
+            GeneratorParams(i, a, b, c, p_min, p_min + width)
+            for i, (a, b, c, p_min, width) in enumerate(units, start=1)
+        )
+        inst = UCInstance(gens, load_frac * sum(g.p_max for g in gens))
+        assert _answer(solve_uc_exact, inst) == _answer(enumerate_uc, inst)
+
+    def test_solves_past_the_enumeration_limit(self):
+        # 25 copies of one unit at 100 MW: k units cost 40 k + 100 + 100 / k,
+        # least at k = 2, and the lexicographically smallest pair is the last.
+        gens = tuple(GeneratorParams(i, 40.0, 1.0, 0.01, 5.0, 60.0) for i in range(1, 26))
+        sol = solve_uc_exact(UCInstance(gens, 100.0))
+        assert sol.commitment.bits == (0,) * 23 + (1, 1)
+        assert sol.dispatch[-2:] == (50.0, 50.0)
 
 
 class TestSolutionCsv:
