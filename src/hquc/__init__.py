@@ -6,8 +6,10 @@ from .admm import (
     AdmmState,
     BACKEND_CLASSICAL,
     BACKEND_QAOA,
+    ComparisonReport,
     SolveReport,
     TraceRow,
+    compare,
     default_config,
     preset_penalties,
     residual,
@@ -15,7 +17,6 @@ from .admm import (
     update_dual,
     update_r,
 )
-from .cli import ComparisonReport, compare
 from .errors import (
     DimensionMismatch,
     DuplicateId,

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, LengthMismatch
+from .errors import InstanceMismatch, InvariantViolation, LengthMismatch
 from .qaoa import QaoaConfig, QaoaOutcome, QaoaParams, solve_qubo_qaoa
 from .qpblock import Block1Problem, block1_objective, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
@@ -256,7 +256,7 @@ def run_admm(
         if config.backend == BACKEND_CLASSICAL:
             bits, block2_energy = solve_qubo_perbit(qubo)
         else:
-            warm = qaoa_params if (config.warm_start and it > 1) else None
+            warm = qaoa_params if config.warm_start else None
             outcome = solve_qubo_qaoa(qubo, config.qaoa, warm=warm)
             bits = outcome.bits
             block2_energy = qubo.energy(bits)
@@ -294,4 +294,55 @@ def run_admm(
         final=_polish(instance, Commitment(tuple(int(round(v)) for v in z))),
         trace=tuple(trace),
         qaoa_diagnostics=tuple(diagnostics) if diagnostics else None,
+    )
+
+
+@dataclass(frozen=True)
+class ComparisonReport:
+    """Differences between two solve reports over the same instance."""
+
+    commitments_equal: bool
+    cost_delta: float | None
+    iterations: tuple[int, int]
+    converged: tuple[bool, bool]
+    residual_ratios: tuple[tuple[int, float, float, float], ...]
+
+    def format(self) -> str:
+        lines = [
+            f"commitments_equal: {self.commitments_equal}",
+            f"cost_delta: {self.cost_delta}",
+            f"iterations: {self.iterations[0]} vs {self.iterations[1]}",
+            f"converged: {self.converged[0]} vs {self.converged[1]}",
+            "iter,residual_a,residual_b,ratio",
+        ]
+        for it, ra, rb, ratio in self.residual_ratios:
+            lines.append(f"{it},{ra!r},{rb!r},{ratio!r}")
+        return "\n".join(lines) + "\n"
+
+
+def compare(report_a: SolveReport, report_b: SolveReport) -> ComparisonReport:
+    """Diff two reports; raises InstanceMismatch for different instances."""
+    if report_a.instance != report_b.instance:
+        raise InstanceMismatch("reports were produced on different instances")
+    a_final, b_final = report_a.final, report_b.final
+    equal = (
+        a_final is not None
+        and b_final is not None
+        and a_final.commitment == b_final.commitment
+    )
+    delta = (
+        b_final.cost - a_final.cost
+        if (a_final is not None and b_final is not None)
+        else None
+    )
+    ratios = []
+    for ra, rb in zip(report_a.trace, report_b.trace):
+        ratio = rb.residual / ra.residual if ra.residual != 0.0 else float("inf")
+        ratios.append((ra.iter, ra.residual, rb.residual, ratio))
+    return ComparisonReport(
+        commitments_equal=equal,
+        cost_delta=delta,
+        iterations=(report_a.iterations, report_b.iterations),
+        converged=(report_a.converged, report_b.converged),
+        residual_ratios=tuple(ratios),
     )

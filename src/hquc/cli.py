@@ -10,7 +10,7 @@ Three modes:
 Outputs land in the chosen directory: ``solution.csv`` always (when a
 solution exists), ``trace.csv`` with every ``TraceRow`` column for the ADMM
 modes, and per-iteration ``histogram_iter<k>.csv`` bitstring probabilities
-for s2 when requested.
+for s2 when requested; those and ``sample`` extraction stop at 16 units.
 Exit codes: 0 success, 1 input error (usage errors included), 2 infeasible,
 3 not converged.
 """
@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import fields
 from pathlib import Path
 
 from .admm import (
@@ -34,13 +34,9 @@ from .admm import (
     default_config,
     run_admm,
 )
-from .errors import (
-    Infeasible,
-    InfeasibleRelaxation,
-    InstanceMismatch,
-    SolverError,
-)
-from .qaoa import QaoaConfig, probabilities_to_csv
+from .admm import ComparisonReport, compare  # also importable from hquc.cli
+from .errors import Infeasible, InfeasibleRelaxation, SolverError
+from .qaoa import QaoaConfig, check_dense_size, probabilities_to_csv
 from .ucmodel import UCInstance, parse_generators, solution_to_csv, solve_uc_exact
 
 MODES = ("baseline", "s1", "s2")
@@ -153,57 +149,6 @@ def trace_to_csv(report: SolveReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Differences between two solve reports over the same instance."""
-
-    commitments_equal: bool
-    cost_delta: float | None
-    iterations: tuple[int, int]
-    converged: tuple[bool, bool]
-    residual_ratios: tuple[tuple[int, float, float, float], ...]
-
-    def format(self) -> str:
-        lines = [
-            f"commitments_equal: {self.commitments_equal}",
-            f"cost_delta: {self.cost_delta}",
-            f"iterations: {self.iterations[0]} vs {self.iterations[1]}",
-            f"converged: {self.converged[0]} vs {self.converged[1]}",
-            "iter,residual_a,residual_b,ratio",
-        ]
-        for it, ra, rb, ratio in self.residual_ratios:
-            lines.append(f"{it},{ra!r},{rb!r},{ratio!r}")
-        return "\n".join(lines) + "\n"
-
-
-def compare(report_a: SolveReport, report_b: SolveReport) -> ComparisonReport:
-    """Diff two reports; raises InstanceMismatch for different instances."""
-    if report_a.instance != report_b.instance:
-        raise InstanceMismatch("reports were produced on different instances")
-    a_final, b_final = report_a.final, report_b.final
-    equal = (
-        a_final is not None
-        and b_final is not None
-        and a_final.commitment == b_final.commitment
-    )
-    delta = (
-        b_final.cost - a_final.cost
-        if (a_final is not None and b_final is not None)
-        else None
-    )
-    ratios = []
-    for ra, rb in zip(report_a.trace, report_b.trace):
-        ratio = rb.residual / ra.residual if ra.residual != 0.0 else float("inf")
-        ratios.append((ra.iter, ra.residual, rb.residual, ratio))
-    return ComparisonReport(
-        commitments_equal=equal,
-        cost_delta=delta,
-        iterations=(report_a.iterations, report_b.iterations),
-        converged=(report_a.converged, report_b.converged),
-        residual_ratios=tuple(ratios),
-    )
-
-
 def _run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; writes artifacts, returns the exit code."""
     instance = UCInstance(parse_generators(_read_text(args.generators)), args.load)
@@ -223,6 +168,9 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     config = build_admm_config(args)
+    dense = args.emit_histograms or config.qaoa.extraction == "sample"
+    if config.backend == BACKEND_QAOA and dense:
+        check_dense_size(instance.n)  # both read all 2**n probabilities
     try:
         report = run_admm(instance, config)
     except InfeasibleRelaxation as exc:

@@ -21,7 +21,8 @@ approximation is made.  :func:`run_circuit` evolves the n pairs, which costs
 O(n P) per circuit instead of O(n 2^n P), and returns a :class:`ProductState`.
 The expectation is ``sum_i q_i P_i(1) + constant`` from the per-qubit
 marginals, and the most probable bitstring takes each bit from its own qubit.
-The 2^n amplitudes are built (by Kronecker product) only when asked for.
+An argmax solve has no size limit; the 2^n amplitudes are built (by Kronecker
+product) only for ``sample`` extraction and the probability map, up to 16 qubits.
 
 Dense oracle: :class:`Statevector`, :func:`init_uniform`,
 :func:`apply_cost_layer` and :func:`apply_mixer_layer` simulate the same
@@ -57,6 +58,12 @@ from .qubo import QuboProblem
 
 #: Dense simulation guard: 2**16 amplitudes.
 MAX_QUBITS = 16
+
+
+def check_dense_size(n: int) -> None:
+    """Raise TooManyQubits if a 2**n amplitude table passes the guard."""
+    if n > MAX_QUBITS:
+        raise TooManyQubits(f"n={n} exceeds simulation guard {MAX_QUBITS}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +106,7 @@ class ProductState:
     @property
     def amplitudes(self) -> np.ndarray:
         """The 2**n amplitudes, qubit 0 as the least significant bit."""
-        if self.n > MAX_QUBITS:
-            raise TooManyQubits(f"n={self.n} exceeds simulation guard {MAX_QUBITS}")
+        check_dense_size(self.n)
         amps = np.ones(1, dtype=complex)
         for pair in self.pairs:
             amps = np.kron(pair, amps)
@@ -192,8 +198,7 @@ def init_uniform(n: int) -> Statevector:
     """Equal superposition H^n |0>: every amplitude is 2**(-n/2)."""
     if n < 1:
         raise InvariantViolation(f"need at least one qubit, got {n}")
-    if n > MAX_QUBITS:
-        raise TooManyQubits(f"n={n} exceeds simulation guard {MAX_QUBITS}")
+    check_dense_size(n)
     amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
     return Statevector(amp, n)
 
@@ -323,7 +328,7 @@ def extract_solution(
 
     argmax mode returns the most probable basis state, ties resolved toward
     the smallest basis index; sample mode draws once from the distribution
-    seeded by ``config.sample_seed``.
+    seeded by ``config.sample_seed`` over all 2**n, so up to 16 qubits.
     """
     if config.extraction == "argmax":
         return state.most_probable_bits()
@@ -345,8 +350,6 @@ def solve_qubo_qaoa(
     warm starting across outer iterations.
     """
     config = config or QaoaConfig()
-    if qubo.n > MAX_QUBITS:
-        raise TooManyQubits(f"n={qubo.n} exceeds simulation guard {MAX_QUBITS}")
     params, value = optimize_params(qubo, config, warm)
     state = run_circuit(qubo, params)
     return QaoaOutcome(qubo, extract_solution(state, config), params, value, state)

@@ -177,14 +177,13 @@ def _kkt_residual(
 def solve_block1(problem: Block1Problem) -> Block1Solution:
     """Solve the first block by price bisection; the result carries its KKT residual.
 
-    Raises InfeasibleRelaxation when the load exceeds the fleet capacity or is
-    negative; in that case the original binary problem is infeasible as well
-    and the caller should stop.
+    Raises InfeasibleRelaxation when the load exceeds the fleet capacity; then
+    the original binary problem is infeasible as well and the caller should stop.
     """
     inst = problem.instance
     load = inst.load
     cap = inst.total_p_max()
-    if load < 0.0 or load > cap:
+    if load > cap:
         raise InfeasibleRelaxation(
             f"load {load} outside [0, {cap}]: relaxed block infeasible"
         )

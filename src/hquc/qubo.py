@@ -105,8 +105,6 @@ def solve_qubo_exact(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:
     lexicographically smallest bits tuple.
     """
     n = qubo.n
-    if n > EXACT_SOLVE_LIMIT:
-        raise TooLarge(f"n={n} exceeds limit {EXACT_SOLVE_LIMIT}")
     if n == 0:
         return (), qubo.constant
     energies = qubo.energies()

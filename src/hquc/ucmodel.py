@@ -44,9 +44,6 @@ GENERATOR_CSV_HEADER = ("id", "a", "b", "c", "p_min", "p_max")
 #: Hard cap on exhaustive enumeration (2**24 commitments).
 ENUMERATION_LIMIT = 24
 
-#: Bisection iterations; enough to exhaust double precision on any bracket.
-_BISECT_ITERS = 200
-
 
 @dataclass(frozen=True)
 class GeneratorParams:
@@ -54,7 +51,8 @@ class GeneratorParams:
 
     Committing unit ``i`` costs ``a`` per period; generation costs
     ``b * p + c * p**2`` for output ``p`` in MW.  Output must stay in
-    ``[p_min, p_max]`` while the unit is on and is zero otherwise.
+    ``[p_min, p_max]`` while the unit is on and is zero otherwise.  The cost
+    at full output, ``a + b p_max + c p_max^2``, must be finite.
     """
 
     id: int
@@ -76,6 +74,15 @@ class GeneratorParams:
             )
         if self.c < 0.0:
             raise InvariantViolation(f"unit {self.id}: quadratic cost c={self.c} < 0")
+        if not math.isfinite(self.full_output_cost):
+            raise InvariantViolation(
+                f"unit {self.id}: cost a + b*p_max + c*p_max^2 overflows"
+            )
+
+    @property
+    def full_output_cost(self) -> float:
+        """``a + b p_max + c p_max^2``, summed as :func:`evaluate_cost` does."""
+        return self.a + self.b * self.p_max + self.c * self.p_max * self.p_max
 
     def generation_cost(self, p: float) -> float:
         """Variable cost of producing ``p`` MW (commitment cost excluded)."""
@@ -103,6 +110,11 @@ class UCInstance:
         ids = [g.id for g in self.generators]
         if ids != list(range(1, len(ids) + 1)):
             raise InvariantViolation(f"unit ids must be 1..N without gaps, got {ids}")
+        # Magnitudes, so that the outcome does not depend on the unit order.
+        if not math.isfinite(sum(abs(g.full_output_cost) for g in self.generators)):
+            raise InvariantViolation(
+                "fleet cost: a + b*p_max + c*p_max^2, summed over units, overflows"
+            )
 
     @property
     def n(self) -> int:
@@ -110,9 +122,6 @@ class UCInstance:
 
     def total_p_max(self) -> float:
         return math.fsum(g.p_max for g in self.generators)
-
-    def total_p_min(self) -> float:
-        return math.fsum(g.p_min for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -264,14 +273,16 @@ def _step_output(b: float, c: float, lo: float, hi: float, mu: float) -> float:
 def bisect_price(
     supply: Callable[[float], float], load: float, lo: float, hi: float
 ) -> tuple[float, float]:
-    """Narrow a clearing-price bracket until it cannot shrink further.
+    """Narrow a clearing-price bracket until no float lies strictly inside.
 
     ``supply(mu)`` must be nondecreasing in ``mu`` and the caller's bracket
     must hold ``supply(lo) <= load <= supply(hi)``; the invariant is kept.
+    A finite bracket takes at most about 2100 halvings (2072 on
+    ``[-1e300, 1e300]`` around 0); a NaN or infinite midpoint ends the loop.
     """
-    for _ in range(_BISECT_ITERS):
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+        if not lo < mid < hi:
             break
         if supply(mid) <= load:
             lo = mid
@@ -416,8 +427,8 @@ def _dual_bound(
     :func:`_dual_term`).  It is concave in ``mu`` and its supergradient is
     ``load`` minus the output of the on units and of the free units with
     ``phi_i < 0``; that output is nondecreasing in ``mu``, so
-    :func:`bisect_price` brackets the maximizer.  By weak duality every
-    ``mu`` gives a valid bound, so a loose bracket only weakens it.
+    :func:`bisect_price` brackets the maximizer, and the bound is taken at
+    the bracket's low end.  By weak duality every ``mu`` gives a valid bound.
     """
 
     def supply(mu: float) -> float:
@@ -451,8 +462,7 @@ def _dual_bound(
         )
         + 1.0,
     )
-    v_lo, v_hi = value(lo), value(hi)
-    return (lo, v_lo) if v_lo >= v_hi else (hi, v_hi)
+    return lo, value(lo)
 
 
 #: Relative margin by which a node's bound must exceed the incumbent's cost

@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +27,11 @@ from hquc import (
     solution_from_csv,
     solution_to_csv,
 )
+import hquc
 from hquc.cli import EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, EXIT_OK, main
+
+#: The directory the tests import hquc from, for subprocess runs.
+SRC_DIR = pathlib.Path(hquc.__file__).resolve().parents[1]
 
 LOAD_SUITE = (100.0, 200.0, 400.0, 800.0, 1000.0)
 
@@ -32,6 +40,23 @@ LOAD_SUITE = (100.0, 200.0, 400.0, 800.0, 1000.0)
 def gen_csv(tmp_path):
     path = tmp_path / "generators.csv"
     shutil.copy(TEN_UNIT_CSV, path)
+    return path
+
+
+@pytest.fixture
+def twenty_unit_csv(tmp_path):
+    gens = random_generators(np.random.default_rng(20), 20)
+    return _write_fleet(
+        tmp_path / "twenty.csv",
+        [(g.a, g.b, g.c, g.p_min, g.p_max) for g in gens],
+    )
+
+
+def _write_fleet(path, rows):
+    lines = ["id,a,b,c,p_min,p_max"]
+    for i, row in enumerate(rows, start=1):
+        lines.append(",".join([str(i)] + [repr(v) for v in row]))
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
@@ -194,6 +219,38 @@ class TestAdmmModes:
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_s2_past_sixteen_units(self, twenty_unit_csv, tmp_path):
+        # Argmax extraction reads per-qubit marginals only, so 20 qubits run.
+        out = tmp_path / "out"
+        code = main(_args("s2", twenty_unit_csv, 1000, out))
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        if (out / "solution.csv").exists():
+            inst = UCInstance(parse_generators(twenty_unit_csv.read_text()), 1000.0)
+            sol = solution_from_csv((out / "solution.csv").read_text())
+            assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
+
+    @pytest.mark.parametrize(
+        "extra, config",
+        [
+            (("--extract", "sample"), None),
+            ((), {"extract": "sample"}),
+            (("--emit-histograms",), None),
+        ],
+        ids=["sample-flag", "sample-config", "histograms"],
+    )
+    def test_s2_dense_reads_refused_past_sixteen_units(
+        self, twenty_unit_csv, tmp_path, capsys, extra, config
+    ):
+        # Both need all 2**20 probabilities; the run stops before it solves.
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            extra = ("--config", str(path))
+        out = tmp_path / "out"
+        assert main(_args("s2", twenty_unit_csv, 1000, out, *extra)) == 1
+        assert "error: n=20 exceeds simulation guard 16" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_and_flag_precedence(self, gen_csv, tmp_path):
         # Config file overrides presets; flags override the config file.
         config = tmp_path / "cfg.json"
@@ -325,6 +382,50 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "error:" in err
         assert "not finite" in err
+
+    @pytest.mark.parametrize("mode", ["baseline", "s1", "s2"])
+    @pytest.mark.parametrize("load", [0, 30, 150])
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1e308, 10.0, 0.01, 10.0, 100.0), (1e308, 12.0, 0.02, 10.0, 100.0)],
+            [(100.0, 10.0, 0.01, 10.0, 100.0), (100.0, 12.0, 1e308, 10.0, 100.0)],
+        ],
+        ids=["fleet-sum", "one-unit"],
+    )
+    def test_overflowing_cost(self, tmp_path, capsys, mode, load, rows):
+        # Finite data whose cost at full output overflows is bad input.
+        path = _write_fleet(tmp_path / "g.csv", rows)
+        assert main(_args(mode, path, load, tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "overflows" in err
+
+    @pytest.mark.parametrize("mode", ["baseline", "s1", "s2"])
+    @pytest.mark.parametrize("load", [0, 30, 150])
+    def test_unit_with_tiny_capacity(self, tmp_path, mode, load):
+        # a / p_max overflows, which the solvers must survive.
+        rows = [(1e10, 10.0, 0.01, 0.0, 1e-300), (100.0, 12.0, 0.02, 10.0, 100.0)]
+        path = _write_fleet(tmp_path / "g.csv", rows)
+        assert main(_args(mode, path, load, tmp_path / "o")) in (
+            EXIT_OK,
+            EXIT_INFEASIBLE,
+        )
+
+    def test_module_run_is_warning_free(self):
+        # The package must not import its front end, or runpy warns.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hquc.cli", "--help"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0
+        assert done.stderr == ""
 
     @pytest.mark.parametrize(
         "flag, value", [("--rho", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf")]

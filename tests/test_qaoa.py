@@ -362,8 +362,17 @@ class TestSolveQuboQaoa:
             QaoaConfig(extraction="sample", sample_seed=-1)
 
     def test_size_guard(self):
+        # An argmax solve never builds the 2**n table, so it has no size
+        # limit; reading the bitstring probabilities or sampling does.
+        qubo = QuboProblem(tuple((-1.0) ** i * (i + 1) for i in range(17)))
+        outcome = solve_qubo_qaoa(qubo, QaoaConfig(depth=1, optimizer_budget=20))
+        assert len(outcome.bits) == 17
         with pytest.raises(TooManyQubits):
-            solve_qubo_qaoa(QuboProblem((1.0,) * 17))
+            outcome.probabilities
+        with pytest.raises(TooManyQubits):
+            extract_solution(outcome.state, QaoaConfig(extraction="sample"))
+        with pytest.raises(TooManyQubits):
+            solve_qubo_qaoa(qubo, QaoaConfig(optimizer_budget=5, extraction="sample"))
 
     def test_norm_preserved_through_solve(self):
         qubo = QuboProblem((4000.0, -3999.0, 12.0))

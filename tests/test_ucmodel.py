@@ -29,6 +29,7 @@ from hquc import (
     solution_to_csv,
     solve_uc_exact,
 )
+from hquc.ucmodel import bisect_price
 
 #: The exact solvers, which must agree bit for bit and float for float.
 EXACT_SOLVERS = (enumerate_uc, solve_uc_exact)
@@ -93,6 +94,15 @@ class TestParseGenerators:
         with pytest.raises(InvariantViolation):
             parse_generators("id,a,b,c,p_min,p_max\n1,660,25.92,-0.001,10,55\n")
 
+    @pytest.mark.parametrize(
+        "row",
+        ["1,100,12,1e308,10,100", "1,1e308,1e308,0.01,10,100", "1,0,10,0.02,0,1e300"],
+        ids=["quadratic", "linear", "capacity"],
+    )
+    def test_unit_cost_at_full_output_must_be_finite(self, row):
+        with pytest.raises(InvariantViolation, match="line 2: unit 1: cost"):
+            parse_generators("id,a,b,c,p_min,p_max\n" + row + "\n")
+
 
 class TestDomainTypes:
     def test_commitment_rejects_non_binary(self):
@@ -112,6 +122,16 @@ class TestDomainTypes:
     def test_instance_requires_units(self):
         with pytest.raises(InvariantViolation):
             UCInstance((), 10.0)
+
+    def test_fleet_cost_at_full_output_must_be_finite(self):
+        # Each unit costs about 1e308 at full output, the pair overflows.
+        gens = (
+            GeneratorParams(1, 1e308, 10.0, 0.01, 10.0, 100.0),
+            GeneratorParams(2, 1e308, 12.0, 0.02, 10.0, 100.0),
+        )
+        UCInstance(gens[:1], 30.0)
+        with pytest.raises(InvariantViolation, match="fleet cost"):
+            UCInstance(gens, 30.0)
 
 
 class TestEvaluateCost:
@@ -389,6 +409,28 @@ def _sweep_instance(rng, n):
     return UCInstance(tuple(gens), float(rng.uniform(0.0, 1.05)) * cap)
 
 
+class TestBisectPrice:
+    @pytest.mark.parametrize("load", [20.0, 0.0])
+    def test_ends_at_adjacent_floats(self, load):
+        calls = []
+
+        def supply(mu):
+            calls.append(mu)
+            return mu
+
+        lo, hi = bisect_price(supply, load, -1e300, 1e300)
+        assert lo <= load < hi
+        assert hi == math.nextafter(lo, math.inf)
+        assert len(calls) <= 2100
+
+    def test_infinite_bracket_returns(self):
+        # The first midpoint is NaN, which ends the loop.
+        assert bisect_price(lambda mu: mu, 20.0, -math.inf, math.inf) == (
+            -math.inf,
+            math.inf,
+        )
+
+
 class TestSolveUcExact:
     """Branch and bound returns exactly what enumeration returns."""
 
@@ -424,6 +466,17 @@ class TestSolveUcExact:
         )
         inst = UCInstance(gens, load_frac * sum(g.p_max for g in gens))
         assert _answer(solve_uc_exact, inst) == _answer(enumerate_uc, inst)
+
+    def test_unit_with_tiny_capacity(self):
+        # a / p_max overflows the dual bound's upper price; the bound is taken
+        # at the bracket's low end, so the solve still prices every leaf.
+        gens = (
+            GeneratorParams(1, 1e10, 10.0, 0.01, 0.0, 1e-300),
+            GeneratorParams(2, 100.0, 12.0, 0.02, 10.0, 100.0),
+        )
+        inst = UCInstance(gens, 30.0)
+        assert _answer(solve_uc_exact, inst) == _answer(enumerate_uc, inst)
+        assert solve_uc_exact(inst).cost == 478.0
 
     def test_solves_past_the_enumeration_limit(self):
         # 25 copies of one unit at 100 MW: k units cost 40 k + 100 + 100 / k,
