@@ -3,7 +3,6 @@ solvable exactly or by a QAOA circuit simulated as a product state."""
 
 from .admm import (
     AdmmConfig,
-    AdmmState,
     BACKEND_CLASSICAL,
     BACKEND_QAOA,
     ComparisonReport,

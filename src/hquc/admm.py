@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,25 +92,6 @@ def default_config(load: float, backend: str = BACKEND_CLASSICAL, **overrides) -
 
 
 @dataclass(frozen=True)
-class AdmmState:
-    """Snapshot of one iteration, as handed to a run observer.
-
-    ``residual`` is always the L1 consensus gap of the snapshot's own
-    ``(y, z, r)``; ``lam`` is the dual vector after this iteration's ascent
-    step, and ``qaoa_params`` carries the angles being warm started.
-    """
-
-    iter: int
-    y: tuple[float, ...]
-    p: tuple[float, ...]
-    z: tuple[float, ...]
-    r: tuple[float, ...]
-    lam: tuple[float, ...]
-    residual: float
-    qaoa_params: QaoaParams | None = None
-
-
-@dataclass(frozen=True)
 class TraceRow:
     iter: int
     residual: float
@@ -122,15 +103,21 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of :func:`run_admm`; ``qaoa_diagnostics`` holds the qaoa
-    backend's outcome of every iteration, in order."""
+    """Result of :func:`run_admm`.
+
+    ``terminal_commitment`` is the last iteration's block-2 bits, before the
+    polish that makes ``final``; ``qaoa_diagnostics`` holds the qaoa
+    backend's outcome of every iteration, in order, and is empty for the
+    classical backend.
+    """
 
     instance: UCInstance
     converged: bool
     iterations: int
+    terminal_commitment: Commitment
     final: UCSolution | None
     trace: tuple[TraceRow, ...]
-    qaoa_diagnostics: tuple[QaoaOutcome, ...] | None = None
+    qaoa_diagnostics: tuple[QaoaOutcome, ...]
 
 
 def update_r(
@@ -188,43 +175,38 @@ def _initial_vector(
     return np.asarray(value, dtype=float)
 
 
-def _polish(instance: UCInstance, commitment: Commitment) -> UCSolution | None:
+def _polish(instance: UCInstance, terminal: Commitment) -> UCSolution | None:
     """Fix the binaries and re-dispatch, repairing by one bit flip if needed.
 
-    Returns the exact dispatch of ``commitment`` when it can serve the load.
+    Returns the exact dispatch of ``terminal`` when it can serve the load.
     Otherwise returns the cheapest commitment one bit flip away that can,
     with ties broken as in :func:`~hquc.ucmodel.enumerate_uc`, or ``None``
     when no such neighbour exists.  This is the polish step of
     relax-round-polish (Takapoui, Moehle, Boyd and Bemporad,
     arXiv:1509.08416) with its search limited to the 1-flip neighbourhood.
     """
-    served = cheapest_servable(instance, (commitment.bits,))
+    served = cheapest_servable(instance, (terminal.bits,))
     if served is not None:
         return served
     neighbours = []
-    for i in range(len(commitment)):
-        bits = list(commitment.bits)
+    for i in range(len(terminal)):
+        bits = list(terminal.bits)
         bits[i] ^= 1
         neighbours.append(tuple(bits))
     return cheapest_servable(instance, neighbours)
 
 
-def run_admm(
-    instance: UCInstance,
-    config: AdmmConfig,
-    observer: Callable[[AdmmState], None] | None = None,
-) -> SolveReport:
+def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     """Run the three-block loop until the residual closes or the cap is hit.
 
     The report's final solution is the terminal binary commitment's exact
     re-dispatch when it can serve the load (the relaxed ``y`` does not
     satisfy the original problem), else the cheapest servable commitment one
     bit flip away, else ``None``; see :func:`_polish`.  This runs after the
-    loop: the trace, the iteration count and the observer states are those
-    of the loop, and the last observer state's ``z`` is the terminal
-    commitment.  InfeasibleRelaxation from the first block propagates,
-    since it proves the original problem infeasible.  ``observer``, when
-    given, sees an :class:`AdmmState` snapshot after every iteration.
+    loop: the trace and the iteration count are those of the loop, and the
+    report's ``terminal_commitment`` is the loop's last block-2 answer.
+    InfeasibleRelaxation from the first block propagates, since it proves
+    the original problem infeasible.
     """
     n = instance.n
     z = _initial_vector(config.initial_z, n, "initial_z")
@@ -276,24 +258,20 @@ def run_admm(
                 block1.objective, block1.kkt_residual, block2_energy,
             )
         )
-        if observer is not None:
-            observer(
-                AdmmState(
-                    it, tuple(y), tuple(p), tuple(z), tuple(r), tuple(lam),
-                    res, qaoa_params,
-                )
-            )
         if res <= config.epsilon:
             converged = True
             break
 
+    # max_iters >= 1, so block 2 ran and ``bits`` is bound.
+    terminal = Commitment(bits)
     return SolveReport(
         instance=instance,
         converged=converged,
         iterations=iterations,
-        final=_polish(instance, Commitment(tuple(int(round(v)) for v in z))),
+        terminal_commitment=terminal,
+        final=_polish(instance, terminal),
         trace=tuple(trace),
-        qaoa_diagnostics=tuple(diagnostics) if diagnostics else None,
+        qaoa_diagnostics=tuple(diagnostics),
     )
 
 

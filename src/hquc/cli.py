@@ -10,7 +10,7 @@ Three modes:
 Outputs land in the chosen directory: ``solution.csv`` always (when a
 solution exists), ``trace.csv`` with every ``TraceRow`` column for the ADMM
 modes, and per-iteration ``histogram_iter<k>.csv`` bitstring probabilities
-for s2 when requested; those and ``sample`` extraction stop at 16 units.
+for s2 when requested; those stop at 16 units.
 Exit codes: 0 success, 1 input error (usage errors included), 2 infeasible,
 3 not converged.
 """
@@ -168,9 +168,8 @@ def _run(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     config = build_admm_config(args)
-    dense = args.emit_histograms or config.qaoa.extraction == "sample"
-    if config.backend == BACKEND_QAOA and dense:
-        check_dense_size(instance.n)  # both read all 2**n probabilities
+    if config.backend == BACKEND_QAOA and args.emit_histograms:
+        check_dense_size(instance.n)  # histograms read all 2**n probabilities
     try:
         report = run_admm(instance, config)
     except InfeasibleRelaxation as exc:
@@ -188,14 +187,15 @@ def _run(args: argparse.Namespace) -> int:
     if not report.converged:
         print(
             f"not converged after {report.iterations} iterations "
-            f"(residual {report.trace[-1].residual})",
+            f"(residual {report.trace[-1].residual}); terminal commitment "
+            f"|{report.terminal_commitment.bitstring}>",
             file=sys.stderr,
         )
         return EXIT_NOT_CONVERGED
     if report.final is None:
         print(
-            "converged commitment cannot serve the load, "
-            "nor can any commitment one bit flip away",
+            f"converged commitment |{report.terminal_commitment.bitstring}> "
+            "cannot serve the load, nor can any commitment one bit flip away",
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE

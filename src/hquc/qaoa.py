@@ -21,8 +21,9 @@ approximation is made.  :func:`run_circuit` evolves the n pairs, which costs
 O(n P) per circuit instead of O(n 2^n P), and returns a :class:`ProductState`.
 The expectation is ``sum_i q_i P_i(1) + constant`` from the per-qubit
 marginals, and the most probable bitstring takes each bit from its own qubit.
-An argmax solve has no size limit; the 2^n amplitudes are built (by Kronecker
-product) only for ``sample`` extraction and the probability map, up to 16 qubits.
+Sample extraction draws each bit from its own marginal.  No solve has a size
+limit; the 2^n amplitudes are built (by Kronecker product) only for the
+probability map, up to 16 qubits.
 
 Dense oracle: :class:`Statevector`, :func:`init_uniform`,
 :func:`apply_cost_layer` and :func:`apply_mixer_layer` simulate the same
@@ -309,7 +310,7 @@ def optimize_params(
         return val
 
     try:
-        objective(x0)
+        # Nelder-Mead evaluates x0 first, so even a budget of one sees it.
         minimize(
             objective,
             x0,
@@ -327,15 +328,15 @@ def extract_solution(
     """Read a bit assignment out of the final state.
 
     argmax mode returns the most probable basis state, ties resolved toward
-    the smallest basis index; sample mode draws once from the distribution
-    seeded by ``config.sample_seed`` over all 2**n, so up to 16 qubits.
+    the smallest basis index.  sample mode sets bit i to 1 iff ``u_i < P_i(1)``
+    with ``u`` drawn uniform from ``default_rng(config.sample_seed)``: one
+    draw per qubit, which for a product state has the distribution of one
+    draw over all 2**n basis states, at O(n) cost.
     """
     if config.extraction == "argmax":
         return state.most_probable_bits()
-    probs = state.probabilities()
-    rng = np.random.default_rng(config.sample_seed)
-    index = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return tuple((index >> i) & 1 for i in range(state.n))
+    u = np.random.default_rng(config.sample_seed).random(state.n)
+    return tuple(int(v) for v in u < state.marginals())
 
 
 def solve_qubo_qaoa(

@@ -539,19 +539,37 @@ def solution_to_csv(solution: UCSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_float(text: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise MalformedRow(f"line {lineno}: {exc}") from exc
+    if not math.isfinite(value):
+        raise MalformedRow(f"line {lineno}: {text.strip()} is not finite")
+    return value
+
+
 def solution_from_csv(text: str) -> UCSolution:
-    """Parse the output of :func:`solution_to_csv`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "unit,committed,p_mw":
+    """Parse the output of :func:`solution_to_csv`.
+
+    Raises MalformedRow, with the line number, for a bad header, a row that
+    does not parse, a non-finite cost or dispatch, a second cost line, or a
+    file with no unit rows or no cost line.
+    """
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != "unit,committed,p_mw":
         raise MalformedRow("line 1: expected header unit,committed,p_mw")
+    header_line = lines[0][0]
     cost: float | None = None
     bits: list[int] = []
     dispatch: list[float] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         if line.startswith("#"):
             if "cost=" not in line:
                 raise MalformedRow(f"line {lineno}: expected '# cost=<value>'")
-            cost = float(line.split("cost=", 1)[1])
+            if cost is not None:
+                raise MalformedRow(f"line {lineno}: second '# cost=' line")
+            cost = _finite_float(line.split("cost=", 1)[1], lineno)
             continue
         parts = line.split(",")
         if len(parts) != 3:
@@ -559,11 +577,13 @@ def solution_from_csv(text: str) -> UCSolution:
         try:
             unit = int(parts[0])
             bits.append(int(parts[1]))
-            dispatch.append(float(parts[2]))
         except ValueError as exc:
             raise MalformedRow(f"line {lineno}: {exc}") from exc
+        dispatch.append(_finite_float(parts[2], lineno))
         if unit != len(bits):
             raise MalformedRow(f"line {lineno}: units out of order")
+    if not bits:
+        raise MalformedRow(f"line {header_line}: no unit rows follow the header")
     if cost is None:
         raise MalformedRow("missing trailing '# cost=<value>' line")
     return UCSolution(Commitment(tuple(bits)), tuple(dispatch), cost)

@@ -241,19 +241,6 @@ class TestRunAdmm:
         report = run_admm(ten_unit(800.0), default_config(800.0))
         assert max(row.block1_kkt for row in report.trace) <= 1e-9
 
-    def test_observer_sees_consistent_states(self, ten_unit):
-        states = []
-        report = run_admm(
-            ten_unit(800.0), default_config(800.0), observer=states.append
-        )
-        assert len(states) == report.iterations
-        for state, row in zip(states, report.trace):
-            assert state.iter == row.iter
-            assert state.residual == row.residual
-            recomputed = residual(state.y, state.z, state.r)
-            assert state.residual == pytest.approx(recomputed, abs=1e-15)
-            assert len(state.p) == len(state.lam) == 10
-
     def test_random_small_instances_when_converged_match_oracle(self):
         # On tiny fleets the commitment lock still lets the first iteration
         # pick the cost-driven on-set; converged dispatchable runs must then
@@ -303,15 +290,14 @@ class TestFinalRepair:
 
         Returns True when the terminal commitment needed repair.
         """
-        states = []
-        report = run_admm(inst, default_config(inst.load), observer=states.append)
-        terminal = tuple(int(round(v)) for v in states[-1].z)
+        report = run_admm(inst, default_config(inst.load))
+        terminal = report.terminal_commitment
         try:
-            dispatch = economic_dispatch(inst, Commitment(terminal))
+            dispatch = economic_dispatch(inst, terminal)
         except InfeasibleCommitment:
-            assert report.final == _one_flip_oracle(inst, terminal)
+            assert report.final == _one_flip_oracle(inst, terminal.bits)
             return True
-        assert report.final.commitment.bits == terminal
+        assert report.final.commitment == terminal
         assert report.final.dispatch == dispatch
         return False
 
@@ -346,15 +332,13 @@ class TestQaoaKernelTrajectory:
 
     @staticmethod
     def _run(inst):
-        states = []
-        report = run_admm(
-            inst, default_config(inst.load, backend="qaoa"), observer=states.append
-        )
+        report = run_admm(inst, default_config(inst.load, backend="qaoa"))
         return (
             report.iterations,
             report.converged,
             report.trace,
-            [state.z for state in states],
+            [outcome.bits for outcome in report.qaoa_diagnostics],
+            report.terminal_commitment,
             report.final,
         )
 
@@ -369,7 +353,7 @@ class TestQaoaKernelTrajectory:
             assert product == dense
 
     def test_argmax_run_never_builds_the_amplitudes(self, four_unit, monkeypatch):
-        # Only sample extraction and histograms read the 2^n amplitudes.
+        # Only histograms read the 2^n amplitudes.
         def refuse(state):
             raise AssertionError("the 2^n amplitudes were built")
 

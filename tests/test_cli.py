@@ -175,7 +175,10 @@ class TestAdmmModes:
         code = main(_args("s1", gen_csv, 800, out, "--max-iters", "3"))
         assert code == EXIT_NOT_CONVERGED
         assert (out / "trace.csv").exists()
-        assert "not converged" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not converged after 3 iterations" in err
+        # Units 6 and 9, the on-set the run later converges to.
+        assert "; terminal commitment |0100100000>" in err
 
     def test_converged_unservable_commitment_maps_to_infeasible(
         self, gen_csv, tmp_path, capsys
@@ -184,7 +187,10 @@ class TestAdmmModes:
         # the loop converges, but no commitment can serve the load.
         code = main(_args("s1", gen_csv, 5, tmp_path / "o"))
         assert code == EXIT_INFEASIBLE
-        assert "cannot serve" in capsys.readouterr().err
+        assert (
+            "converged commitment |0000000000> cannot serve the load"
+            in capsys.readouterr().err
+        )
 
     def test_s2_histograms(self, four_unit_csv, tmp_path):
         out = tmp_path / "out"
@@ -230,26 +236,36 @@ class TestAdmmModes:
             assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
 
     @pytest.mark.parametrize(
-        "extra, config",
+        "extra, config, refused",
         [
-            (("--extract", "sample"), None),
-            ((), {"extract": "sample"}),
-            (("--emit-histograms",), None),
+            (("--extract", "sample"), None, False),
+            ((), {"extract": "sample"}, False),
+            (("--emit-histograms",), None, True),
         ],
         ids=["sample-flag", "sample-config", "histograms"],
     )
     def test_s2_dense_reads_refused_past_sixteen_units(
-        self, twenty_unit_csv, tmp_path, capsys, extra, config
+        self, twenty_unit_csv, tmp_path, capsys, extra, config, refused
     ):
-        # Both need all 2**20 probabilities; the run stops before it solves.
+        # Histograms need all 2**20 probabilities, so that run stops before
+        # it solves. Sample extraction draws one bit per qubit and runs.
         if config is not None:
             path = tmp_path / "cfg.json"
             path.write_text(json.dumps(config))
             extra = ("--config", str(path))
         out = tmp_path / "out"
-        assert main(_args("s2", twenty_unit_csv, 1000, out, *extra)) == 1
-        assert "error: n=20 exceeds simulation guard 16" in capsys.readouterr().err
-        assert not out.exists()
+        code = main(_args("s2", twenty_unit_csv, 1000, out, *extra))
+        if refused:
+            assert code == 1
+            assert "error: n=20 exceeds simulation guard 16" in capsys.readouterr().err
+            assert not out.exists()
+            return
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        assert (out / "solution.csv").exists() == (code == EXIT_OK)
+        if code == EXIT_OK:
+            inst = UCInstance(parse_generators(twenty_unit_csv.read_text()), 1000.0)
+            sol = solution_from_csv((out / "solution.csv").read_text())
+            assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
 
     def test_config_file_and_flag_precedence(self, gen_csv, tmp_path):
         # Config file overrides presets; flags override the config file.

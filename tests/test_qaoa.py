@@ -10,6 +10,7 @@ import hquc.qubo
 from hquc import (
     DimensionMismatch,
     InvariantViolation,
+    ProductState,
     QaoaConfig,
     QaoaParams,
     QuboProblem,
@@ -336,6 +337,24 @@ class TestExtractSolution:
         )
         assert len(other) == 4
 
+    def test_sampling_matches_the_bitstring_distribution(self):
+        # One draw per qubit has the distribution of one draw over all 2**n
+        # basis states: compare each bitstring's frequency over many seeds
+        # with its probability, as a binomial z-score.
+        marginals = np.array([0.15, 0.7, 0.45])
+        state = ProductState(
+            np.stack((np.sqrt(1.0 - marginals), np.sqrt(marginals)), axis=1) + 0j
+        )
+        probs = state.probabilities()
+        seeds = 20000
+        counts = np.zeros(len(probs))
+        for seed in range(seeds):
+            bits = extract_solution(
+                state, QaoaConfig(extraction="sample", sample_seed=seed)
+            )
+            counts[sum(b << i for i, b in enumerate(bits))] += 1
+        z = (counts - seeds * probs) / np.sqrt(seeds * probs * (1.0 - probs))
+        assert np.max(np.abs(z)) < 4.0
 
 class TestSolveQuboQaoa:
     def test_zero_objective_is_flat(self):
@@ -362,17 +381,15 @@ class TestSolveQuboQaoa:
             QaoaConfig(extraction="sample", sample_seed=-1)
 
     def test_size_guard(self):
-        # An argmax solve never builds the 2**n table, so it has no size
-        # limit; reading the bitstring probabilities or sampling does.
+        # No solve builds the 2**n table, so neither extraction mode has a
+        # size limit; only reading the bitstring probabilities does.
         qubo = QuboProblem(tuple((-1.0) ** i * (i + 1) for i in range(17)))
-        outcome = solve_qubo_qaoa(qubo, QaoaConfig(depth=1, optimizer_budget=20))
-        assert len(outcome.bits) == 17
-        with pytest.raises(TooManyQubits):
-            outcome.probabilities
-        with pytest.raises(TooManyQubits):
-            extract_solution(outcome.state, QaoaConfig(extraction="sample"))
-        with pytest.raises(TooManyQubits):
-            solve_qubo_qaoa(qubo, QaoaConfig(optimizer_budget=5, extraction="sample"))
+        for extraction in ("argmax", "sample"):
+            config = QaoaConfig(depth=1, optimizer_budget=20, extraction=extraction)
+            outcome = solve_qubo_qaoa(qubo, config)
+            assert len(outcome.bits) == 17
+            with pytest.raises(TooManyQubits):
+                outcome.probabilities
 
     def test_norm_preserved_through_solve(self):
         qubo = QuboProblem((4000.0, -3999.0, 12.0))

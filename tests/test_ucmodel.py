@@ -504,3 +504,18 @@ class TestSolutionCsv:
     def test_rejects_garbage(self):
         with pytest.raises(MalformedRow):
             solution_from_csv("nope\n1,2,3\n")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,1,20.0\n# cost=abc\n", "line 3: could not convert"),
+            ("1,1,20.0\n# cost=nan\n", "line 3: nan is not finite"),
+            ("1,1,inf\n# cost=100.0\n", "line 2: inf is not finite"),
+            ("1,1,20.0\n# cost=100.0\n# cost=50.0\n", "line 4: second '# cost=' line"),
+            ("# cost=0.0\n", "line 1: no unit rows"),
+        ],
+        ids=["unparsable-cost", "nan-cost", "inf-dispatch", "second-cost", "no-units"],
+    )
+    def test_rejects_bad_values(self, body, message):
+        with pytest.raises(MalformedRow, match=message):
+            solution_from_csv("unit,committed,p_mw\n" + body)
