@@ -42,6 +42,25 @@ def random_instance(rng, n=None, allow_zero_c=False, load_frac=None):
     return UCInstance(gens, frac * cap)
 
 
+def reference_bisect(supply, load, lo, hi):
+    """Plain price bisection, the oracle of :func:`hquc.ucmodel.bisect_price`.
+
+    Halves the bracket at its midpoint, keeping ``supply(lo) <= load``, until
+    no float lies strictly inside; a NaN or infinite midpoint ends the loop.
+    For a nondecreasing ``supply`` the final bracket is unique, so the kernel
+    must return exactly this ``(lo, hi)``.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if supply(mid) <= load:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def grid_min_two_unit(instance, z, r, lam, rho, beta, step=1e-3):
     """Fine-grid oracle for the two-unit first block.
 

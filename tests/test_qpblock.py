@@ -12,8 +12,11 @@ from hquc import (
     LengthMismatch,
     UCInstance,
     block1_objective,
+    default_config,
+    run_admm,
     solve_block1,
 )
+from hquc import qpblock
 
 
 def _random_problem(rng, inst, rho=None, beta=None):
@@ -215,3 +218,25 @@ class TestSolveBlock1:
         sol = solve_block1(prob)
         assert math.fsum(sol.p) == pytest.approx(60.0, abs=1e-8)
         assert sol.kkt_residual <= 1e-9
+
+    def test_price_search_evaluations_on_load_suite(self, ten_unit, monkeypatch):
+        # Plain bisection takes about 52 supply evaluations per solve here;
+        # the interpolating search about 10.
+        calls = evaluations = 0
+        search = qpblock.bisect_price
+
+        def counting(supply, load, lo, hi):
+            nonlocal calls
+            calls += 1
+
+            def counted(mu):
+                nonlocal evaluations
+                evaluations += 1
+                return supply(mu)
+
+            return search(counted, load, lo, hi)
+
+        monkeypatch.setattr(qpblock, "bisect_price", counting)
+        for load in range(200, 1501, 100):
+            run_admm(ten_unit(float(load)), default_config(float(load)))
+        assert evaluations / calls <= 24

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_generators, random_instance
+from helpers import random_generators, random_instance, reference_bisect
 
 from hquc import (
     Commitment,
@@ -409,6 +409,34 @@ def _sweep_instance(rng, n):
     return UCInstance(tuple(gens), float(rng.uniform(0.0, 1.05)) * cap)
 
 
+def _evaluations(search, supply, load, lo, hi):
+    """The bracket ``search`` returns and the number of supply evaluations."""
+    mus = []
+
+    def counted(mu):
+        mus.append(mu)
+        return supply(mu)
+
+    return search(counted, load, lo, hi), len(mus)
+
+
+def _piecewise_affine(pieces):
+    """A nondecreasing piecewise-affine supply from ``(x, width, slope, jump,
+    closed)`` pieces: a ramp of ``slope`` over ``[x, x + width]`` plus a jump
+    at ``x``, taken for ``mu > x`` like a ``c == 0`` unit's step or the dual's
+    ``phi`` sign change, or for ``mu >= x`` where ``closed``."""
+
+    def supply(mu):
+        terms = []
+        for x, width, slope, jump, closed in pieces:
+            terms.append(slope * (min(max(mu, x), x + width) - x))
+            if mu > x or (closed and mu == x):
+                terms.append(jump)
+        return math.fsum(terms)
+
+    return supply
+
+
 class TestBisectPrice:
     @pytest.mark.parametrize("load", [20.0, 0.0])
     def test_ends_at_adjacent_floats(self, load):
@@ -429,6 +457,56 @@ class TestBisectPrice:
             -math.inf,
             math.inf,
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        pieces=st.lists(
+            st.tuples(
+                st.floats(-1e3, 1e3),
+                st.floats(0.0, 1e3),
+                st.one_of(st.sampled_from((0.0, 1e-6, 1.0, 1e6)), st.floats(0.0, 1e6)),
+                st.one_of(st.sampled_from((0.0, 1.0, 1e5)), st.floats(0.0, 1e6)),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        data=st.data(),
+    )
+    def test_matches_reference_bisection(self, pieces, data):
+        supply = _piecewise_affine(pieces)
+        lo = min(x for x, *_ in pieces) - 1.0
+        hi = max(x + width for x, width, *_ in pieces) + 1.0
+        top = supply(hi)
+        knot = data.draw(st.sampled_from([x for x, *_ in pieces]))
+        load = data.draw(
+            st.one_of(
+                # Nothing, the top plateau, and either side of a jump.
+                st.sampled_from(
+                    (0.0, top, supply(knot), supply(math.nextafter(knot, math.inf)))
+                ),
+                st.floats(0.0, 1.0).map(lambda f: f * top),
+            )
+        )
+        got, evaluations = _evaluations(bisect_price, supply, load, lo, hi)
+        want, halvings = _evaluations(reference_bisect, supply, load, lo, hi)
+        assert got == want
+        assert evaluations <= 2 * halvings + 2
+
+    @pytest.mark.parametrize("fraction", [1e-9, 0.0108, 0.5, 0.99])
+    def test_step_supply_costs_at_most_twice_bisection(self, fraction):
+        # Against one jump every interpolated trial lands the fraction
+        # load / jump of the way across the bracket, far from the jump.
+        # Interpolating whenever the bracket halved over the last two steps
+        # took 130 evaluations here at 0.0108, bisection 54.
+        def supply(mu):
+            return 1.0 if mu > 1732897.9667147014 else 0.0
+
+        lo, hi = 32.5485929044289, 5787758.052073539
+        got, evaluations = _evaluations(bisect_price, supply, fraction, lo, hi)
+        want, halvings = _evaluations(reference_bisect, supply, fraction, lo, hi)
+        assert got == want
+        assert evaluations <= 2 * halvings + 2
 
 
 class TestSolveUcExact:
@@ -513,8 +591,14 @@ class TestSolutionCsv:
             ("1,1,inf\n# cost=100.0\n", "line 2: inf is not finite"),
             ("1,1,20.0\n# cost=100.0\n# cost=50.0\n", "line 4: second '# cost=' line"),
             ("# cost=0.0\n", "line 1: no unit rows"),
+            ("1,2,20.0\n# cost=100.0\n", "line 2: committed must be 0 or 1, got 2"),
+            ("1,1,20.0\n# cost=100.0\n2,0,0.0\n", "line 4: unit row after the '# cost=' line"),
+            ("1,0,50.0\n# cost=0.0\n", "line 2: off unit has output 50.0"),
         ],
-        ids=["unparsable-cost", "nan-cost", "inf-dispatch", "second-cost", "no-units"],
+        ids=[
+            "unparsable-cost", "nan-cost", "inf-dispatch", "second-cost", "no-units",
+            "committed-not-binary", "row-after-cost", "off-unit-output",
+        ],
     )
     def test_rejects_bad_values(self, body, message):
         with pytest.raises(MalformedRow, match=message):
