@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InstanceMismatch, InvariantViolation, LengthMismatch
 from .qaoa import QaoaConfig, QaoaOutcome, QaoaParams, solve_qubo_qaoa
 from .qpblock import Block1Problem, block1_objective, solve_block1
@@ -126,14 +124,18 @@ def update_r(
     lam: Sequence[float],
     rho: float,
     beta: float,
-) -> np.ndarray:
-    """Closed-form third-block minimizer ``r = -(lam + rho (y - z)) / (beta + rho)``."""
+) -> tuple[float, ...]:
+    """Closed-form third-block minimizer ``r = -(lam + rho (y - z)) / (beta + rho)``.
+
+    Returns a tuple of floats.
+    """
     if rho + beta <= 0.0:
         raise InvariantViolation(f"rho + beta = {rho + beta} <= 0")
-    y_arr = np.asarray(y, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
-    lam_arr = np.asarray(lam, dtype=float)
-    return -(lam_arr + rho * (y_arr - z_arr)) / (beta + rho)
+    if not (len(y) == len(z) == len(lam)):
+        raise LengthMismatch("y, z, lam lengths differ")
+    return tuple(
+        -(li + rho * (yi - zi)) / (beta + rho) for yi, zi, li in zip(y, z, lam)
+    )
 
 
 def update_dual(
@@ -142,37 +144,35 @@ def update_dual(
     z: Sequence[float],
     r: Sequence[float],
     rho: float,
-) -> np.ndarray:
-    """Dual ascent with the half step: ``lam + (rho / 2) (y - z + r)``."""
-    lam_arr = np.asarray(lam, dtype=float)
-    y_arr = np.asarray(y, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
-    r_arr = np.asarray(r, dtype=float)
-    if not (len(lam_arr) == len(y_arr) == len(z_arr) == len(r_arr)):
+) -> tuple[float, ...]:
+    """Dual ascent with the half step: ``lam + (rho / 2) (y - z + r)``.
+
+    Returns a tuple of floats.
+    """
+    if not (len(lam) == len(y) == len(z) == len(r)):
         raise LengthMismatch("lam, y, z, r lengths differ")
-    return lam_arr + (rho / 2.0) * (y_arr - z_arr + r_arr)
+    return tuple(
+        li + (rho / 2.0) * (yi - zi + ri) for li, yi, zi, ri in zip(lam, y, z, r)
+    )
 
 
 def residual(
     y: Sequence[float], z: Sequence[float], r: Sequence[float]
 ) -> float:
     """L1 consensus gap ``sum_i |y_i - z_i + r_i|``."""
-    y_arr = np.asarray(y, dtype=float)
-    z_arr = np.asarray(z, dtype=float)
-    r_arr = np.asarray(r, dtype=float)
-    if not (len(y_arr) == len(z_arr) == len(r_arr)):
+    if not (len(y) == len(z) == len(r)):
         raise LengthMismatch("y, z, r lengths differ")
-    return math.fsum(abs(v) for v in (y_arr - z_arr + r_arr))
+    return math.fsum(abs(yi - zi + ri) for yi, zi, ri in zip(y, z, r))
 
 
 def _initial_vector(
     value: tuple[float, ...] | None, n: int, name: str
-) -> np.ndarray:
+) -> tuple[float, ...]:
     if value is None:
-        return np.zeros(n)
+        return (0.0,) * n
     if len(value) != n:
         raise LengthMismatch(f"{name} has length {len(value)}, expected {n}")
-    return np.asarray(value, dtype=float)
+    return tuple(float(v) for v in value)
 
 
 def _polish(instance: UCInstance, terminal: Commitment) -> UCSolution | None:
@@ -222,17 +222,9 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     for it in range(1, config.max_iters + 1):
         iterations = it
         block1 = solve_block1(
-            Block1Problem(
-                instance,
-                tuple(z),
-                tuple(r),
-                tuple(lam),
-                rho=config.rho,
-                beta=config.beta,
-            )
+            Block1Problem(instance, z, r, lam, rho=config.rho, beta=config.beta)
         )
-        y = np.asarray(block1.y)
-        p = np.asarray(block1.p)
+        y, p = block1.y, block1.p
 
         qubo = build_qubo(y, r, lam, config.rho)
         if config.backend == BACKEND_CLASSICAL:
@@ -244,7 +236,7 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
             block2_energy = qubo.energy(bits)
             qaoa_params = outcome.params
             diagnostics.append(outcome)
-        z = np.asarray(bits, dtype=float)
+        z = tuple(float(b) for b in bits)
 
         r = update_r(y, z, lam, config.rho, config.beta)
         res = residual(y, z, r)

@@ -27,18 +27,18 @@ price-clearing kernel of ``hquc.ucmodel``, shared with the economic dispatch
 of a fixed commitment.
 
 The returned point is certified a posteriori: the KKT residual is the largest
-distance of any per-unit gradient from the normal cone of its active
-constraints (a tiny nonnegative least squares) together with the balance gap.
+distance of any per-unit negative gradient from the cone of its (at most three)
+active constraint normals, together with the balance gap.  In the plane that
+distance is 0 when two of the normals combine nonnegatively to the point
+(Caratheodory), else the distance to the nearest normal's ray.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
-
-import numpy as np
-from scipy.optimize import nnls
 
 from .errors import InfeasibleRelaxation, InvariantViolation, LengthMismatch
 from .ucmodel import UCInstance, _step_output, bisect_price, settle_bracket
@@ -148,14 +148,14 @@ def _kkt_residual(
     g_lin: Sequence[float],
     mu: float,
 ) -> float:
-    """Distance of the gradient from the active-constraint normal cone."""
+    """Distance of the gradient from the active-constraint normal cone.
+
+    A ray's distance is taken as ``|w x n| / |n|``: ``|w - t n|`` cancels.
+    """
     gens = problem.instance.generators
     rho = problem.rho
     worst = 0.0
     for i, g in enumerate(gens):
-        grad = np.array(
-            [rho * y[i] + g_lin[i], 2.0 * g.c * p[i] + g.b - mu], dtype=float
-        )
         # The per-unit closed forms land exactly on their active constraints,
         # so a tight activity window keeps complementarity honest.
         scale = 1e-9 * max(1.0, g.p_max)
@@ -168,11 +168,17 @@ def _kkt_residual(
             normals.append((-1.0, 0.0))
         if y[i] >= 1.0 - 1e-12:
             normals.append((1.0, 0.0))
-        if normals:
-            mat = np.array(normals, dtype=float).T
-            _, res = nnls(mat, -grad)
-        else:
-            res = float(np.linalg.norm(grad))
+        wy, wp = -(rho * y[i] + g_lin[i]), -(2.0 * g.c * p[i] + g.b - mu)
+        res = math.hypot(wy, wp)
+        for (ay, ap), (by, bp) in combinations(normals, 2):
+            det = ay * bp - ap * by
+            if det != 0.0:
+                s, t = (wy * bp - wp * by) / det, (ay * wp - ap * wy) / det
+                if s >= 0.0 and t >= 0.0:
+                    res = 0.0
+        for u, v in normals:
+            if wy * u + wp * v > 0.0:
+                res = min(res, abs(wy * v - wp * u) / math.hypot(u, v))
         worst = max(worst, res)
     balance = abs(math.fsum(p) - problem.instance.load)
     return max(worst, balance)

@@ -91,11 +91,10 @@ def build_qubo(
         )
     if rho <= 0.0:
         raise InvariantViolation(f"rho {rho} <= 0")
-    a = np.asarray(y, dtype=float) + np.asarray(r, dtype=float)
-    lam_arr = np.asarray(lam, dtype=float)
-    linear = -lam_arr + rho * (0.5 - a)
-    constant = math.fsum(lam_arr * a + (rho / 2.0) * a * a)
-    return QuboProblem(tuple(linear), constant)
+    a = [yi + ri for yi, ri in zip(y, r)]
+    linear = tuple(-li + rho * (0.5 - ai) for li, ai in zip(lam, a))
+    constant = math.fsum(li * ai + (rho / 2.0) * ai * ai for li, ai in zip(lam, a))
+    return QuboProblem(linear, constant)
 
 
 def solve_qubo_exact(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:

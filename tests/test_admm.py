@@ -115,6 +115,15 @@ class TestUpdateR:
             numeric = brentq(slope, lo, hi, xtol=1e-14)
             assert abs(r_star - numeric) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "y, z, lam",
+        [((0.5,), (1.0, 0.0), (10.0,)), ((0.5, 0.5, 0.5), (1.0, 0.0), (0.0, 0.0))],
+        ids=["broadcastable", "unbroadcastable"],
+    )
+    def test_length_mismatch(self, y, z, lam):
+        with pytest.raises(LengthMismatch):
+            update_r(y, z, lam, rho=4000.0, beta=1000.0)
+
 
 class TestUpdateDual:
     def test_zero_slack_leaves_dual(self):

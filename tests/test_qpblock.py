@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from helpers import grid_min_two_unit, random_instance
 
@@ -240,3 +241,69 @@ class TestSolveBlock1:
         for load in range(200, 1501, 100):
             run_admm(ten_unit(float(load)), default_config(float(load)))
         assert evaluations / calls <= 24
+
+
+# (p_min, p_max, y, p) and the constraint normals active there: every set
+# ``_kkt_residual`` builds, with p = p_min y at (p_min, -1), p = p_max y at
+# (-p_max, 1), y = 0 at (-1, 0) and y = 1 at (1, 0).
+ACTIVE_SETS = {
+    "interior": (10.0, 55.0, 0.5, 16.25, []),
+    "lower-edge": (10.0, 55.0, 0.5, 5.0, [(10.0, -1.0)]),
+    "upper-edge": (10.0, 55.0, 0.5, 27.5, [(-55.0, 1.0)]),
+    "y1-edge": (10.0, 55.0, 1.0, 30.0, [(1.0, 0.0)]),
+    "y1-lower": (10.0, 55.0, 1.0, 10.0, [(10.0, -1.0), (1.0, 0.0)]),
+    "y1-upper": (10.0, 55.0, 1.0, 55.0, [(-55.0, 1.0), (1.0, 0.0)]),
+    "apex": (10.0, 55.0, 0.0, 0.0, [(10.0, -1.0), (-55.0, 1.0), (-1.0, 0.0)]),
+    "pmin-eq-pmax": (40.0, 40.0, 0.5, 20.0, [(40.0, -1.0), (-40.0, 1.0)]),
+    "pmin-eq-pmax-y1": (
+        40.0, 40.0, 1.0, 40.0, [(40.0, -1.0), (-40.0, 1.0), (1.0, 0.0)]
+    ),
+    "pmin-eq-pmax-apex": (
+        40.0, 40.0, 0.0, 0.0, [(40.0, -1.0), (-40.0, 1.0), (-1.0, 0.0)]
+    ),
+    "pmin-zero-lower-edge": (0.0, 55.0, 0.5, 0.0, [(0.0, -1.0)]),
+    "pmin-zero-y1": (0.0, 55.0, 1.0, 0.0, [(0.0, -1.0), (1.0, 0.0)]),
+    "pmin-zero-apex": (
+        0.0, 55.0, 0.0, 0.0, [(0.0, -1.0), (-55.0, 1.0), (-1.0, 0.0)]
+    ),
+}
+
+
+def _cone_points(rng, normals, count):
+    """Points ``w`` inside, on, just off and away from the cone of ``normals``."""
+    units = [np.array(n) / math.hypot(*n) for n in normals]
+    for k in range(count):
+        size = 10.0 ** rng.uniform(-3.0, 6.0)
+        kind = k % 4 if units else 0
+        if kind == 0:
+            w = rng.normal(size=2)
+        elif kind == 1:
+            picks = rng.choice(len(units), size=min(2, len(units)), replace=False)
+            w = sum(rng.uniform(0.0, 1.0) * units[j] for j in picks)
+        elif kind == 2:
+            w = units[rng.integers(len(units))]
+        else:
+            n = units[rng.integers(len(units))]
+            offset = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-12.0, -2.0)
+            w = n + offset * np.array((-n[1], n[0]))
+        yield size * w / np.linalg.norm(w)
+
+
+class TestKktResidual:
+    @pytest.mark.parametrize("case", list(ACTIVE_SETS))
+    def test_matches_nnls(self, case):
+        p_min, p_max, y, p, normals = ACTIVE_SETS[case]
+        inst = UCInstance((GeneratorParams(1, 0.0, 0.0, 0.0, p_min, p_max),), p)
+        prob = Block1Problem(inst, (0.0,), (0.0,), (0.0,), rho=1.0)
+        rng = np.random.default_rng(41)
+        for wy, wp in _cone_points(rng, normals, 2000):
+            # With a = b = c = 0 and rho = 1 the gradient is (y + g_lin, -mu);
+            # the oracle forms it as _kkt_residual does, so both see one point.
+            g_lin, mu = -float(wy) - y, float(wp)
+            got = qpblock._kkt_residual(prob, (y,), (p,), (g_lin,), mu)
+            grad = np.array((1.0 * y + g_lin, 2.0 * 0.0 * p + 0.0 - mu))
+            if normals:
+                want = nnls(np.array(normals).T, -grad)[1]
+            else:
+                want = float(np.linalg.norm(grad))
+            assert abs(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(grad)))
