@@ -49,10 +49,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DimensionMismatch, InvariantViolation, TooManyQubits
 from .qubo import QuboProblem
@@ -277,6 +276,57 @@ class _BudgetExhausted(Exception):
     pass
 
 
+def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
+    """Nelder-Mead from ``x0``, run until the simplex converges.
+
+    Visits exactly the trial points of ``scipy.optimize.minimize(func, x0,
+    method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-10})`` (scipy
+    1.17.1, no bounds, ``adaptive=False``): the same initial simplex, step
+    arithmetic, comparisons, stopping test and ``np.argsort`` order, which
+    need not keep tied vertices in place.  There is no evaluation limit;
+    ``func`` ends the search early by raising.
+    """
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x) for x in sim])
+    # scipy sorts twice here; a second unstable argsort may swap ties.
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    while not (
+        np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
+        and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10
+    ):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+
+
 def optimize_params(
     qubo: QuboProblem, config: QaoaConfig, start: QaoaParams | None = None
 ) -> tuple[QaoaParams, float]:
@@ -287,6 +337,8 @@ def optimize_params(
     the flat-gradient point at exactly zero.  Spends at most
     ``config.optimizer_budget`` expectation evaluations and returns the best
     parameters seen, so the result is never worse than the starting point.
+    The search is the in-package :func:`_nelder_mead`, which visits the same
+    angles as scipy's Nelder-Mead with ``maxfev`` set to the budget.
     """
     if start is None:
         start = QaoaParams((0.1,) * config.depth, (0.1,) * config.depth)
@@ -311,12 +363,7 @@ def optimize_params(
 
     try:
         # Nelder-Mead evaluates x0 first, so even a budget of one sees it.
-        minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": budget, "xatol": 1e-6, "fatol": 1e-10},
-        )
+        _nelder_mead(objective, x0)
     except _BudgetExhausted:
         pass
     return QaoaParams(tuple(best_x[:depth]), tuple(best_x[depth:])), best_val

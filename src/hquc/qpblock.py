@@ -212,8 +212,13 @@ def solve_block1(problem: Block1Problem) -> Block1Solution:
         (g_lin[i], g.b, g.c, g.p_min, g.p_max, rho) for i, g in enumerate(gens)
     ]
 
+    # Every final bracket end has been passed to supply, so its profile is
+    # read back from here.  No trial price is -0.0, which would share 0.0's key.
+    profiles = {}
+
     def supply(mu: float) -> float:
-        return math.fsum(_profile(data, mu)[1])
+        profile = profiles[mu] = _profile(data, mu)
+        return math.fsum(profile[1])
 
     # Bracket the clearing price, expanding geometrically as needed.
     lo = min(g.b for g in gens) - 1.0
@@ -236,8 +241,8 @@ def solve_block1(problem: Block1Problem) -> Block1Solution:
         raise InvariantViolation("failed to bracket the clearing price from above")
 
     lo, hi = bisect_price(supply, load, lo, hi)
-    y, p_lo = _profile(data, lo)
-    _, p_hi = _profile(data, hi)
+    y, p_lo = profiles[lo]
+    p_hi = profiles[hi][1]
     p = settle_bracket(p_lo, p_hi, load)
 
     mu = 0.5 * (lo + hi)

@@ -443,6 +443,26 @@ class TestInputErrors:
         assert done.returncode == 0
         assert done.stderr == ""
 
+    def test_import_leaves_scipy_out(self):
+        # The package needs only numpy at run time; scipy is a test oracle.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, hquc, hquc.cli; print('scipy' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n"
+
     @pytest.mark.parametrize(
         "flag, value", [("--rho", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf")]
     )

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.optimize import minimize
 
 from helpers import dense_run_circuit
 
+import hquc.qaoa
 import hquc.qubo
 from hquc import (
     DimensionMismatch,
@@ -307,6 +309,77 @@ class TestOptimizeParams:
             f_end = expectation(run_circuit(qubo, params), qubo)
             assert f_end <= f_start + 1e-12
             assert value == pytest.approx(f_end)
+
+
+class TestNelderMeadParity:
+    """The in-package search visits scipy's Nelder-Mead trial points, exactly."""
+
+    @staticmethod
+    def _scipy_points(qubo, start, budget):
+        depth = start.depth
+        points = []
+
+        def objective(x):
+            points.append(tuple(float(v) for v in x))
+            params = QaoaParams(tuple(x[:depth]), tuple(x[depth:]))
+            return expectation(run_circuit(qubo, params), qubo)
+
+        minimize(
+            objective,
+            np.array(start.gammas + start.betas),
+            method="Nelder-Mead",
+            options={"maxfev": budget, "xatol": 1e-6, "fatol": 1e-10},
+        )
+        return points
+
+    @staticmethod
+    def _package_points(monkeypatch, qubo, start, budget):
+        points = []
+
+        def recorded(qubo, params):
+            points.append(params.gammas + params.betas)
+            return run_circuit(qubo, params)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hquc.qaoa, "run_circuit", recorded)
+            optimize_params(qubo, QaoaConfig(optimizer_budget=budget), start)
+        return points
+
+    def _assert_same_points(self, monkeypatch, qubo, start, budget):
+        ours = self._package_points(monkeypatch, qubo, start, budget)
+        assert ours == self._scipy_points(qubo, start, budget)
+        return ours
+
+    def test_random_searches(self, monkeypatch):
+        rng = np.random.default_rng(2024)
+        for case in range(120):
+            n = int(rng.integers(1, 11))
+            depth = int(rng.integers(1, 4))
+            budget = (1, 5, 300, int(rng.integers(2, 120)))[case % 4]
+            qubo = QuboProblem(tuple(rng.normal(0, 100, n)), float(rng.normal()))
+            x = rng.uniform(-1, 1, 2 * depth)
+            if case % 3 == 1:
+                x[rng.random(2 * depth) < 0.5] = 0.0  # zero coordinates
+            elif case % 3 == 2:
+                x[0] = 0.0  # gamma_1 = 0: beta_1 acts on |+>^n, its vertex ties
+            start = QaoaParams(tuple(x[:depth]), tuple(x[depth:]))
+            self._assert_same_points(monkeypatch, qubo, start, budget)
+
+    def test_zero_start(self, monkeypatch):
+        qubo = QuboProblem((-3.0, 1.5, 40.0))
+        start = QaoaParams((0.0, 0.0), (0.0, 0.0))
+        points = self._assert_same_points(monkeypatch, qubo, start, 300)
+        assert points[1] == (0.00025, 0.0, 0.0, 0.0)
+
+    def test_budget_ends_inside_a_shrink(self, monkeypatch):
+        # A flat objective ties every vertex, so the first iteration is
+        # reflection, inside contraction and a shrink over the 4 vertices
+        # after the best: evaluations 8 to 11 of a depth-2 search.
+        qubo = QuboProblem((0.0, 0.0, 0.0), 2.5)
+        start = QaoaParams((0.3, 0.2), (0.1, 0.4))
+        for budget in (9, 10, 11, 12, 60):
+            points = self._assert_same_points(monkeypatch, qubo, start, budget)
+            assert len(points) == budget
 
 
 class TestExtractSolution:
