@@ -231,7 +231,7 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
             bits, block2_energy = solve_qubo_perbit(qubo)
         else:
             warm = qaoa_params if config.warm_start else None
-            outcome = solve_qubo_qaoa(qubo, config.qaoa, warm=warm)
+            outcome = solve_qubo_qaoa(qubo, config.qaoa, warm=warm, iteration=it)
             bits = outcome.bits
             block2_energy = qubo.energy(bits)
             qaoa_params = outcome.params

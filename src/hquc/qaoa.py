@@ -370,19 +370,21 @@ def optimize_params(
 
 
 def extract_solution(
-    state: Statevector | ProductState, config: QaoaConfig
+    state: Statevector | ProductState, config: QaoaConfig, iteration: int = 0
 ) -> tuple[int, ...]:
     """Read a bit assignment out of the final state.
 
     argmax mode returns the most probable basis state, ties resolved toward
     the smallest basis index.  sample mode sets bit i to 1 iff ``u_i < P_i(1)``
-    with ``u`` drawn uniform from ``default_rng(config.sample_seed)``: one
-    draw per qubit, which for a product state has the distribution of one
-    draw over all 2**n basis states, at O(n) cost.
+    with ``u`` drawn uniform from ``default_rng((config.sample_seed,
+    iteration))``: one draw per qubit, which for a product state has the
+    distribution of one draw over all 2**n basis states, at O(n) cost.  Each
+    outer ADMM iteration passes its own number, so each draws fresh
+    uniforms, and a rerun with the same seed draws the same ones.
     """
     if config.extraction == "argmax":
         return state.most_probable_bits()
-    u = np.random.default_rng(config.sample_seed).random(state.n)
+    u = np.random.default_rng((config.sample_seed, iteration)).random(state.n)
     return tuple(int(v) for v in u < state.marginals())
 
 
@@ -390,17 +392,20 @@ def solve_qubo_qaoa(
     qubo: QuboProblem,
     config: QaoaConfig | None = None,
     warm: QaoaParams | None = None,
+    iteration: int = 0,
 ) -> QaoaOutcome:
     """Optimize the angles, run the circuit at the optimum, extract bits.
 
     ``warm`` is the starting point of the angle search (see
     :func:`optimize_params`); passing the previous solve's optimum implements
-    warm starting across outer iterations.
+    warm starting across outer iterations.  ``iteration`` selects the sample
+    stream (see :func:`extract_solution`).
     """
     config = config or QaoaConfig()
     params, value = optimize_params(qubo, config, warm)
     state = run_circuit(qubo, params)
-    return QaoaOutcome(qubo, extract_solution(state, config), params, value, state)
+    bits = extract_solution(state, config, iteration)
+    return QaoaOutcome(qubo, bits, params, value, state)
 
 
 def probabilities_to_csv(probabilities: dict[str, float]) -> str:

@@ -18,17 +18,23 @@ price-clearing kernel of the package: the first ADMM block (``hquc.qpblock``)
 clears its price with them too, over its own per-unit response.
 
 :func:`solve_uc_exact` searches the commitments depth first and prunes with
-the Lagrangian dual of the balance constraint, whose price is found by the
-same kernel; it prices leaves as :func:`enumerate_uc` does and returns the
-same answer, tie rule and cost float included, without the 2**N walk.
+the Lagrangian dual of the balance constraint.  It starts from the
+classic Lagrangian-relaxation commitment (:func:`lagrangian_commitment`)
+as its incumbent.  The dual's supply jumps only at known prices, so its
+price is located among those breakpoints by binary search and cleared
+inside one continuous piece by the same kernel.  It prices leaves as
+:func:`enumerate_uc` does and returns the same answer, tie rule and cost
+float included, without the 2**N walk.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence, TextIO
 
 from .errors import (
@@ -92,6 +98,30 @@ class GeneratorParams:
 
     def marginal_cost(self, p: float) -> float:
         return self.b + 2.0 * self.c * p
+
+    @cached_property
+    def min_average_cost(self) -> float:
+        """Least cost per MW, ``(a + b p + c p^2) / p`` minimized over the
+        positive outputs in ``[p_min, p_max]`` (an infimum where ``p`` may
+        approach 0).  Committing the unit pays for itself at a price ``mu``,
+        ``phi(mu) < 0`` in :func:`_dual_bound`, exactly when ``mu`` exceeds it.
+        ``-inf`` for ``a < 0`` with ``p_min == 0``, ``inf`` for ``p_max == 0``
+        otherwise.  Built once per unit, since the branch and bound reads it
+        at every node.
+        """
+        if self.a < 0.0 and self.p_min == 0.0:
+            return -math.inf
+        if self.p_max == 0.0:
+            return math.inf
+        # a / p + c p is least at p = sqrt(a / c) for a >= 0, and increasing
+        # in p for a < 0.
+        p = self.p_min
+        if self.a > 0.0:
+            p = self.p_max if self.c == 0.0 else math.sqrt(self.a / self.c)
+            p = min(max(p, self.p_min), self.p_max)
+        if p == 0.0:  # a == 0 and p_min == 0: the infimum b + c p at p -> 0
+            return self.b
+        return self.a / p + self.b + self.c * p
 
 
 @dataclass(frozen=True)
@@ -458,6 +488,22 @@ def _dual_term(g: GeneratorParams, mu: float) -> tuple[float, float]:
     return g.a + g.b * p + g.c * p * p - mu * p, p
 
 
+def _dual_supply(
+    on: Sequence[GeneratorParams], free: Sequence[GeneratorParams], mu: float
+) -> float:
+    """Output at price ``mu`` of the ``on`` units and of the ``free`` units
+    that pay for themselves there (``mu`` above their
+    :attr:`~GeneratorParams.min_average_cost`): the supply whose crossing
+    with the load is the price of :func:`_dual_bound`."""
+    total = 0.0
+    for g in on:
+        total += _step_output(g.b, g.c, g.p_min, g.p_max, mu)
+    for g in free:
+        if mu > g.min_average_cost:
+            total += _step_output(g.b, g.c, g.p_min, g.p_max, mu)
+    return total
+
+
 def _dual_bound(
     on: Sequence[GeneratorParams], free: Sequence[GeneratorParams], load: float
 ) -> tuple[float, float]:
@@ -468,20 +514,25 @@ def _dual_bound(
     ``mu * load + sum_on phi_i(mu) + sum_free min(0, phi_i(mu))`` (see
     :func:`_dual_term`).  It is concave in ``mu`` and its supergradient is
     ``load`` minus the output of the on units and of the free units with
-    ``phi_i < 0``; that output is nondecreasing in ``mu``, so
-    :func:`bisect_price` brackets the maximizer, and the bound is taken at
-    the bracket's low end.  By weak duality every ``mu`` gives a valid bound.
+    ``phi_i < 0`` (:func:`_dual_supply`), so the bound is greatest where
+    that supply crosses the load.  By weak duality every ``mu`` gives a
+    valid bound, so the price search decides only how tight the bound is.
+
+    The supply is continuous except at its breakpoints: a free unit's
+    :attr:`~GeneratorParams.min_average_cost`, above which its
+    ``phi_i < 0``, and a ``c == 0`` unit's ``b``.  Both steps are taken for
+    ``mu`` strictly above the breakpoint, so the supply reads the free
+    units' sign change from the breakpoint itself and its jumps sit exactly
+    on the sorted breakpoints.  A binary search over them finds the piece
+    that holds the load; the price is the breakpoint when the load falls
+    inside its jump, and is otherwise cleared inside the piece by
+    :func:`bisect_price`, whose interpolation is exact on the continuous
+    piecewise-affine supply there.  The bound is taken at the bracket's low
+    end.
     """
 
     def supply(mu: float) -> float:
-        total = 0.0
-        for g in on:
-            total += _step_output(g.b, g.c, g.p_min, g.p_max, mu)
-        for g in free:
-            phi, p = _dual_term(g, mu)
-            if phi < 0.0:
-                total += p
-        return total
+        return _dual_supply(on, free, mu)
 
     def value(mu: float) -> float:
         terms = [mu * load]
@@ -490,21 +541,51 @@ def _dual_bound(
         return math.fsum(terms)
 
     units = (*on, *free)
-    # Below every b each unit sits at p_min and, for a >= 0, phi_i >= 0; above
-    # every marginal and average cost at p_max each sits at p_max, phi_i < 0.
-    lo, hi = bisect_price(
-        supply,
-        load,
-        min(g.b for g in units) - 1.0,
-        max(
+    breaks = sorted(
+        x
+        for x in {*(g.min_average_cost for g in free), *(g.b for g in units if g.c == 0.0)}
+        if math.isfinite(x)
+    )
+    # The supply is nondecreasing, so breaks[:i] have supply <= load and the
+    # rest more.
+    i = bisect.bisect_right(breaks, load, key=supply)
+    if i == 0:
+        # Below every b each unit sits at p_min and, for a >= 0, phi_i >= 0.
+        lo = min(g.b for g in units) - 1.0
+    else:
+        lo = breaks[i - 1]
+        above = math.nextafter(lo, math.inf)
+        if supply(above) > load:
+            return lo, value(lo)
+        lo = above
+    if i < len(breaks):
+        hi = breaks[i]
+    else:
+        # Above every marginal and average cost at p_max each unit sits at
+        # p_max and has phi_i < 0.
+        hi = max(
             max(g.b + 2.0 * g.c * g.p_max, g.a / g.p_max + g.b + g.c * g.p_max)
             if g.p_max > 0.0
             else g.b
             for g in units
-        )
-        + 1.0,
-    )
+        ) + 1.0
+    lo, hi = bisect_price(supply, load, lo, hi)
     return lo, value(lo)
+
+
+def lagrangian_commitment(
+    generators: Sequence[GeneratorParams], load: float
+) -> Commitment:
+    """The classic Lagrangian-relaxation commitment (Muckstadt and Koenig,
+    Operations Research 25(3), 1977): at the price ``mu`` of the balance's
+    dual (:func:`_dual_bound` with every unit free), commit the units whose
+    ``phi_i(mu) < 0``, those that pay for themselves at that price.
+
+    It need not serve the load; the cheapest servable commitment among it
+    and its one-flip neighbours is a good incumbent for :func:`solve_uc_exact`.
+    """
+    mu, _ = _dual_bound((), generators, load)
+    return Commitment(tuple(int(_dual_term(g, mu)[0] < 0.0) for g in generators))
 
 
 #: Relative margin by which a node's bound must exceed the incumbent's cost
@@ -516,20 +597,25 @@ def solve_uc_exact(instance: UCInstance) -> UCSolution:
     """Exact solve by depth-first branch and bound: the answer of
     :func:`enumerate_uc`, without its size limit.
 
-    Branches on the units in id order, the off branch first, so leaves are
-    met in the order of :func:`enumerate_uc`'s tie rule and an incumbent is
-    replaced only by a strictly cheaper leaf.  A node is pruned when its
-    committed capacity range cannot hold the load, or when a Lagrangian
+    The first incumbent is the cheapest servable commitment among
+    :func:`lagrangian_commitment` and its one-flip neighbours, when one of
+    them serves the load, so the bound prunes from the root on.  The search
+    branches on the units in id order, the off branch first.  A leaf
+    replaces the incumbent when its ``(cost, bits)`` is smaller, which keeps
+    :func:`enumerate_uc`'s tie rule whatever the seed.  A node is pruned when
+    its committed capacity range cannot hold the load, or when a Lagrangian
     bound on its leaves (:func:`_dual_bound`) exceeds the incumbent's cost by
-    more than a relative ``1e-9``.  A node's bound at its parent's price is
-    tried first, since it costs one unit's term.  Leaves are priced by
-    :func:`cheapest_servable`, so the returned cost is the float
-    :func:`enumerate_uc` returns.  Raises Infeasible when no commitment can
-    serve the load.
+    more than a relative ``1e-9``, so a leaf that ties the incumbent is never
+    pruned.  A node's bound at its parent's price is tried first, since it
+    costs one unit's term.  Leaves are priced by :func:`cheapest_servable`,
+    so the returned cost is the float :func:`enumerate_uc` returns.  Raises
+    Infeasible when no commitment can serve the load.
     """
     gens = instance.generators
     load = instance.load
-    best: UCSolution | None = None
+    seed = lagrangian_commitment(gens, load).bits
+    flips = (seed[:i] + (1 - seed[i],) + seed[i + 1 :] for i in range(instance.n))
+    best = cheapest_servable(instance, (seed, *flips))
 
     def pruned(bound: float) -> bool:
         return best is not None and bound > best.cost + _PRUNE_RTOL * abs(best.cost)
@@ -544,7 +630,10 @@ def solve_uc_exact(instance: UCInstance) -> UCSolution:
         k = len(bits)
         if k == instance.n:
             leaf = cheapest_servable(instance, (bits,))
-            if leaf is not None and (best is None or leaf.cost < best.cost):
+            if leaf is not None and (
+                best is None
+                or (leaf.cost, leaf.commitment.bits) < (best.cost, best.commitment.bits)
+            ):
                 best = leaf
             continue
         on = [g for g, y in zip(gens, bits) if y]

@@ -216,6 +216,35 @@ class TestRunAdmm:
             assert rec_a.params == rec_b.params
             assert rec_a.probabilities == rec_b.probabilities
 
+    def test_sample_runs_draw_fresh_uniforms_each_iteration(
+        self, four_unit, monkeypatch
+    ):
+        draws = []
+        make_rng = np.random.default_rng
+
+        class RecordingRng:
+            def __init__(self, seed):
+                self._rng = make_rng(seed)
+
+            def random(self, size):
+                u = self._rng.random(size)
+                draws.append(tuple(u))
+                return u
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        qaoa = QaoaConfig(optimizer_budget=20, extraction="sample", sample_seed=7)
+        cfg = default_config(50.0, backend="qaoa", qaoa=qaoa)
+        first = run_admm(four_unit(50.0), cfg)
+        first_draws = list(draws)
+        draws.clear()
+        second = run_admm(four_unit(50.0), cfg)
+        assert first.iterations >= 2
+        assert len(first_draws) == first.iterations
+        assert len(set(first_draws)) == first.iterations
+        assert draws == first_draws
+        assert first.trace == second.trace
+        assert first.final == second.final
+
     def test_converged_dispatchable_commitment_is_feasible(self, ten_unit):
         inst = ten_unit(800.0)
         report = run_admm(inst, default_config(800.0))

@@ -80,6 +80,32 @@ def _args(mode, gen_path, load, out, *extra):
     ]
 
 
+def _check_baseline_on_random_fleet(tmp_path, n):
+    """``--mode baseline`` on a seeded n-unit fleet at 40% of capacity exits
+    0 with a feasible solution that no servable one-flip neighbour beats."""
+    gens = random_generators(np.random.default_rng(n), n, allow_zero_c=True)
+    lines = ["id,a,b,c,p_min,p_max"]
+    lines += [f"{g.id},{g.a!r},{g.b!r},{g.c!r},{g.p_min!r},{g.p_max!r}" for g in gens]
+    path = tmp_path / "fleet.csv"
+    path.write_text("\n".join(lines) + "\n")
+    load = 0.4 * sum(g.p_max for g in gens)
+    out = tmp_path / "out"
+    assert main(_args("baseline", path, repr(load), out)) == EXIT_OK
+
+    inst = UCInstance(parse_generators(path.read_text()), load)
+    sol = solution_from_csv((out / "solution.csv").read_text())
+    assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
+    for i in range(inst.n):
+        bits = list(sol.commitment.bits)
+        bits[i] = 1 - bits[i]
+        flipped = Commitment(tuple(bits))
+        try:
+            dispatch = economic_dispatch(inst, flipped)
+        except InfeasibleCommitment:
+            continue
+        assert evaluate_cost(inst, flipped, dispatch) >= sol.cost
+
+
 class TestBaselineMode:
     def test_writes_solution_matching_enumeration(self, gen_csv, tmp_path, capsys):
         gens = parse_generators(gen_csv.read_text())
@@ -96,27 +122,10 @@ class TestBaselineMode:
     def test_solves_fleets_past_the_enumeration_limit(self, tmp_path):
         # 30 units: enumeration refuses (2^30 commitments), branch and bound
         # does not.
-        gens = random_generators(np.random.default_rng(30), 30, allow_zero_c=True)
-        lines = ["id,a,b,c,p_min,p_max"]
-        lines += [f"{g.id},{g.a!r},{g.b!r},{g.c!r},{g.p_min!r},{g.p_max!r}" for g in gens]
-        path = tmp_path / "thirty.csv"
-        path.write_text("\n".join(lines) + "\n")
-        load = 0.4 * sum(g.p_max for g in gens)
-        out = tmp_path / "out"
-        assert main(_args("baseline", path, repr(load), out)) == EXIT_OK
+        _check_baseline_on_random_fleet(tmp_path, 30)
 
-        inst = UCInstance(parse_generators(path.read_text()), load)
-        sol = solution_from_csv((out / "solution.csv").read_text())
-        assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
-        for i in range(inst.n):
-            bits = list(sol.commitment.bits)
-            bits[i] = 1 - bits[i]
-            flipped = Commitment(tuple(bits))
-            try:
-                dispatch = economic_dispatch(inst, flipped)
-            except InfeasibleCommitment:
-                continue
-            assert evaluate_cost(inst, flipped, dispatch) >= sol.cost
+    def test_solves_sixty_unit_fleet(self, tmp_path):
+        _check_baseline_on_random_fleet(tmp_path, 60)
 
     def test_round_trip_recosting(self, gen_csv, tmp_path):
         out = tmp_path / "out"

@@ -410,6 +410,14 @@ class TestExtractSolution:
         )
         assert len(other) == 4
 
+    def test_sampling_stream_follows_the_iteration(self):
+        # Every marginal is 1/2, so each bit is a fair coin of its uniform.
+        state = ProductState(np.full((48, 2), np.sqrt(0.5), dtype=complex))
+        config = QaoaConfig(extraction="sample", sample_seed=1234)
+        draws = [extract_solution(state, config, iteration) for iteration in (1, 2)]
+        assert draws[0] != draws[1]
+        assert extract_solution(state, config, 2) == draws[1]
+
     def test_sampling_matches_the_bitstring_distribution(self):
         # One draw per qubit has the distribution of one draw over all 2**n
         # basis states: compare each bitstring's frequency over many seeds

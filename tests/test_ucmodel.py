@@ -29,7 +29,8 @@ from hquc import (
     solution_to_csv,
     solve_uc_exact,
 )
-from hquc.ucmodel import bisect_price
+from hquc import ucmodel
+from hquc.ucmodel import bisect_price, cheapest_servable, lagrangian_commitment
 
 #: The exact solvers, which must agree bit for bit and float for float.
 EXACT_SOLVERS = (enumerate_uc, solve_uc_exact)
@@ -409,6 +410,12 @@ def _sweep_instance(rng, n):
     return UCInstance(tuple(gens), float(rng.uniform(0.0, 1.05)) * cap)
 
 
+def _seed_candidates(instance):
+    """The Lagrangian commitment and its one-flip neighbours."""
+    seed = lagrangian_commitment(instance.generators, instance.load).bits
+    return [seed] + [seed[:i] + (1 - seed[i],) + seed[i + 1 :] for i in range(instance.n)]
+
+
 def _evaluations(search, supply, load, lo, hi):
     """The bracket ``search`` returns and the number of supply evaluations."""
     mus = []
@@ -555,6 +562,73 @@ class TestSolveUcExact:
         inst = UCInstance(gens, 30.0)
         assert _answer(solve_uc_exact, inst) == _answer(enumerate_uc, inst)
         assert solve_uc_exact(inst).cost == 478.0
+
+    def test_tie_outside_the_seeds_neighbourhood(self):
+        # The dual price is 2.5, where unit 2's phi is exactly 0, so the
+        # Lagrangian commitment is (1, 0, 0), which cannot serve 30 MW.  The
+        # seed is then (1, 1, 0): unit 1 at 10 MW costs 20 and unit 2 at 20 MW
+        # costs 20 + 40, 80 in all.  Unit 2 alone at 30 MW costs 20 + 60 = 80
+        # too, two flips from (1, 0, 0), and its bits are the smaller.
+        gens = (
+            GeneratorParams(1, 0.0, 2.0, 0.0, 0.0, 10.0),
+            GeneratorParams(2, 20.0, 2.0, 0.0, 0.0, 40.0),
+            GeneratorParams(3, 40.0, 3.0, 0.0, 0.0, 20.0),
+        )
+        inst = UCInstance(gens, 30.0)
+        candidates = _seed_candidates(inst)
+        seed = cheapest_servable(inst, candidates)
+        assert seed.commitment.bits == (1, 1, 0) and seed.cost == 80.0
+        assert (0, 1, 0) not in candidates
+        sol = solve_uc_exact(inst)
+        assert sol.commitment.bits == enumerate_uc(inst).commitment.bits == (0, 1, 0)
+        assert sol.cost == 80.0
+
+    def test_dual_bound_clears_its_price_in_few_evaluations(self, monkeypatch):
+        # Bisecting across the supply's jumps took about 44 supply evaluations
+        # per bound on these fleets; the breakpoint search takes about 6.
+        calls = evaluations = 0
+        bound, supply = ucmodel._dual_bound, ucmodel._dual_supply
+
+        def counting_bound(*args):
+            nonlocal calls
+            calls += 1
+            return bound(*args)
+
+        def counting_supply(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return supply(*args)
+
+        monkeypatch.setattr(ucmodel, "_dual_bound", counting_bound)
+        monkeypatch.setattr(ucmodel, "_dual_supply", counting_supply)
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            inst = _sweep_instance(rng, int(rng.integers(1, 10)))
+            try:
+                solve_uc_exact(inst)
+            except Infeasible:
+                pass
+        assert calls > 1000
+        assert evaluations / calls <= 15
+
+    def test_lagrangian_commitment_seeds_every_servable_load(self, ten_unit):
+        # A load is servable when some commitment's capacity range holds it,
+        # summed as _dispatch sums it: the commitments enumerate_uc prices.
+        gens = ten_unit(0.0).generators
+        ranges = []
+        for mask in range(1 << len(gens)):
+            on = [g for i, g in enumerate(gens) if (mask >> i) & 1]
+            ranges.append(
+                (math.fsum(g.p_min for g in on), math.fsum(g.p_max for g in on))
+            )
+        servable = 0
+        for load in range(0, 1661, 5):
+            if not any(lo <= load <= hi for lo, hi in ranges):
+                continue
+            servable += 1
+            inst = ten_unit(float(load))
+            assert cheapest_servable(inst, _seed_candidates(inst)) is not None, load
+        assert servable == 332
 
     def test_solves_past_the_enumeration_limit(self):
         # 25 copies of one unit at 100 MW: k units cost 40 k + 100 + 100 / k,
