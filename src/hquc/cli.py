@@ -35,7 +35,7 @@ from .admm import (
     run_admm,
 )
 from .admm import ComparisonReport, compare  # also importable from hquc.cli
-from .errors import Infeasible, InfeasibleRelaxation, SolverError
+from .errors import Infeasible, InfeasibleRelaxation, InvariantViolation, SolverError
 from .qaoa import QaoaConfig, check_dense_size, probabilities_to_csv
 from .ucmodel import UCInstance, parse_generators, solution_to_csv, solve_uc_exact
 
@@ -136,6 +136,12 @@ def build_admm_config(args: argparse.Namespace) -> AdmmConfig:
         name: settings.pop(key) for key, name in _QAOA_FIELDS.items() if key in settings
     }
     qaoa = QaoaConfig(sample_seed=args.seed, **qaoa_fields)
+    # The angle search evaluates its 2 * depth + 1 simplex vertices first.
+    if 2 * qaoa.depth + 1 > qaoa.optimizer_budget:
+        raise InvariantViolation(
+            f"qaoa_depth {qaoa.depth} needs qaoa_budget >= {2 * qaoa.depth + 1} "
+            f"to evaluate its initial simplex, got {qaoa.optimizer_budget}"
+        )
     backend = BACKEND_QAOA if args.mode == "s2" else BACKEND_CLASSICAL
     return default_config(args.load, backend=backend, qaoa=qaoa, **settings)
 

@@ -17,8 +17,11 @@ Product form: the block-2 QUBO has no couplings, ``C = sum_i h_i z_i``, so
 single-qubit rotations too, and so is ``H^n |0>``.  A product of single-qubit
 gates keeps a product state a product state, so the QAOA state is one
 amplitude pair ``(a0_i, a1_i)`` per qubit at every depth, exactly: no
-approximation is made.  :func:`run_circuit` evolves the n pairs, which costs
-O(n P) per circuit instead of O(n 2^n P), and returns a :class:`ProductState`.
+approximation is made.  :func:`run_circuit` holds the n pairs as one complex
+``(2, n)`` array, row ``k`` the amplitudes of ``|k>``, and spends three numpy
+steps per layer: the phase row, one multiply, and the mixer's sum of the rows
+and the swapped rows.  That is O(n P) per circuit instead of O(n 2^n P).  It
+returns a :class:`ProductState` whose ``pairs`` is the ``(n, 2)`` transpose.
 The expectation is ``sum_i q_i P_i(1) + constant`` from the per-qubit
 marginals, and the most probable bitstring takes each bit from its own qubit.
 Sample extraction draws each bit from its own marginal.  No solve has a size
@@ -39,10 +42,13 @@ qubit first, so basis index 11 on four qubits is '1011'.
 Phase scaling: penalty-sized QUBO coefficients (thousands and up) would wrap
 the cost phases many times over and shred the parameter landscape, so
 :func:`run_circuit` divides the linear coefficients by ``max_i |q_i|`` before
-phase construction (:attr:`QuboProblem.phase_slopes`, built once per QUBO).
-Positive rescaling never changes the argmin over bitstrings, and expectation
-values are always reported in original units with the constant offset
-restored.
+phase construction (:attr:`QuboProblem.phase_slopes`).  Positive rescaling
+never changes the argmin over bitstrings, and expectation values are always
+reported in original units with the constant offset restored.  The angle
+search runs the circuit about a hundred times per QUBO, so the problem builds
+its kernel arrays once, read-only: :attr:`QuboProblem.phase_rows` (zeros over
+the slopes), :attr:`QuboProblem.uniform_rows` (the start state) and
+:attr:`QuboProblem.linear_array` (the expectation's coefficients).
 """
 
 from __future__ import annotations
@@ -141,8 +147,8 @@ class QaoaParams:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gammas", tuple(float(g) for g in self.gammas))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
+        object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
+        object.__setattr__(self, "betas", tuple(map(float, self.betas)))
         if len(self.gammas) != len(self.betas) or not self.gammas:
             raise InvariantViolation(
                 f"need equal-length nonempty angle lists, got "
@@ -244,22 +250,26 @@ def apply_mixer_layer(state: Statevector, beta: float) -> Statevector:
 def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
     """Prepare the uniform state, then apply P (cost, mixer) layer pairs.
 
-    Each qubit evolves on its own: the cost step multiplies ``a1_i`` by
-    ``exp(i pi gamma h_i / 2)``, with ``h = q / phase_scale(qubo)``, and the
-    mixer step rotates the pair, so the result equals the dense
-    layer-by-layer composition at ``scale=phase_scale(qubo)`` up to rounding.
+    The state is one complex ``(2, n)`` array, row ``k`` holding every
+    qubit's ``|k>`` amplitude.  The cost step multiplies it by
+    ``exp(i pi gamma zh / 2)``, where ``zh`` (:attr:`QuboProblem.phase_rows`)
+    is 0 in row 0 and ``h = q / phase_scale(qubo)`` in row 1; the mixer step
+    adds ``i sin(pi beta / 2)`` times the swapped rows to ``cos(pi beta / 2)``
+    times the rows.  The result equals the dense layer-by-layer composition
+    at ``scale=phase_scale(qubo)`` up to rounding.
     """
     if qubo.n < 1:
         raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
-    h = qubo.phase_slopes
-    a0 = np.full(qubo.n, 2.0 ** -0.5, dtype=complex)
-    a1 = a0.copy()
+    zh = qubo.phase_rows
+    amps = qubo.uniform_rows
     for gamma, beta in zip(params.gammas, params.betas):
-        a1 = a1 * np.exp(1j * math.pi * gamma * h / 2.0)
+        # Out of place: an in-place complex multiply such as ``amps[1] *= p``
+        # can take another numpy loop, which rounds differently.
+        amps = amps * np.exp((1j * math.pi * gamma / 2.0) * zh)
         c = math.cos(math.pi * beta / 2.0)
         s = 1j * math.sin(math.pi * beta / 2.0)
-        a0, a1 = c * a0 + s * a1, s * a0 + c * a1
-    return ProductState(np.stack((a0, a1), axis=1))
+        amps = c * amps + s * amps[::-1]
+    return ProductState(amps.T)
 
 
 def expectation(state: Statevector | ProductState, qubo: QuboProblem) -> float:
@@ -269,62 +279,79 @@ def expectation(state: Statevector | ProductState, qubo: QuboProblem) -> float:
     """
     if qubo.n != state.n:
         raise DimensionMismatch(f"qubo n={qubo.n} but state n={state.n}")
-    return float(state.marginals() @ np.asarray(qubo.linear)) + qubo.constant
+    return float(state.marginals() @ qubo.linear_array) + qubo.constant
 
 
 class _BudgetExhausted(Exception):
     pass
 
 
-def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray) -> None:
+def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
     """Nelder-Mead from ``x0``, run until the simplex converges.
 
     Visits exactly the trial points of ``scipy.optimize.minimize(func, x0,
     method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-10})`` (scipy
     1.17.1, no bounds, ``adaptive=False``): the same initial simplex, step
     arithmetic, comparisons, stopping test and ``np.argsort`` order, which
-    need not keep tied vertices in place.  There is no evaluation limit;
+    need not keep tied vertices in place.  Vertices are lists of floats, and
+    each is built only when it is evaluated.  There is no evaluation limit;
     ``func`` ends the search early by raising.
     """
     n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
+    sim = [x0]
+    fsim = [func(x0)]
     for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([func(x) for x in sim])
+        vertex = list(x0)
+        vertex[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        sim.append(vertex)
+        fsim.append(func(vertex))
+
+    def sort() -> None:
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+            # Ties or NaN: numpy's order, not necessarily Python's stable one.
+            order = np.argsort(fsim)
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
     # scipy sorts twice here; a second unstable argsort may swap ties.
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
+    sort()
+    sort()
     while not (
-        np.max(np.abs(sim[1:] - sim[0])) <= 1e-6
-        and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-10
+        all(abs(v - v0) <= 1e-6 for x in sim[1:] for v, v0 in zip(x, sim[0]))
+        and all(abs(fsim[0] - f) <= 1e-10 for f in fsim[1:])
     ):
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        # numpy's column sums over the vertices: in order, from +0.0.
+        total = [0.0] * n
+        for x in sim[:-1]:
+            total = [t + v for t, v in zip(total, x)]
+        xbar = [t / n for t in total]
+        worst = sim[-1]
+        xr = [2 * b - w for b, w in zip(xbar, worst)]
         fxr = func(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
             fxe = func(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
                 fxc = func(xc)
                 accept = fxc <= fxr
             else:
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
                 fxc = func(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:
+                best = sim[0]
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
                     fsim[j] = func(sim[j])
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
+        sort()
 
 
 def optimize_params(
@@ -342,14 +369,14 @@ def optimize_params(
     """
     if start is None:
         start = QaoaParams((0.1,) * config.depth, (0.1,) * config.depth)
-    x0 = np.array(start.gammas + start.betas, dtype=float)
+    x0 = list(start.gammas + start.betas)
     depth = start.depth
     budget = config.optimizer_budget
     evals = 0
-    best_x = x0.copy()
+    best_x = x0
     best_val = math.inf
 
-    def objective(x: np.ndarray) -> float:
+    def objective(x: list[float]) -> float:
         nonlocal evals, best_x, best_val
         if evals >= budget:
             raise _BudgetExhausted
@@ -358,7 +385,7 @@ def optimize_params(
         val = expectation(run_circuit(qubo, params), qubo)
         if val < best_val:
             best_val = val
-            best_x = np.array(x, dtype=float)
+            best_x = x
         return val
 
     try:

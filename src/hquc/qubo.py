@@ -50,14 +50,33 @@ class QuboProblem:
                 e += q
         return e + self.constant
 
+    # Read-only arrays for the QAOA kernel, each built once per problem, since
+    # the angle search runs the circuit on one problem about a hundred times.
+
+    @cached_property
+    def linear_array(self) -> np.ndarray:
+        """``linear`` as a read-only float array."""
+        return _read_only(np.asarray(self.linear))
+
     @cached_property
     def phase_slopes(self) -> np.ndarray:
         """``linear / phase_scale(self)``, read-only: the per-qubit slopes the
-        QAOA cost layer turns into phases.  Built once per problem, since the
-        angle search runs the circuit on one problem about a hundred times."""
-        slopes = np.asarray(self.linear) / phase_scale(self)
-        slopes.flags.writeable = False
-        return slopes
+        QAOA cost layer turns into phases."""
+        return _read_only(np.asarray(self.linear) / phase_scale(self))
+
+    @cached_property
+    def phase_rows(self) -> np.ndarray:
+        """Read-only complex ``(2, n)``: row 0 zeros, row 1 :attr:`phase_slopes`,
+        the cost-phase slopes of each qubit's ``|0>`` and ``|1>`` amplitude.
+        Stored complex so that the cost layer does not cast it each time."""
+        rows = np.stack((np.zeros(self.n), self.phase_slopes))
+        return _read_only(rows.astype(complex))
+
+    @cached_property
+    def uniform_rows(self) -> np.ndarray:
+        """Read-only complex ``(2, n)``, every entry ``2**-0.5``: ``H^n |0>``
+        with qubit ``i``'s amplitude pair in column ``i``."""
+        return _read_only(np.full((2, self.n), 2.0**-0.5, dtype=complex))
 
     def energies(self) -> np.ndarray:
         """Energy of every assignment, indexed by the bits-as-integer value."""
@@ -68,6 +87,11 @@ class QuboProblem:
         for i, q in enumerate(self.linear):
             e += q * ((idx >> i) & 1)
         return e + self.constant
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def phase_scale(qubo: QuboProblem) -> float:

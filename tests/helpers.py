@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from hquc import (
     GeneratorParams,
+    InvariantViolation,
+    ProductState,
     UCInstance,
     apply_cost_layer,
     apply_mixer_layer,
@@ -110,3 +114,25 @@ def dense_run_circuit(qubo, params):
         state = apply_cost_layer(state, qubo, gamma, scale=phase_scale(qubo))
         state = apply_mixer_layer(state, beta)
     return state
+
+
+def reference_run_circuit(qubo, params):
+    """The product-state kernel as two ``(n,)`` amplitude arrays, one per basis
+    value, the bit-for-bit oracle of :func:`hquc.qaoa.run_circuit`."""
+    if qubo.n < 1:
+        raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
+    h = qubo.phase_slopes
+    a0 = np.full(qubo.n, 2.0 ** -0.5, dtype=complex)
+    a1 = a0.copy()
+    for gamma, beta in zip(params.gammas, params.betas):
+        a1 = a1 * np.exp(1j * math.pi * gamma * h / 2.0)
+        c = math.cos(math.pi * beta / 2.0)
+        s = 1j * math.sin(math.pi * beta / 2.0)
+        a0, a1 = c * a0 + s * a1, s * a0 + c * a1
+    return ProductState(np.stack((a0, a1), axis=1))
+
+
+def reference_expectation(state, qubo):
+    """``sum_i q_i P_i(1) + constant`` with the coefficients converted on each
+    call, the bit-for-bit oracle of :func:`hquc.qaoa.expectation`."""
+    return float(state.marginals() @ np.asarray(qubo.linear)) + qubo.constant

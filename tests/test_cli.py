@@ -364,6 +364,33 @@ class TestInputErrors:
         assert "error:" in err
         assert "seed" in err
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"qaoa_depth": 1000000},
+            {"qaoa_depth": 50, "qaoa_budget": 100},
+            {"qaoa_depth": 3, "qaoa_budget": 6},
+        ],
+        ids=["huge-depth", "default-budget", "small-budget"],
+    )
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_depth_beyond_budget(self, gen_csv, tmp_path, capsys, settings, source):
+        # The angle search first evaluates the 2 * depth + 1 vertices of its
+        # initial simplex, so a budget below that is rejected up front.
+        if source == "flags":
+            extra = []
+            for key, value in settings.items():
+                extra += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(settings))
+            extra = ["--config", str(config)]
+        code = main(_args("s2", gen_csv, 50, tmp_path / "o", *extra))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"qaoa_depth {settings['qaoa_depth']}" in err
+
     def test_non_utf8_files(self, gen_csv, tmp_path, capsys):
         bad_csv = tmp_path / "latin1.csv"
         bad_csv.write_bytes(b"id,a,b,c,p_min,p_max\n1,660,25.92,0.00413,10,55\xb5\n")

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from helpers import dense_run_circuit
+from helpers import dense_run_circuit, reference_expectation, reference_run_circuit
 
 import hquc.qaoa
 import hquc.qubo
@@ -195,6 +195,27 @@ class TestRunCircuit:
             assert np.max(np.abs(mine.amplitudes - oracle)) < 1e-9
             assert mine.norm_error() < 1e-10
 
+    def test_depth_one_closed_form(self):
+        # From |+>, the phase exp(i phi_i) on |1> and the mixer give
+        # P_i(1) = 1/2 + sin(pi beta) sin(phi_i) / 2, phi_i = pi gamma h_i / 2.
+        rng = np.random.default_rng(12)
+        for case in range(300):
+            n = int(rng.integers(1, 21))
+            linear = rng.normal(0, 10.0 ** rng.uniform(0, 4), n)
+            linear[rng.random(n) < 0.2] = 0.0
+            qubo = QuboProblem(tuple(linear), float(rng.normal()))
+            gamma, beta = (float(v) for v in rng.uniform(-2, 2, 2))
+            biggest = np.abs(linear).max()
+            h = linear / (biggest if biggest > 0 else 1.0)
+            closed = 0.5 + 0.5 * math.sin(math.pi * beta) * np.sin(
+                math.pi * gamma * h / 2.0
+            )
+            params = QaoaParams((gamma,), (beta,))
+            assert np.max(np.abs(run_circuit(qubo, params).marginals() - closed)) <= 1e-12
+            if n <= 8:
+                dense = dense_run_circuit(qubo, params)
+                assert np.max(np.abs(dense.marginals() - closed)) <= 1e-12
+
 
 class TestProductKernel:
     def test_matches_dense_layers(self):
@@ -230,6 +251,31 @@ class TestProductKernel:
                 assert extract_solution(product, config) == extract_solution(
                     dense, config
                 )
+
+    def test_bit_identical_to_reference(self):
+        # The kernel keeps every float of the two-array form it replaced:
+        # the state's bytes and the expectation compare equal, not close.
+        rng = np.random.default_rng(2025)
+        for case in range(2400):
+            n = int(rng.integers(1, 81))
+            depth = int(rng.integers(1, 5))
+            linear = rng.normal(0, 10.0 ** rng.uniform(0, 6), n)
+            linear[rng.random(n) < 0.2] = 0.0
+            if case % 6 == 0:
+                linear[:] = 0.0
+            gammas = rng.uniform(-2, 2, depth)
+            betas = rng.uniform(-2, 2, depth)
+            if case % 6 == 1:
+                gammas[:] = 0.0
+            elif case % 6 == 2:
+                betas[:] = 1.0
+            qubo = QuboProblem(tuple(linear), float(rng.normal(0, 100)))
+            params = QaoaParams(tuple(gammas), tuple(betas))
+            state = run_circuit(qubo, params)
+            reference = reference_run_circuit(qubo, params)
+            assert state.pairs.shape == (n, 2)
+            assert state.pairs.tobytes() == reference.pairs.tobytes()
+            assert expectation(state, qubo) == reference_expectation(reference, qubo)
 
     def test_zero_slope_qubit_ties_to_zero(self):
         # A zero slope leaves its qubit in |+>: an exact tie on both kernels.
@@ -382,6 +428,37 @@ class TestNelderMeadParity:
             assert len(points) == budget
 
 
+class TestSeams:
+    """The angle search reaches the circuit through the module attributes
+    ``run_circuit`` and ``expectation``, once per evaluation: the dense
+    oracle tests and the benchmark's span tracer replace those attributes."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"run_circuit": 0, "expectation": 0}
+        for name in calls:
+            original = getattr(hquc.qaoa, name)
+
+            def wrapper(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(hquc.qaoa, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("budget", [1, 2, 5, 7, 40])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_one_call_of_each_per_evaluation(self, monkeypatch, depth, budget):
+        qubo = QuboProblem((-3.0, 1.5, 40.0, 0.0), 2.0)
+        config = QaoaConfig(depth=depth, optimizer_budget=budget)
+        calls = self._counted(monkeypatch)
+        optimize_params(qubo, config)
+        assert calls == {"run_circuit": budget, "expectation": budget}
+        calls.update(run_circuit=0, expectation=0)
+        solve_qubo_qaoa(qubo, config)
+        assert calls == {"run_circuit": budget + 1, "expectation": budget}
+
+
 class TestExtractSolution:
     def test_argmax_picks_heaviest_bitstring(self):
         amps = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4], dtype=complex))
@@ -494,3 +571,26 @@ class TestSolveQuboQaoa:
         assert calls == [qubo]
         assert np.array_equal(qubo.phase_slopes, np.array(qubo.linear) / 4000.0)
         assert outcome.bits == (0, 1, 0)
+
+    def test_per_qubo_arrays_are_read_only(self):
+        qubo = QuboProblem((4000.0, -3999.0, 12.0))
+        solve_qubo_qaoa(qubo, QaoaConfig(depth=2, optimizer_budget=20))
+        for name in ("linear_array", "phase_slopes", "phase_rows", "uniform_rows"):
+            with pytest.raises(ValueError):
+                getattr(qubo, name)[...] = 0.0
+
+    @pytest.mark.parametrize("extraction", ["argmax", "sample"])
+    def test_repeat_solves_agree(self, extraction):
+        # The second solve reads the arrays the first one cached; both must
+        # match a solve on a fresh problem with the same coefficients.
+        linear = (4000.0, -3999.0, 12.0, 0.0, -250.0)
+        config = QaoaConfig(depth=2, optimizer_budget=60, extraction=extraction)
+        qubo = QuboProblem(linear, 7.0)
+        outcomes = [
+            solve_qubo_qaoa(qubo, config, iteration=3),
+            solve_qubo_qaoa(qubo, config, iteration=3),
+            solve_qubo_qaoa(QuboProblem(linear, 7.0), config, iteration=3),
+        ]
+        for outcome in outcomes[1:]:
+            assert outcome == outcomes[0]
+            assert outcome.state.pairs.tobytes() == outcomes[0].state.pairs.tobytes()
