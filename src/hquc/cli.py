@@ -136,8 +136,9 @@ def build_admm_config(args: argparse.Namespace) -> AdmmConfig:
         name: settings.pop(key) for key, name in _QAOA_FIELDS.items() if key in settings
     }
     qaoa = QaoaConfig(sample_seed=args.seed, **qaoa_fields)
-    # The angle search evaluates its 2 * depth + 1 simplex vertices first.
-    if 2 * qaoa.depth + 1 > qaoa.optimizer_budget:
+    # The angle search evaluates its 2 * depth + 1 simplex vertices first;
+    # s1 never runs it, so only s2 needs a budget that covers them.
+    if args.mode == "s2" and 2 * qaoa.depth + 1 > qaoa.optimizer_budget:
         raise InvariantViolation(
             f"qaoa_depth {qaoa.depth} needs qaoa_budget >= {2 * qaoa.depth + 1} "
             f"to evaluate its initial simplex, got {qaoa.optimizer_budget}"

@@ -46,8 +46,8 @@ phase construction (:attr:`QuboProblem.phase_slopes`).  Positive rescaling
 never changes the argmin over bitstrings, and expectation values are always
 reported in original units with the constant offset restored.  The angle
 search runs the circuit about a hundred times per QUBO, so the problem builds
-its kernel arrays once, read-only: :attr:`QuboProblem.phase_rows` (zeros over
-the slopes), :attr:`QuboProblem.uniform_rows` (the start state) and
+the per-QUBO arrays once, read-only: :attr:`QuboProblem.phase_rows` (the
+cost step's ``zh``, described in :func:`run_circuit`) and
 :attr:`QuboProblem.linear_array` (the expectation's coefficients).
 """
 
@@ -261,7 +261,7 @@ def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
     if qubo.n < 1:
         raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
     zh = qubo.phase_rows
-    amps = qubo.uniform_rows
+    amps = np.full((2, qubo.n), 2.0**-0.5, dtype=complex)
     for gamma, beta in zip(params.gammas, params.betas):
         # Out of place: an in-place complex multiply such as ``amps[1] *= p``
         # can take another numpy loop, which rounds differently.
@@ -307,10 +307,7 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
         fsim.append(func(vertex))
 
     def sort() -> None:
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
-            # Ties or NaN: numpy's order, not necessarily Python's stable one.
-            order = np.argsort(fsim)
+        order = np.argsort(fsim)
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 

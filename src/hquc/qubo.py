@@ -62,21 +62,15 @@ class QuboProblem:
     def phase_slopes(self) -> np.ndarray:
         """``linear / phase_scale(self)``, read-only: the per-qubit slopes the
         QAOA cost layer turns into phases."""
-        return _read_only(np.asarray(self.linear) / phase_scale(self))
+        return _read_only(self.linear_array / phase_scale(self))
 
     @cached_property
     def phase_rows(self) -> np.ndarray:
-        """Read-only complex ``(2, n)``: row 0 zeros, row 1 :attr:`phase_slopes`,
-        the cost-phase slopes of each qubit's ``|0>`` and ``|1>`` amplitude.
-        Stored complex so that the cost layer does not cast it each time."""
+        """Read-only complex ``(2, n)``, zeros over :attr:`phase_slopes`: the
+        cost step's ``zh`` in :func:`hquc.qaoa.run_circuit`, which owns its
+        layout.  Stored complex so that the cost step does not cast it."""
         rows = np.stack((np.zeros(self.n), self.phase_slopes))
         return _read_only(rows.astype(complex))
-
-    @cached_property
-    def uniform_rows(self) -> np.ndarray:
-        """Read-only complex ``(2, n)``, every entry ``2**-0.5``: ``H^n |0>``
-        with qubit ``i``'s amplitude pair in column ``i``."""
-        return _read_only(np.full((2, self.n), 2.0**-0.5, dtype=complex))
 
     def energies(self) -> np.ndarray:
         """Energy of every assignment, indexed by the bits-as-integer value."""

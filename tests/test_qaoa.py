@@ -575,7 +575,7 @@ class TestSolveQuboQaoa:
     def test_per_qubo_arrays_are_read_only(self):
         qubo = QuboProblem((4000.0, -3999.0, 12.0))
         solve_qubo_qaoa(qubo, QaoaConfig(depth=2, optimizer_budget=20))
-        for name in ("linear_array", "phase_slopes", "phase_rows", "uniform_rows"):
+        for name in ("linear_array", "phase_slopes", "phase_rows"):
             with pytest.raises(ValueError):
                 getattr(qubo, name)[...] = 0.0
 
