@@ -36,13 +36,8 @@ from .qaoa import (
     QaoaConfig,
     QaoaOutcome,
     QaoaParams,
-    Statevector,
-    apply_cost_layer,
-    apply_mixer_layer,
-    bits_to_string,
     expectation,
     extract_solution,
-    init_uniform,
     optimize_params,
     run_circuit,
     solve_qubo_qaoa,
@@ -52,7 +47,6 @@ from .qubo import (
     QuboProblem,
     build_qubo,
     phase_scale,
-    solve_qubo_exact,
     solve_qubo_perbit,
 )
 from .ucmodel import (

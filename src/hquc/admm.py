@@ -29,7 +29,7 @@ from .errors import InstanceMismatch, InvariantViolation, LengthMismatch
 from .qaoa import QaoaConfig, QaoaOutcome, QaoaParams, solve_qubo_qaoa
 from .qpblock import Block1Problem, block1_objective, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
-from .ucmodel import Commitment, UCInstance, UCSolution, cheapest_servable
+from .ucmodel import Commitment, UCInstance, UCSolution, cheapest_servable, one_flips
 
 BACKEND_CLASSICAL = "classical"
 BACKEND_QAOA = "qaoa"
@@ -188,12 +188,7 @@ def _polish(instance: UCInstance, terminal: Commitment) -> UCSolution | None:
     served = cheapest_servable(instance, (terminal.bits,))
     if served is not None:
         return served
-    neighbours = []
-    for i in range(len(terminal)):
-        bits = list(terminal.bits)
-        bits[i] ^= 1
-        neighbours.append(tuple(bits))
-    return cheapest_servable(instance, neighbours)
+    return cheapest_servable(instance, one_flips(terminal.bits))
 
 
 def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:

@@ -34,7 +34,6 @@ from .admm import (
     default_config,
     run_admm,
 )
-from .admm import ComparisonReport, compare  # also importable from hquc.cli
 from .errors import Infeasible, InfeasibleRelaxation, InvariantViolation, SolverError
 from .qaoa import QaoaConfig, check_dense_size, probabilities_to_csv
 from .ucmodel import UCInstance, parse_generators, solution_to_csv, solve_uc_exact

@@ -38,7 +38,7 @@ class InfeasibleRelaxation(SolverError):
 
 
 class TooManyQubits(SolverError):
-    """Statevector simulation size guard exceeded."""
+    """A 2**n amplitude table would exceed its size guard."""
 
 
 class DimensionMismatch(SolverError):

@@ -28,12 +28,11 @@ Sample extraction draws each bit from its own marginal.  No solve has a size
 limit; the 2^n amplitudes are built (by Kronecker product) only for the
 probability map, up to 16 qubits.
 
-Dense oracle: :class:`Statevector`, :func:`init_uniform`,
-:func:`apply_cost_layer` and :func:`apply_mixer_layer` simulate the same
-circuit on the full 2^n statevector, layer by layer.  No solver path uses
-them; the tests compare the product kernel against them.  Both state classes
-offer the same read methods, so :func:`expectation` and
-:func:`extract_solution` accept either.
+Oracle: the tests simulate the same circuit on the full 2^n statevector,
+layer by layer, and ground that simulation in the full-matrix product at
+small n; the package ships only the product state.  So :func:`expectation`
+and :func:`extract_solution` take a :class:`ProductState`, for which the
+per-qubit draw of sample mode is a true sample of the circuit's output.
 
 Bit convention: variable ``i`` (1-based) lives on qubit ``i - 1``, the least
 significant bit of the basis index, and bitstrings render most significant
@@ -55,14 +54,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, TooManyQubits
 from .qubo import QuboProblem
 
-#: Dense simulation guard: 2**16 amplitudes.
+#: Guard on 2**n amplitude tables (histograms): 2**16 amplitudes.
 MAX_QUBITS = 16
 
 
@@ -70,33 +69,6 @@ def check_dense_size(n: int) -> None:
     """Raise TooManyQubits if a 2**n amplitude table passes the guard."""
     if n > MAX_QUBITS:
         raise TooManyQubits(f"n={n} exceeds simulation guard {MAX_QUBITS}")
-
-
-@dataclass(frozen=True, eq=False)
-class Statevector:
-    """Complex amplitudes over the 2**n computational basis states."""
-
-    amplitudes: np.ndarray
-    n: int
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def norm_error(self) -> float:
-        """Deviation of the total probability from one."""
-        return abs(float(np.sum(self.probabilities())) - 1.0)
-
-    def marginals(self) -> np.ndarray:
-        """Per-qubit probability of reading 1, ``P_i(1)``."""
-        probs = self.probabilities()
-        return np.array(
-            [probs.reshape(-1, 2, 1 << i)[:, 1, :].sum() for i in range(self.n)]
-        )
-
-    def most_probable_bits(self) -> tuple[int, ...]:
-        """Bits of the most probable basis state; ties go to the smallest index."""
-        index = int(np.argmax(self.probabilities()))
-        return tuple((index >> i) & 1 for i in range(self.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +104,8 @@ class ProductState:
     def most_probable_bits(self) -> tuple[int, ...]:
         """Each bit is 1 iff ``P_i(1) > P_i(0)``; ties go to 0.
 
-        For a product state this is the argmax over basis states with the
-        smallest-index tie rule of :meth:`Statevector.most_probable_bits`.
+        For a product state this is the argmax over basis states, ties going
+        to the smallest basis index.
         """
         probs = np.abs(self.pairs) ** 2
         return tuple(int(p1 > p0) for p0, p1 in probs)
@@ -195,58 +167,6 @@ class QaoaOutcome:
         return {format(i, f"0{self.state.n}b"): float(p) for i, p in enumerate(probs)}
 
 
-def bits_to_string(bits: Sequence[int]) -> str:
-    """Render variable bits (unit 1 first) as a most-significant-first string."""
-    return "".join(str(int(b)) for b in reversed(list(bits)))
-
-
-def init_uniform(n: int) -> Statevector:
-    """Equal superposition H^n |0>: every amplitude is 2**(-n/2)."""
-    if n < 1:
-        raise InvariantViolation(f"need at least one qubit, got {n}")
-    check_dense_size(n)
-    amp = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
-    return Statevector(amp, n)
-
-
-def _phase_energies(qubo: QuboProblem, scale: float | None) -> np.ndarray:
-    """Offset-free QUBO energies for phase construction, optionally rescaled."""
-    e = QuboProblem(qubo.linear).energies()
-    if scale is not None:
-        e = e / scale
-    return e
-
-
-def apply_cost_layer(
-    state: Statevector,
-    qubo: QuboProblem,
-    gamma: float,
-    scale: float | None = None,
-) -> Statevector:
-    """Diagonal phase layer: amplitude of ``|x>`` gains ``exp(i pi gamma E(x) / 2)``.
-
-    ``E(x)`` is the offset-dropped (and, when ``scale`` is given, rescaled)
-    QUBO energy of ``x``.  Per-basis probabilities are untouched.
-    """
-    if qubo.n != state.n:
-        raise DimensionMismatch(f"qubo n={qubo.n} but state n={state.n}")
-    phases = np.exp(1j * math.pi * gamma * _phase_energies(qubo, scale) / 2.0)
-    return Statevector(state.amplitudes * phases, state.n)
-
-
-def apply_mixer_layer(state: Statevector, beta: float) -> Statevector:
-    """Rotate every qubit by ``exp(i pi beta X / 2)``; preserves the norm."""
-    c = math.cos(math.pi * beta / 2.0)
-    s = 1j * math.sin(math.pi * beta / 2.0)
-    amps = state.amplitudes
-    for qubit in range(state.n):
-        view = amps.reshape(-1, 2, 1 << qubit)
-        a0 = view[:, 0, :]
-        a1 = view[:, 1, :]
-        amps = np.stack((c * a0 + s * a1, s * a0 + c * a1), axis=1).reshape(-1)
-    return Statevector(amps, state.n)
-
-
 def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
     """Prepare the uniform state, then apply P (cost, mixer) layer pairs.
 
@@ -255,8 +175,8 @@ def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
     ``exp(i pi gamma zh / 2)``, where ``zh`` (:attr:`QuboProblem.phase_rows`)
     is 0 in row 0 and ``h = q / phase_scale(qubo)`` in row 1; the mixer step
     adds ``i sin(pi beta / 2)`` times the swapped rows to ``cos(pi beta / 2)``
-    times the rows.  The result equals the dense layer-by-layer composition
-    at ``scale=phase_scale(qubo)`` up to rounding.
+    times the rows.  The result equals the full 2^n-amplitude circuit up to
+    rounding.
     """
     if qubo.n < 1:
         raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
@@ -272,10 +192,10 @@ def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
     return ProductState(amps.T)
 
 
-def expectation(state: Statevector | ProductState, qubo: QuboProblem) -> float:
+def expectation(state: ProductState, qubo: QuboProblem) -> float:
     """Expected full QUBO energy (constant restored, original units).
 
-    For a diagonal QUBO this is ``sum_i q_i P_i(1) + constant`` for any state.
+    For a diagonal QUBO this is ``sum_i q_i P_i(1) + constant``.
     """
     if qubo.n != state.n:
         raise DimensionMismatch(f"qubo n={qubo.n} but state n={state.n}")
@@ -394,7 +314,7 @@ def optimize_params(
 
 
 def extract_solution(
-    state: Statevector | ProductState, config: QaoaConfig, iteration: int = 0
+    state: ProductState, config: QaoaConfig, iteration: int = 0
 ) -> tuple[int, ...]:
     """Read a bit assignment out of the final state.
 

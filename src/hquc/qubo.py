@@ -21,10 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvariantViolation, LengthMismatch, TooLarge
-
-#: Exhaustive QUBO solve guard (2**24 assignments).
-EXACT_SOLVE_LIMIT = 24
+from .errors import InvariantViolation, LengthMismatch
 
 
 @dataclass(frozen=True)
@@ -72,16 +69,6 @@ class QuboProblem:
         rows = np.stack((np.zeros(self.n), self.phase_slopes))
         return _read_only(rows.astype(complex))
 
-    def energies(self) -> np.ndarray:
-        """Energy of every assignment, indexed by the bits-as-integer value."""
-        if self.n > EXACT_SOLVE_LIMIT:
-            raise TooLarge(f"n={self.n} exceeds limit {EXACT_SOLVE_LIMIT}")
-        idx = np.arange(1 << self.n)
-        e = np.zeros(1 << self.n)
-        for i, q in enumerate(self.linear):
-            e += q * ((idx >> i) & 1)
-        return e + self.constant
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
@@ -115,28 +102,11 @@ def build_qubo(
     return QuboProblem(linear, constant)
 
 
-def solve_qubo_exact(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:
-    """Global minimum by exhaustive enumeration.
-
-    Ties break toward bit value 0 scanning from unit 1 upward, i.e. toward the
-    lexicographically smallest bits tuple.
-    """
-    n = qubo.n
-    if n == 0:
-        return (), qubo.constant
-    energies = qubo.energies()
-    emin = float(energies.min())
-    best = min(
-        tuple(int(m >> i) & 1 for i in range(n))
-        for m in np.flatnonzero(energies == emin)
-    )
-    return best, qubo.energy(best)
-
-
 def solve_qubo_perbit(qubo: QuboProblem) -> tuple[tuple[int, ...], float]:
-    """Fast path exploiting separability: bit i is on iff its slope is negative.
+    """Exact minimum by separability: bit i is on iff its slope is negative.
 
-    Matches :func:`solve_qubo_exact` bit-for-bit including the tie rule.
+    A zero slope ties and goes to 0, so the bits are the lexicographically
+    smallest minimizer; the tests check this against exhaustive enumeration.
     """
     bits = tuple(1 if q < 0.0 else 0 for q in qubo.linear)
     return bits, qubo.energy(bits)

@@ -35,7 +35,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     DuplicateId,
@@ -462,6 +462,12 @@ def cheapest_servable(
     return best
 
 
+def one_flips(bits: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The bits tuples one bit flip away from ``bits``, unit 1's flip first."""
+    for i in range(len(bits)):
+        yield bits[:i] + (1 - bits[i],) + bits[i + 1 :]
+
+
 def enumerate_uc(instance: UCInstance) -> UCSolution:
     """Exhaustive ground-truth solve over all 2**N commitments.
 
@@ -614,8 +620,7 @@ def solve_uc_exact(instance: UCInstance) -> UCSolution:
     gens = instance.generators
     load = instance.load
     seed = lagrangian_commitment(gens, load).bits
-    flips = (seed[:i] + (1 - seed[i],) + seed[i + 1 :] for i in range(instance.n))
-    best = cheapest_servable(instance, (seed, *flips))
+    best = cheapest_servable(instance, (seed, *one_flips(seed)))
 
     def pruned(bound: float) -> bool:
         return best is not None and bound > best.cost + _PRUNE_RTOL * abs(best.cost)

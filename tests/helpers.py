@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 
 from hquc import (
     GeneratorParams,
     InvariantViolation,
     ProductState,
+    QuboProblem,
     UCInstance,
-    apply_cost_layer,
-    apply_mixer_layer,
-    init_uniform,
     phase_scale,
 )
+from hquc.qaoa import check_dense_size
 
 
 def random_generators(rng, n, allow_zero_c=False):
@@ -103,16 +104,137 @@ def grid_min_two_unit(instance, z, r, lam, rho, beta, step=1e-3):
     return float(obj.min())
 
 
+def energy_table(qubo):
+    """Energy of every assignment, constant included, indexed by the
+    bits-as-integer value (unit 1 the least significant bit)."""
+    idx = np.arange(1 << qubo.n)
+    e = np.zeros(1 << qubo.n)
+    for i, q in enumerate(qubo.linear):
+        e += q * ((idx >> i) & 1)
+    return e + qubo.constant
+
+
+def solve_qubo_exact(qubo):
+    """Global minimum over the energy table; ties go to the lexicographically
+    smallest bits tuple (bit value 0 first, scanning from unit 1 upward)."""
+    n = qubo.n
+    if n == 0:
+        return (), qubo.constant
+    energies = energy_table(qubo)
+    emin = float(energies.min())
+    best = min(
+        tuple(int(m >> i) & 1 for i in range(n))
+        for m in np.flatnonzero(energies == emin)
+    )
+    return best, qubo.energy(best)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseState:
+    """Complex amplitudes over the 2**n computational basis states.
+
+    It has the read methods that :func:`hquc.qaoa.expectation`,
+    :func:`hquc.qaoa.extract_solution` and the QAOA outcome's probability map
+    call, so :func:`dense_run_circuit` can stand in for the product kernel.
+    """
+
+    amplitudes: np.ndarray
+    n: int
+
+    def probabilities(self):
+        return np.abs(self.amplitudes) ** 2
+
+    def norm_error(self):
+        """Deviation of the total probability from one."""
+        return abs(float(np.sum(self.probabilities())) - 1.0)
+
+    def marginals(self):
+        """Per-qubit probability of reading 1, ``P_i(1)``."""
+        probs = self.probabilities()
+        return np.array(
+            [probs.reshape(-1, 2, 1 << i)[:, 1, :].sum() for i in range(self.n)]
+        )
+
+    def most_probable_bits(self):
+        """Bits of the most probable basis state; ties go to the smallest index."""
+        index = int(np.argmax(self.probabilities()))
+        return tuple((index >> i) & 1 for i in range(self.n))
+
+
+def dense_uniform(n):
+    """Equal superposition H^n |0>: every amplitude is 2**(-n/2)."""
+    check_dense_size(n)
+    return DenseState(np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex), n)
+
+
+def dense_cost_layer(state, qubo, gamma, scale=None):
+    """Diagonal phase layer: amplitude of ``|x>`` gains ``exp(i pi gamma E(x) / 2)``.
+
+    ``E(x)`` is the offset-dropped (and, when ``scale`` is given, rescaled)
+    QUBO energy of ``x``.
+    """
+    e = energy_table(QuboProblem(qubo.linear))
+    if scale is not None:
+        e = e / scale
+    phases = np.exp(1j * math.pi * gamma * e / 2.0)
+    return DenseState(state.amplitudes * phases, state.n)
+
+
+def dense_mixer_layer(state, beta):
+    """Rotate every qubit by ``exp(i pi beta X / 2)``, one qubit at a time."""
+    c = math.cos(math.pi * beta / 2.0)
+    s = 1j * math.sin(math.pi * beta / 2.0)
+    amps = state.amplitudes
+    for qubit in range(state.n):
+        view = amps.reshape(-1, 2, 1 << qubit)
+        a0 = view[:, 0, :]
+        a1 = view[:, 1, :]
+        amps = np.stack((c * a0 + s * a1, s * a0 + c * a1), axis=1).reshape(-1)
+    return DenseState(amps, state.n)
+
+
 def dense_run_circuit(qubo, params):
     """The QAOA circuit on the full 2^n statevector, one dense layer at a time.
 
-    Same signature and result API as :func:`hquc.qaoa.run_circuit`, so it can
-    stand in for the product-state kernel as its oracle.
+    Same signature as :func:`hquc.qaoa.run_circuit`, and its state has the
+    read methods the solver calls, so it can stand in for the product-state
+    kernel as its oracle.
     """
-    state = init_uniform(qubo.n)
+    state = dense_uniform(qubo.n)
     for gamma, beta in zip(params.gammas, params.betas):
-        state = apply_cost_layer(state, qubo, gamma, scale=phase_scale(qubo))
-        state = apply_mixer_layer(state, beta)
+        state = dense_cost_layer(state, qubo, gamma, scale=phase_scale(qubo))
+        state = dense_mixer_layer(state, beta)
+    return state
+
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def matrix_cost(qubo, gamma, scale):
+    """The cost unitary as the 2^n x 2^n matrix ``expm(i pi gamma diag(E) / 2)``,
+    ``E`` the offset-dropped energy table divided by ``scale``."""
+    e = energy_table(QuboProblem(qubo.linear)) / scale
+    return expm(1j * np.pi * gamma / 2.0 * np.diag(e))
+
+
+def matrix_mixer(n, beta):
+    """The mixer as the Kronecker product of n copies of ``expm(i pi beta X / 2)``."""
+    single = expm(1j * np.pi * beta / 2.0 * _X)
+    mixer = np.array([[1.0]], dtype=complex)
+    for _ in range(n):
+        mixer = np.kron(mixer, single)
+    return mixer
+
+
+def matrix_circuit(qubo, params):
+    """The QAOA circuit's 2^n amplitudes as a product of full matrices built
+    with ``expm`` and ``kron``, independently of the layered oracle; costly,
+    so for small n only."""
+    n = qubo.n
+    state = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
+    for gamma, beta in zip(params.gammas, params.betas):
+        cost = matrix_cost(qubo, gamma, phase_scale(qubo))
+        state = matrix_mixer(n, beta) @ (cost @ state)
     return state
 
 

@@ -15,10 +15,15 @@ import math
 import time
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from helpers import grid_min_two_unit, random_instance
+from helpers import (
+    energy_table,
+    grid_min_two_unit,
+    matrix_circuit,
+    random_instance,
+    solve_qubo_exact,
+)
 
 from hquc import (
     Block1Problem,
@@ -26,19 +31,14 @@ from hquc import (
     QaoaConfig,
     QaoaParams,
     QuboProblem,
-    apply_cost_layer,
-    apply_mixer_layer,
-    bits_to_string,
     build_qubo,
     default_config,
     economic_dispatch,
     enumerate_uc,
     evaluate_cost,
-    init_uniform,
-    phase_scale,
     run_admm,
+    run_circuit,
     solve_block1,
-    solve_qubo_exact,
     solve_qubo_perbit,
     solve_qubo_qaoa,
     update_r,
@@ -172,7 +172,7 @@ def test_criterion_4_warm_start_beats_cold_start(four_unit):
     last = report.qaoa_diagnostics[-1]
     final_qubo = last.qubo
     best_bits, _ = solve_qubo_exact(final_qubo)
-    key = bits_to_string(best_bits)
+    key = Commitment(best_bits).bitstring
 
     prob_warm = last.probabilities[key]
     cold = solve_qubo_qaoa(final_qubo, config.qaoa, warm=None)
@@ -188,7 +188,6 @@ def test_criterion_4_warm_start_beats_cold_start(four_unit):
 
 
 def test_criterion_5_circuit_matches_dense_oracle():
-    x_gate = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     rng = np.random.default_rng(55)
     worst_amp = 0.0
     worst_norm = 0.0
@@ -199,29 +198,17 @@ def test_criterion_5_circuit_matches_dense_oracle():
         params = QaoaParams(
             tuple(rng.uniform(-2, 2, depth)), tuple(rng.uniform(-2, 2, depth))
         )
-        scale = phase_scale(qubo)
-
-        # Independent dense product, layer by layer, checking the norm after
-        # every single layer application on the engine side.
-        idx = np.arange(1 << n)
-        energies = np.zeros(1 << n)
-        for i, q in enumerate(qubo.linear):
-            energies = energies + q * ((idx >> i) & 1)
-        energies = energies / scale
-        dense_state = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
-        state = init_uniform(n)
-        for gamma, beta in zip(params.gammas, params.betas):
-            state = apply_cost_layer(state, qubo, gamma, scale=scale)
-            worst_norm = max(worst_norm, state.norm_error())
-            state = apply_mixer_layer(state, beta)
-            worst_norm = max(worst_norm, state.norm_error())
-            cost_mat = np.diag(np.exp(1j * np.pi * gamma * energies / 2.0))
-            single = expm(1j * np.pi * beta / 2.0 * x_gate)
-            mixer_mat = np.array([[1.0]], dtype=complex)
-            for _ in range(n):
-                mixer_mat = np.kron(mixer_mat, single)
-            dense_state = mixer_mat @ (cost_mat @ dense_state)
-        worst_amp = max(worst_amp, float(np.max(np.abs(state.amplitudes - dense_state))))
+        # The kernel s2 runs against the full-matrix product, with the norm
+        # checked after every layer: the first k layers of the circuit, and
+        # the state after the k-th cost layer (its mixer angle set to 0).
+        for k in range(1, depth + 1):
+            gammas = params.gammas[:k]
+            for betas in (params.betas[: k - 1] + (0.0,), params.betas[:k]):
+                prefix = run_circuit(qubo, QaoaParams(gammas, betas))
+                worst_norm = max(worst_norm, prefix.norm_error())
+        state = run_circuit(qubo, params)
+        oracle = matrix_circuit(qubo, params)
+        worst_amp = max(worst_amp, float(np.max(np.abs(state.amplitudes - oracle))))
     ok = worst_amp < 1e-9 and worst_norm < 1e-10
     _line(
         5,
@@ -247,7 +234,7 @@ def test_criterion_6_qubo_against_direct_evaluation():
         bits_table = ((np.arange(1 << n)[:, None] >> np.arange(n)[None, :]) & 1)
         slack = y[None, :] - bits_table + r[None, :]
         direct = (lam[None, :] * slack + (rho / 2.0) * slack * slack).sum(axis=1)
-        got = qubo.energies()
+        got = energy_table(qubo)
         denom = np.maximum(np.abs(direct), 1.0)
         worst_rel = max(worst_rel, float(np.max(np.abs(got - direct) / denom)))
 

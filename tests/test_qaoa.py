@@ -2,95 +2,78 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 from scipy.optimize import minimize
 
-from helpers import dense_run_circuit, reference_expectation, reference_run_circuit
+from helpers import (
+    DenseState,
+    dense_cost_layer,
+    dense_mixer_layer,
+    dense_run_circuit,
+    dense_uniform,
+    energy_table,
+    matrix_circuit,
+    matrix_cost,
+    matrix_mixer,
+    reference_expectation,
+    reference_run_circuit,
+)
 
 import hquc.qaoa
 import hquc.qubo
 from hquc import (
-    DimensionMismatch,
+    Commitment,
     InvariantViolation,
     ProductState,
     QaoaConfig,
     QaoaParams,
     QuboProblem,
-    Statevector,
     TooManyQubits,
-    apply_cost_layer,
-    apply_mixer_layer,
-    bits_to_string,
     expectation,
     extract_solution,
-    init_uniform,
     optimize_params,
     phase_scale,
     run_circuit,
     solve_qubo_qaoa,
 )
 
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+def _uniform(n):
+    """|+>^n as a product state: ``(sqrt(1/2), sqrt(1/2))`` on every qubit."""
+    return ProductState(np.full((n, 2), math.sqrt(0.5), dtype=complex))
 
 
 def _basis_state(index, n):
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[index] = 1.0
-    return Statevector(amps, n)
-
-
-def _raw_energies(qubo):
-    idx = np.arange(1 << qubo.n)
-    e = np.zeros(1 << qubo.n)
-    for i, q in enumerate(qubo.linear):
-        e = e + q * ((idx >> i) & 1)
-    return e
-
-
-def _dense_circuit_oracle(qubo, params, normalize=True):
-    """Full 2^n x 2^n matrix product built independently of the engine."""
-    n = qubo.n
-    e = _raw_energies(qubo)
-    if normalize:
-        biggest = max((abs(q) for q in qubo.linear), default=0.0)
-        e = e / (biggest if biggest > 0 else 1.0)
-    state = np.full(1 << n, 2.0 ** (-n / 2.0), dtype=complex)
-    for gamma, beta in zip(params.gammas, params.betas):
-        cost = np.diag(np.exp(1j * np.pi * gamma * e / 2.0))
-        single = expm(1j * np.pi * beta / 2.0 * _X)
-        mixer = np.array([[1.0]], dtype=complex)
-        for _ in range(n):
-            mixer = np.kron(mixer, single)
-        state = mixer @ (cost @ state)
-    return state
+    """``|index>`` as a product state: ``(1, 0)`` or ``(0, 1)`` per qubit."""
+    pairs = np.zeros((n, 2), dtype=complex)
+    for i in range(n):
+        pairs[i, (index >> i) & 1] = 1.0
+    return ProductState(pairs)
 
 
 class TestInitUniform:
+    """The dense oracle's start state."""
+
     def test_one_qubit(self):
-        state = init_uniform(1)
+        state = dense_uniform(1)
         assert np.allclose(state.amplitudes, [math.sqrt(0.5), math.sqrt(0.5)])
         assert np.all(state.amplitudes.imag == 0.0)
 
     def test_two_qubits(self):
-        state = init_uniform(2)
+        state = dense_uniform(2)
         assert np.allclose(state.amplitudes, [0.5] * 4)
 
     def test_ten_qubits(self):
-        state = init_uniform(10)
+        state = dense_uniform(10)
         assert state.amplitudes.shape == (1024,)
         assert np.allclose(state.amplitudes, 2.0**-5)
 
-    def test_guards(self):
-        with pytest.raises(TooManyQubits):
-            init_uniform(17)
-        with pytest.raises(InvariantViolation):
-            init_uniform(0)
-
 
 class TestCostLayer:
+    """The dense oracle's cost layer."""
+
     def test_zero_angle_is_identity(self):
-        state = init_uniform(3)
-        out = apply_cost_layer(state, QuboProblem((1.0, -2.0, 0.5)), 0.0)
+        state = dense_uniform(3)
+        out = dense_cost_layer(state, QuboProblem((1.0, -2.0, 0.5)), 0.0)
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_probabilities_never_change(self):
@@ -100,14 +83,14 @@ class TestCostLayer:
             qubo = QuboProblem(tuple(rng.normal(0, 5, n)))
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             amps /= np.linalg.norm(amps)
-            state = Statevector(amps, n)
-            out = apply_cost_layer(state, qubo, float(rng.uniform(-3, 3)))
+            state = DenseState(amps, n)
+            out = dense_cost_layer(state, qubo, float(rng.uniform(-3, 3)))
             assert np.max(np.abs(out.probabilities() - state.probabilities())) < 1e-12
 
     def test_unit_slope_quarter_turn(self):
         # q = (1), gamma = 1: |1> picks up exp(i pi / 2) = i, |0> untouched.
-        state = init_uniform(1)
-        out = apply_cost_layer(state, QuboProblem((1.0,)), 1.0, scale=1.0)
+        state = dense_uniform(1)
+        out = dense_cost_layer(state, QuboProblem((1.0,)), 1.0, scale=1.0)
         ratio = out.amplitudes[1] / state.amplitudes[1]
         assert ratio == pytest.approx(1j, abs=1e-12)
         assert out.amplitudes[0] == pytest.approx(state.amplitudes[0])
@@ -115,30 +98,27 @@ class TestCostLayer:
     def test_matches_matrix_exponential(self):
         qubo = QuboProblem((0.7, -1.3))
         gamma = 0.63
-        state = init_uniform(2)
+        state = dense_uniform(2)
         for scale in (None, phase_scale(qubo)):
-            out = apply_cost_layer(state, qubo, gamma, scale=scale)
-            e = _raw_energies(qubo) / (scale if scale is not None else 1.0)
-            dense = expm(1j * np.pi * gamma / 2.0 * np.diag(e))
+            out = dense_cost_layer(state, qubo, gamma, scale=scale)
+            dense = matrix_cost(qubo, gamma, scale if scale is not None else 1.0)
             assert np.allclose(out.amplitudes, dense @ state.amplitudes, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            apply_cost_layer(init_uniform(2), QuboProblem((1.0,)), 0.5)
 
 
 class TestMixerLayer:
+    """The dense oracle's mixer layer."""
+
     def test_zero_angle_is_identity(self):
-        state = init_uniform(3)
-        out = apply_mixer_layer(state, 0.0)
+        state = dense_uniform(3)
+        out = dense_mixer_layer(state, 0.0)
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_full_turn_flips_basis_state(self):
-        out = apply_mixer_layer(_basis_state(0, 1), 1.0)
+        out = dense_mixer_layer(DenseState(np.array([1.0, 0.0], dtype=complex), 1), 1.0)
         assert out.probabilities()[1] == pytest.approx(1.0, abs=1e-12)
 
     def test_half_turn_splits_evenly(self):
-        out = apply_mixer_layer(_basis_state(0, 1), 0.5)
+        out = dense_mixer_layer(DenseState(np.array([1.0, 0.0], dtype=complex), 1), 0.5)
         assert np.allclose(out.probabilities(), [0.5, 0.5])
 
     def test_matches_matrix_exponential_per_qubit(self):
@@ -148,19 +128,15 @@ class TestMixerLayer:
             beta = float(rng.uniform(-2, 2))
             amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             amps /= np.linalg.norm(amps)
-            state = Statevector(amps.copy(), n)
-            out = apply_mixer_layer(state, beta)
-            single = expm(1j * np.pi * beta / 2.0 * _X)
-            dense = np.array([[1.0]], dtype=complex)
-            for _ in range(n):
-                dense = np.kron(dense, single)
-            assert np.allclose(out.amplitudes, dense @ amps, atol=1e-12)
+            state = DenseState(amps.copy(), n)
+            out = dense_mixer_layer(state, beta)
+            assert np.allclose(out.amplitudes, matrix_mixer(n, beta) @ amps, atol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(9)
-        state = init_uniform(6)
+        state = dense_uniform(6)
         for _ in range(50):
-            state = apply_mixer_layer(state, float(rng.uniform(-3, 3)))
+            state = dense_mixer_layer(state, float(rng.uniform(-3, 3)))
         assert state.norm_error() < 1e-10
 
 
@@ -175,13 +151,15 @@ class TestRunCircuit:
         qubo = QuboProblem((1.5, -0.5, 2.0))
         params = QaoaParams((0.37,), (0.81,))
         scale = phase_scale(qubo)
-        manual = apply_mixer_layer(
-            apply_cost_layer(init_uniform(3), qubo, 0.37, scale=scale), 0.81
+        manual = dense_mixer_layer(
+            dense_cost_layer(dense_uniform(3), qubo, 0.37, scale=scale), 0.81
         )
         auto = run_circuit(qubo, params)
         assert np.allclose(auto.amplitudes, manual.amplitudes)
 
     def test_matches_dense_oracle(self):
+        # The full-matrix product grounds both the product kernel and the
+        # layered dense oracle that the larger tests compare it with.
         rng = np.random.default_rng(11)
         for _ in range(30):
             n = int(rng.integers(1, 4))
@@ -190,10 +168,10 @@ class TestRunCircuit:
             params = QaoaParams(
                 tuple(rng.uniform(-2, 2, depth)), tuple(rng.uniform(-2, 2, depth))
             )
-            mine = run_circuit(qubo, params)
-            oracle = _dense_circuit_oracle(qubo, params)
-            assert np.max(np.abs(mine.amplitudes - oracle)) < 1e-9
-            assert mine.norm_error() < 1e-10
+            oracle = matrix_circuit(qubo, params)
+            for state in (run_circuit(qubo, params), dense_run_circuit(qubo, params)):
+                assert np.max(np.abs(state.amplitudes - oracle)) < 1e-9
+                assert state.norm_error() < 1e-10
 
     def test_depth_one_closed_form(self):
         # From |+>, the phase exp(i phi_i) on |1> and the mixer give
@@ -221,7 +199,8 @@ class TestProductKernel:
     def test_matches_dense_layers(self):
         # Penalty-sized slopes (up to 1e6), about one in five exactly zero.
         # The tolerance grows with the largest cost phase the circuit builds,
-        # because both kernels round that phase angle.
+        # because both kernels round that phase angle.  The dense side's
+        # expectation is its probabilities over the energy table.
         rng = np.random.default_rng(2024)
         config = QaoaConfig()
         for _ in range(200):
@@ -244,13 +223,11 @@ class TestProductKernel:
             assert np.max(np.abs(product.probabilities() - probs)) <= tol
             energy_size = max(1.0, np.abs(linear).sum() + abs(qubo.constant))
             assert abs(
-                expectation(product, qubo) - expectation(dense, qubo)
+                expectation(product, qubo) - float(probs @ energy_table(qubo))
             ) <= tol * energy_size
             top, runner_up = np.sort(probs)[::-1][:2]
             if top - runner_up > tol:
-                assert extract_solution(product, config) == extract_solution(
-                    dense, config
-                )
+                assert extract_solution(product, config) == dense.most_probable_bits()
 
     def test_bit_identical_to_reference(self):
         # The kernel keeps every float of the two-array form it replaced:
@@ -286,14 +263,12 @@ class TestProductKernel:
         assert probs[0, 0] == probs[0, 1] and probs[2, 0] == probs[2, 1]
         bits = extract_solution(product, QaoaConfig())
         assert bits[0] == bits[2] == 0
-        assert bits == extract_solution(
-            dense_run_circuit(qubo, params), QaoaConfig()
-        )
+        assert bits == dense_run_circuit(qubo, params).most_probable_bits()
 
 
 class TestExpectation:
     def test_uniform_single_qubit(self):
-        assert expectation(init_uniform(1), QuboProblem((-1.0,))) == pytest.approx(-0.5)
+        assert expectation(_uniform(1), QuboProblem((-1.0,))) == pytest.approx(-0.5)
 
     def test_basis_states_give_point_energies(self):
         qubo = QuboProblem((2.0, -3.0, 0.5), 1.25)
@@ -307,8 +282,8 @@ class TestExpectation:
         for _ in range(20):
             n = int(rng.integers(1, 6))
             qubo = QuboProblem(tuple(rng.normal(0, 10, n)), float(rng.normal()))
-            mean = float(np.mean(qubo.energies()))
-            assert expectation(init_uniform(n), qubo) == pytest.approx(
+            mean = float(np.mean(energy_table(qubo)))
+            assert expectation(_uniform(n), qubo) == pytest.approx(
                 mean, rel=1e-9, abs=1e-9
             )
 
@@ -318,7 +293,7 @@ class TestExpectation:
         params = QaoaParams((0.0, 0.0), (0.0, 0.0))
         state = run_circuit(qubo, params)
         assert expectation(state, qubo) == pytest.approx(
-            float(np.mean(qubo.energies())), rel=1e-9
+            float(np.mean(energy_table(qubo))), rel=1e-9
         )
 
 
@@ -461,13 +436,18 @@ class TestSeams:
 
 class TestExtractSolution:
     def test_argmax_picks_heaviest_bitstring(self):
-        amps = np.sqrt(np.array([0.1, 0.2, 0.3, 0.4], dtype=complex))
-        bits = extract_solution(Statevector(amps, 2), QaoaConfig())
-        assert bits == (1, 1)
-        assert bits_to_string(bits) == "11"
+        # P_1(1) = 0.6 and P_2(1) = 0.3: the heaviest bitstring is |01>.
+        marginals = np.array([0.6, 0.3])
+        state = ProductState(
+            np.stack((np.sqrt(1.0 - marginals), np.sqrt(marginals)), axis=1) + 0j
+        )
+        bits = extract_solution(state, QaoaConfig())
+        assert bits == (1, 0)
+        assert Commitment(bits).bitstring == "01"
+        assert int(np.argmax(state.probabilities())) == 0b01
 
     def test_argmax_tie_breaks_to_smallest_index(self):
-        bits = extract_solution(init_uniform(3), QaoaConfig())
+        bits = extract_solution(_uniform(3), QaoaConfig())
         assert bits == (0, 0, 0)
 
     def test_basis_state_round_trip(self):
@@ -477,7 +457,7 @@ class TestExtractSolution:
                 assert bits == tuple((index >> i) & 1 for i in range(n))
 
     def test_sampling_is_seed_deterministic(self):
-        state = init_uniform(4)
+        state = _uniform(4)
         config = QaoaConfig(extraction="sample", sample_seed=1234)
         first = extract_solution(state, config)
         second = extract_solution(state, config)
@@ -489,7 +469,7 @@ class TestExtractSolution:
 
     def test_sampling_stream_follows_the_iteration(self):
         # Every marginal is 1/2, so each bit is a fair coin of its uniform.
-        state = ProductState(np.full((48, 2), np.sqrt(0.5), dtype=complex))
+        state = _uniform(48)
         config = QaoaConfig(extraction="sample", sample_seed=1234)
         draws = [extract_solution(state, config, iteration) for iteration in (1, 2)]
         assert draws[0] != draws[1]

@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import energy_table, solve_qubo_exact
+
 from hquc import (
     InvariantViolation,
     LengthMismatch,
     QuboProblem,
-    TooLarge,
     build_qubo,
-    solve_qubo_exact,
     solve_qubo_perbit,
 )
 
@@ -79,20 +79,16 @@ class TestExactSolver:
         assert bits == (1, 1)
         assert energy == pytest.approx(-3.0)
 
-    def test_size_guard(self):
-        with pytest.raises(TooLarge):
-            solve_qubo_exact(QuboProblem((1.0,) * 25))
-
     def test_energy_matches_energy_table_exactly(self):
-        # The solvers report qubo.energy(bits) for the minimum of the table
-        # qubo.energies(); the two must agree bit for bit, not approximately.
+        # The solvers report qubo.energy(bits) for the minimum of the energy
+        # table; the two must agree bit for bit, not approximately.
         rng = np.random.default_rng(307)
         for _ in range(200):
             n = int(rng.integers(1, 11))
             linear = rng.normal(0.0, 100.0, n)
             linear[rng.random(n) < 0.2] = 0.0
             qubo = QuboProblem(tuple(linear), float(rng.normal(0.0, 1e3)))
-            table = qubo.energies()
+            table = energy_table(qubo)
             for mask in range(1 << n):
                 bits = tuple((mask >> i) & 1 for i in range(n))
                 assert qubo.energy(bits) == table[mask]

@@ -30,7 +30,12 @@ from hquc import (
     solve_uc_exact,
 )
 from hquc import ucmodel
-from hquc.ucmodel import bisect_price, cheapest_servable, lagrangian_commitment
+from hquc.ucmodel import (
+    bisect_price,
+    cheapest_servable,
+    lagrangian_commitment,
+    one_flips,
+)
 
 #: The exact solvers, which must agree bit for bit and float for float.
 EXACT_SOLVERS = (enumerate_uc, solve_uc_exact)
@@ -413,7 +418,7 @@ def _sweep_instance(rng, n):
 def _seed_candidates(instance):
     """The Lagrangian commitment and its one-flip neighbours."""
     seed = lagrangian_commitment(instance.generators, instance.load).bits
-    return [seed] + [seed[:i] + (1 - seed[i],) + seed[i + 1 :] for i in range(instance.n)]
+    return [seed, *one_flips(seed)]
 
 
 def _evaluations(search, supply, load, lo, hi):
@@ -610,6 +615,14 @@ class TestSolveUcExact:
                 pass
         assert calls > 1000
         assert evaluations / calls <= 15
+
+    def test_one_flips(self):
+        for bits in ((), (0,), (1,), (1, 0, 1, 1), (0,) * 7):
+            flips = list(one_flips(bits))
+            assert len(flips) == len(bits)
+            for i, flipped in enumerate(flips):
+                assert [k for k, (a, b) in enumerate(zip(bits, flipped)) if a != b] == [i]
+                assert set(flipped) <= {0, 1}
 
     def test_lagrangian_commitment_seeds_every_servable_load(self, ten_unit):
         # A load is servable when some commitment's capacity range holds it,
