@@ -17,7 +17,6 @@ from .admm import (
     update_r,
 )
 from .errors import (
-    DimensionMismatch,
     DuplicateId,
     Infeasible,
     InfeasibleCommitment,

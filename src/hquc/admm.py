@@ -29,7 +29,7 @@ from .errors import InstanceMismatch, InvariantViolation, LengthMismatch
 from .qaoa import QaoaConfig, QaoaOutcome, QaoaParams, solve_qubo_qaoa
 from .qpblock import Block1Problem, block1_objective, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
-from .ucmodel import Commitment, UCInstance, UCSolution, cheapest_servable, one_flips
+from .ucmodel import Commitment, UCInstance, UCSolution, polish
 
 BACKEND_CLASSICAL = "classical"
 BACKEND_QAOA = "qaoa"
@@ -175,31 +175,16 @@ def _initial_vector(
     return tuple(float(v) for v in value)
 
 
-def _polish(instance: UCInstance, terminal: Commitment) -> UCSolution | None:
-    """Fix the binaries and re-dispatch, repairing by one bit flip if needed.
-
-    Returns the exact dispatch of ``terminal`` when it can serve the load.
-    Otherwise returns the cheapest commitment one bit flip away that can,
-    with ties broken as in :func:`~hquc.ucmodel.enumerate_uc`, or ``None``
-    when no such neighbour exists.  This is the polish step of
-    relax-round-polish (Takapoui, Moehle, Boyd and Bemporad,
-    arXiv:1509.08416) with its search limited to the 1-flip neighbourhood.
-    """
-    served = cheapest_servable(instance, (terminal.bits,))
-    if served is not None:
-        return served
-    return cheapest_servable(instance, one_flips(terminal.bits))
-
-
 def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     """Run the three-block loop until the residual closes or the cap is hit.
 
-    The report's final solution is the terminal binary commitment's exact
-    re-dispatch when it can serve the load (the relaxed ``y`` does not
-    satisfy the original problem), else the cheapest servable commitment one
-    bit flip away, else ``None``; see :func:`_polish`.  This runs after the
-    loop: the trace and the iteration count are those of the loop, and the
-    report's ``terminal_commitment`` is the loop's last block-2 answer.
+    The relaxed ``y`` does not satisfy the original problem, so the
+    report's final solution is :func:`~hquc.ucmodel.polish` of the terminal
+    binary commitment: the cheapest commitment among it and its one-flip
+    neighbours that can serve the load, with its exact dispatch, else
+    ``None``.  This runs after the loop: the trace and the iteration count
+    are those of the loop, and the report's ``terminal_commitment`` is the
+    loop's last block-2 answer.
     InfeasibleRelaxation from the first block propagates, since it proves
     the original problem infeasible.
     """
@@ -256,7 +241,7 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
         converged=converged,
         iterations=iterations,
         terminal_commitment=terminal,
-        final=_polish(instance, terminal),
+        final=polish(instance, terminal.bits),
         trace=tuple(trace),
         qaoa_diagnostics=tuple(diagnostics),
     )

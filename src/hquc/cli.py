@@ -20,8 +20,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import secrets
 import sys
-import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -56,7 +56,9 @@ def _read_text(path: str) -> str:
 
 def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    # Mode 0o666 less the umask, as open() would give, and unlike mkstemp's 0o600.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
@@ -68,7 +70,10 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _is_real(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # A JSON integer may lie past the float range.
+    return isinstance(value, float) or (
+        _is_int(value) and abs(value) <= sys.float_info.max
+    )
 
 
 def _is_int(value: object) -> bool:
@@ -82,17 +87,17 @@ def _is_real_list(value: object) -> bool:
 #: Config-file keys with the JSON type each must have.  Each key is also the
 #: name of the CLI flag that overrides it, where there is one.
 _CONFIG_FILE_TYPES = {
-    "rho": (_is_real, "a number"),
-    "beta": (_is_real, "a number"),
-    "epsilon": (_is_real, "a number"),
+    "rho": (_is_real, "a number in float range"),
+    "beta": (_is_real, "a number in float range"),
+    "epsilon": (_is_real, "a number in float range"),
     "max_iters": (_is_int, "an integer"),
     "qaoa_depth": (_is_int, "an integer"),
     "qaoa_budget": (_is_int, "an integer"),
     "warm_start": (lambda v: isinstance(v, bool), "true or false"),
     "extract": (lambda v: isinstance(v, str), "a string"),
-    "initial_z": (_is_real_list, "a list of numbers"),
-    "initial_r": (_is_real_list, "a list of numbers"),
-    "initial_lambda": (_is_real_list, "a list of numbers"),
+    "initial_z": (_is_real_list, "a list of numbers in float range"),
+    "initial_r": (_is_real_list, "a list of numbers in float range"),
+    "initial_lambda": (_is_real_list, "a list of numbers in float range"),
 }
 
 #: Settings that are :class:`QaoaConfig` fields, by field name.
@@ -106,7 +111,10 @@ _QAOA_FIELDS = {
 def _load_file_overrides(path: str | None) -> dict:
     if path is None:
         return {}
-    data = json.loads(_read_text(path))
+    try:
+        data = json.loads(_read_text(path))
+    except ValueError as exc:  # bad JSON, or an integer past the digit limit
+        raise SolverError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SolverError(f"config file {path}: expected a JSON object")
     unknown = set(data) - set(_CONFIG_FILE_TYPES)
@@ -251,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return _run(args)
-    except (OSError, json.JSONDecodeError, SolverError) as exc:
+    except (OSError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -41,9 +41,5 @@ class TooManyQubits(SolverError):
     """A 2**n amplitude table would exceed its size guard."""
 
 
-class DimensionMismatch(SolverError):
-    """State and operator dimensions disagree."""
-
-
 class InstanceMismatch(SolverError):
     """Two reports being compared come from different instances."""

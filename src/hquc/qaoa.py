@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, TooManyQubits
+from .errors import InvariantViolation, LengthMismatch, TooManyQubits
 from .qubo import QuboProblem
 
 #: Guard on 2**n amplitude tables (histograms): 2**16 amplitudes.
@@ -198,7 +198,7 @@ def expectation(state: ProductState, qubo: QuboProblem) -> float:
     For a diagonal QUBO this is ``sum_i q_i P_i(1) + constant``.
     """
     if qubo.n != state.n:
-        raise DimensionMismatch(f"qubo n={qubo.n} but state n={state.n}")
+        raise LengthMismatch(f"qubo n={qubo.n} but state n={state.n}")
     return float(state.marginals() @ qubo.linear_array) + qubo.constant
 
 

@@ -18,13 +18,13 @@ price-clearing kernel of the package: the first ADMM block (``hquc.qpblock``)
 clears its price with them too, over its own per-unit response.
 
 :func:`solve_uc_exact` searches the commitments depth first and prunes with
-the Lagrangian dual of the balance constraint.  It starts from the
-classic Lagrangian-relaxation commitment (:func:`lagrangian_commitment`)
-as its incumbent.  The dual's supply jumps only at known prices, so its
-price is located among those breakpoints by binary search and cleared
-inside one continuous piece by the same kernel.  It prices leaves as
-:func:`enumerate_uc` does and returns the same answer, tie rule and cost
-float included, without the 2**N walk.
+the Lagrangian dual of the balance constraint.  Its first incumbent is the
+:func:`polish` of the classic Lagrangian-relaxation commitment
+(:func:`lagrangian_commitment`).  The dual's supply jumps only at known
+prices, so its price is located among those breakpoints by binary search
+and cleared inside one continuous piece by the same kernel.  It prices
+leaves as :func:`enumerate_uc` does and returns the same answer, tie rule
+and cost float included, without the 2**N walk.
 """
 
 from __future__ import annotations
@@ -104,7 +104,9 @@ class GeneratorParams:
         """Least cost per MW, ``(a + b p + c p^2) / p`` minimized over the
         positive outputs in ``[p_min, p_max]`` (an infimum where ``p`` may
         approach 0).  Committing the unit pays for itself at a price ``mu``,
-        ``phi(mu) < 0`` in :func:`_dual_bound`, exactly when ``mu`` exceeds it.
+        ``phi(mu) < 0`` in :func:`_dual_bound`, when ``mu`` exceeds it.  The
+        dual's supply and :func:`lagrangian_commitment` test it this way, as
+        near it the float sign of ``phi`` can disagree.
         ``-inf`` for ``a < 0`` with ``p_min == 0``, ``inf`` for ``p_max == 0``
         otherwise.  Built once per unit, since the branch and bound reads it
         at every node.
@@ -443,14 +445,16 @@ def economic_dispatch(
 
 
 def cheapest_servable(
-    instance: UCInstance, candidates: Iterable[tuple[int, ...]]
+    instance: UCInstance,
+    candidates: Iterable[tuple[int, ...]],
+    best: UCSolution | None = None,
 ) -> UCSolution | None:
-    """Cheapest candidate bits tuple that can serve the load, else ``None``.
+    """Cheapest of ``best`` and the candidate bits tuples that can serve the
+    load, else ``None``.
 
     Ties in cost break toward the lexicographically smallest bits tuple
-    (unit 1 first).
+    (unit 1 first).  Every choice between commitments goes through here.
     """
-    best: UCSolution | None = None
     for bits in candidates:
         dispatch = _dispatch(instance, bits)
         if dispatch is None:
@@ -466,6 +470,17 @@ def one_flips(bits: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The bits tuples one bit flip away from ``bits``, unit 1's flip first."""
     for i in range(len(bits)):
         yield bits[:i] + (1 - bits[i],) + bits[i + 1 :]
+
+
+def polish(instance: UCInstance, bits: tuple[int, ...]) -> UCSolution | None:
+    """Cheapest servable commitment among ``bits`` and its one-flip
+    neighbours (:func:`cheapest_servable`), else ``None``.
+
+    The polish step of relax-round-polish (Takapoui, Moehle, Boyd and
+    Bemporad, arXiv:1509.08416), with its search limited to the one-flip
+    neighbourhood.
+    """
+    return cheapest_servable(instance, (bits, *one_flips(bits)))
 
 
 def enumerate_uc(instance: UCInstance) -> UCSolution:
@@ -584,14 +599,16 @@ def lagrangian_commitment(
 ) -> Commitment:
     """The classic Lagrangian-relaxation commitment (Muckstadt and Koenig,
     Operations Research 25(3), 1977): at the price ``mu`` of the balance's
-    dual (:func:`_dual_bound` with every unit free), commit the units whose
-    ``phi_i(mu) < 0``, those that pay for themselves at that price.
+    dual (:func:`_dual_bound` with every unit free), commit the units that
+    pay for themselves at that price, those with ``mu`` above their
+    :attr:`~GeneratorParams.min_average_cost`.  This is the rule the bound's
+    own supply (:func:`_dual_supply`) applies to its free units.
 
-    It need not serve the load; the cheapest servable commitment among it
-    and its one-flip neighbours is a good incumbent for :func:`solve_uc_exact`.
+    It need not serve the load; its :func:`polish` is
+    :func:`solve_uc_exact`'s first incumbent.
     """
     mu, _ = _dual_bound((), generators, load)
-    return Commitment(tuple(int(_dual_term(g, mu)[0] < 0.0) for g in generators))
+    return Commitment(tuple(int(mu > g.min_average_cost) for g in generators))
 
 
 #: Relative margin by which a node's bound must exceed the incumbent's cost
@@ -603,24 +620,21 @@ def solve_uc_exact(instance: UCInstance) -> UCSolution:
     """Exact solve by depth-first branch and bound: the answer of
     :func:`enumerate_uc`, without its size limit.
 
-    The first incumbent is the cheapest servable commitment among
-    :func:`lagrangian_commitment` and its one-flip neighbours, when one of
-    them serves the load, so the bound prunes from the root on.  The search
-    branches on the units in id order, the off branch first.  A leaf
-    replaces the incumbent when its ``(cost, bits)`` is smaller, which keeps
-    :func:`enumerate_uc`'s tie rule whatever the seed.  A node is pruned when
-    its committed capacity range cannot hold the load, or when a Lagrangian
-    bound on its leaves (:func:`_dual_bound`) exceeds the incumbent's cost by
-    more than a relative ``1e-9``, so a leaf that ties the incumbent is never
-    pruned.  A node's bound at its parent's price is tried first, since it
-    costs one unit's term.  Leaves are priced by :func:`cheapest_servable`,
-    so the returned cost is the float :func:`enumerate_uc` returns.  Raises
-    Infeasible when no commitment can serve the load.
+    The first incumbent is the :func:`polish` of
+    :func:`lagrangian_commitment`, when there is one, so the bound prunes
+    from the root on.  The search branches on the units in id order, the
+    off branch first.  Each leaf goes through :func:`cheapest_servable` with
+    the incumbent, which keeps :func:`enumerate_uc`'s tie rule and cost
+    float whatever the seed.  A node is pruned when its committed capacity
+    range cannot hold the load, or when a Lagrangian bound on its leaves
+    (:func:`_dual_bound`) exceeds the incumbent's cost by more than a
+    relative ``1e-9``, so a leaf that ties the incumbent is never pruned.  A
+    node's bound at its parent's price is tried first, since it costs one
+    unit's term.  Raises Infeasible when no commitment can serve the load.
     """
     gens = instance.generators
     load = instance.load
-    seed = lagrangian_commitment(gens, load).bits
-    best = cheapest_servable(instance, (seed, *one_flips(seed)))
+    best = polish(instance, lagrangian_commitment(gens, load).bits)
 
     def pruned(bound: float) -> bool:
         return best is not None and bound > best.cost + _PRUNE_RTOL * abs(best.cost)
@@ -634,12 +648,7 @@ def solve_uc_exact(instance: UCInstance) -> UCSolution:
             continue
         k = len(bits)
         if k == instance.n:
-            leaf = cheapest_servable(instance, (bits,))
-            if leaf is not None and (
-                best is None
-                or (leaf.cost, leaf.commitment.bits) < (best.cost, best.commitment.bits)
-            ):
-                best = leaf
+            best = cheapest_servable(instance, (bits,), best)
             continue
         on = [g for g, y in zip(gens, bits) if y]
         free = gens[k:]

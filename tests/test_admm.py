@@ -267,8 +267,9 @@ class TestRunAdmm:
         cfg = default_config(50.0, initial_z=(1.0, 1.0, 0.0, 1.0))
         report = run_admm(inst, cfg)
         assert report.converged
-        assert report.final is not None
-        assert report.final.commitment.bits == (1, 1, 0, 1)
+        assert report.terminal_commitment.bits == (1, 1, 0, 1)
+        # The polish drops unit 2: (1, 0, 0, 1) serves 50 MW for less.
+        assert report.final.commitment.bits == (1, 0, 0, 1)
 
     def test_initial_vector_length_checked(self, four_unit):
         cfg = default_config(50.0, initial_z=(1.0,) * 10)
@@ -303,12 +304,13 @@ class TestRunAdmm:
         assert seen > 0
 
 
-def _one_flip_oracle(inst, terminal):
-    """Brute force over all 2**n commitments, keeping those one flip away."""
+def _polish_oracle(inst, terminal):
+    """Brute force over all 2**n commitments, keeping ``terminal`` and those
+    one flip away."""
     best = None
     for mask in range(1 << inst.n):
         bits = tuple((mask >> i) & 1 for i in range(inst.n))
-        if sum(a != b for a, b in zip(bits, terminal)) != 1:
+        if sum(a != b for a, b in zip(bits, terminal)) > 1:
             continue
         commitment = Commitment(bits)
         try:
@@ -324,19 +326,18 @@ def _one_flip_oracle(inst, terminal):
 class TestFinalRepair:
     @staticmethod
     def _check(inst):
-        """Check one run's final solution against its terminal commitment.
+        """Check one run's final solution against the brute-force polish of
+        its terminal commitment.
 
-        Returns True when the terminal commitment needed repair.
+        Returns True when the terminal commitment cannot serve the load.
         """
         report = run_admm(inst, default_config(inst.load))
         terminal = report.terminal_commitment
+        assert report.final == _polish_oracle(inst, terminal.bits)
         try:
-            dispatch = economic_dispatch(inst, terminal)
+            economic_dispatch(inst, terminal)
         except InfeasibleCommitment:
-            assert report.final == _one_flip_oracle(inst, terminal.bits)
             return True
-        assert report.final.commitment == terminal
-        assert report.final.dispatch == dispatch
         return False
 
     def test_load_suite(self, ten_unit):
@@ -350,6 +351,29 @@ class TestFinalRepair:
             inst = random_instance(rng, n=int(rng.integers(1, 8)))
             repaired.append(self._check(inst))
         assert any(repaired) and not all(repaired)
+
+    def test_final_is_no_costlier_than_its_neighbourhood(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            inst = random_instance(rng, n=int(rng.integers(1, 8)), allow_zero_c=True)
+            report = run_admm(inst, default_config(inst.load))
+            terminal = report.terminal_commitment.bits
+            costs = []
+            for i in range(-1, inst.n):
+                bits = list(terminal)
+                if i >= 0:
+                    bits[i] = 1 - bits[i]
+                commitment = Commitment(tuple(bits))
+                try:
+                    dispatch = economic_dispatch(inst, commitment)
+                except InfeasibleCommitment:
+                    continue
+                costs.append(evaluate_cost(inst, commitment, dispatch))
+            if not costs:
+                assert report.final is None
+                continue
+            assert report.final is not None
+            assert all(report.final.cost <= cost for cost in costs)
 
     def test_load_below_every_p_min_has_no_final(self, ten_unit):
         inst = ten_unit(5.0)

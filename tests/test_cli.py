@@ -217,6 +217,25 @@ class TestAdmmModes:
             assert len(probs) == 16
             assert sum(probs.values()) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_outputs_follow_the_umask(self, four_unit_csv, tmp_path, umask):
+        out = tmp_path / "out"
+        previous = os.umask(umask)
+        try:
+            main(
+                _args(
+                    "s2", four_unit_csv, 50, out, "--max-iters", "2", "--emit-histograms"
+                )
+            )
+        finally:
+            os.umask(previous)
+        names = sorted(p.name for p in out.iterdir())
+        assert names == [
+            "histogram_iter1.csv", "histogram_iter2.csv", "solution.csv", "trace.csv"
+        ]
+        for name in names:
+            assert (out / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
     def test_no_histograms_without_flag(self, four_unit_csv, tmp_path):
         out = tmp_path / "out"
         main(_args("s2", four_unit_csv, 50, out, "--max-iters", "2"))
@@ -317,6 +336,19 @@ class TestInputErrors:
         assert "bogus" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "text",
+        ['{"rho": 4000', '{"rho": 1' + "0" * 5000 + "}"],
+        ids=["truncated", "integer-past-digit-limit"],
+    )
+    def test_config_file_that_does_not_parse(self, gen_csv, tmp_path, capsys, text):
+        config = tmp_path / "cfg.json"
+        config.write_text(text)
+        code = main(_args("s1", gen_csv, 800, tmp_path / "o", "--config", str(config)))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: config file" in err and "cfg.json" in err
+
+    @pytest.mark.parametrize(
         "key, value",
         [
             ("rho", "abc"), ("epsilon", None), ("max_iters", 1.5),
@@ -324,6 +356,10 @@ class TestInputErrors:
             ("warm_start", "no"), ("initial_z", [float("nan")] * 10),
             ("initial_r", [float("inf")] * 10),
             ("initial_lambda", [0.0] * 9 + [float("-inf")]),
+            pytest.param("rho", 10**400, id="rho-past-float-range"),
+            pytest.param(
+                "initial_z", [0.0] * 9 + [10**400], id="initial_z-past-float-range"
+            ),
         ],
     )
     def test_config_value_of_wrong_type(self, gen_csv, tmp_path, capsys, key, value):

@@ -23,6 +23,7 @@ import hquc.qubo
 from hquc import (
     Commitment,
     InvariantViolation,
+    LengthMismatch,
     ProductState,
     QaoaConfig,
     QaoaParams,
@@ -286,6 +287,10 @@ class TestExpectation:
             assert expectation(_uniform(n), qubo) == pytest.approx(
                 mean, rel=1e-9, abs=1e-9
             )
+
+    def test_size_mismatch(self):
+        with pytest.raises(LengthMismatch, match="qubo n=2 but state n=3"):
+            expectation(_uniform(3), QuboProblem((1.0, -1.0)))
 
     def test_zero_angles_match_uniform_average(self):
         rng = np.random.default_rng(15)

@@ -32,9 +32,9 @@ from hquc import (
 from hquc import ucmodel
 from hquc.ucmodel import (
     bisect_price,
-    cheapest_servable,
     lagrangian_commitment,
     one_flips,
+    polish,
 )
 
 #: The exact solvers, which must agree bit for bit and float for float.
@@ -415,10 +415,10 @@ def _sweep_instance(rng, n):
     return UCInstance(tuple(gens), float(rng.uniform(0.0, 1.05)) * cap)
 
 
-def _seed_candidates(instance):
-    """The Lagrangian commitment and its one-flip neighbours."""
-    seed = lagrangian_commitment(instance.generators, instance.load).bits
-    return [seed, *one_flips(seed)]
+def _seed(instance):
+    """:func:`solve_uc_exact`'s first incumbent."""
+    seed = lagrangian_commitment(instance.generators, instance.load)
+    return polish(instance, seed.bits)
 
 
 def _evaluations(search, supply, load, lo, hi):
@@ -580,10 +580,9 @@ class TestSolveUcExact:
             GeneratorParams(3, 40.0, 3.0, 0.0, 0.0, 20.0),
         )
         inst = UCInstance(gens, 30.0)
-        candidates = _seed_candidates(inst)
-        seed = cheapest_servable(inst, candidates)
+        assert lagrangian_commitment(gens, 30.0).bits == (1, 0, 0)
+        seed = _seed(inst)
         assert seed.commitment.bits == (1, 1, 0) and seed.cost == 80.0
-        assert (0, 1, 0) not in candidates
         sol = solve_uc_exact(inst)
         assert sol.commitment.bits == enumerate_uc(inst).commitment.bits == (0, 1, 0)
         assert sol.cost == 80.0
@@ -640,7 +639,7 @@ class TestSolveUcExact:
                 continue
             servable += 1
             inst = ten_unit(float(load))
-            assert cheapest_servable(inst, _seed_candidates(inst)) is not None, load
+            assert _seed(inst) is not None, load
         assert servable == 332
 
     def test_solves_past_the_enumeration_limit(self):
