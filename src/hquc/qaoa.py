@@ -28,6 +28,12 @@ Sample extraction draws each bit from its own marginal.  No solve has a size
 limit; the 2^n amplitudes are built (by Kronecker product) only for the
 probability map, up to 16 qubits.
 
+numpy is imported inside the functions that build or read arrays
+(:func:`run_circuit`, :func:`extract_solution`, the angle search's sort and
+:attr:`ProductState.amplitudes`), and the other :class:`ProductState`
+methods use the arrays' own operators.  So ``import hquc`` and the s1 and
+baseline solves never load numpy; the first QAOA solve does.
+
 Oracle: the tests simulate the same circuit on the full 2^n statevector,
 layer by layer, and ground that simulation in the full-matrix product at
 small n; the package ships only the product state.  So :func:`expectation`
@@ -54,12 +60,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import InvariantViolation, LengthMismatch, TooManyQubits
 from .qubo import QuboProblem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Guard on 2**n amplitude tables (histograms): 2**16 amplitudes.
 MAX_QUBITS = 16
@@ -84,6 +91,8 @@ class ProductState:
     @property
     def amplitudes(self) -> np.ndarray:
         """The 2**n amplitudes, qubit 0 as the least significant bit."""
+        import numpy as np
+
         check_dense_size(self.n)
         amps = np.ones(1, dtype=complex)
         for pair in self.pairs:
@@ -91,15 +100,15 @@ class ProductState:
         return amps
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return abs(self.amplitudes) ** 2
 
     def norm_error(self) -> float:
         """Deviation of the total probability from one."""
-        return abs(float(np.prod(np.sum(np.abs(self.pairs) ** 2, axis=1))) - 1.0)
+        return abs(float((abs(self.pairs) ** 2).sum(axis=1).prod()) - 1.0)
 
     def marginals(self) -> np.ndarray:
         """Per-qubit probability of reading 1, ``P_i(1)``."""
-        return np.abs(self.pairs[:, 1]) ** 2
+        return abs(self.pairs[:, 1]) ** 2
 
     def most_probable_bits(self) -> tuple[int, ...]:
         """Each bit is 1 iff ``P_i(1) > P_i(0)``; ties go to 0.
@@ -107,7 +116,7 @@ class ProductState:
         For a product state this is the argmax over basis states, ties going
         to the smallest basis index.
         """
-        probs = np.abs(self.pairs) ** 2
+        probs = abs(self.pairs) ** 2
         return tuple(int(p1 > p0) for p0, p1 in probs)
 
 
@@ -178,6 +187,8 @@ def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
     times the rows.  The result equals the full 2^n-amplitude circuit up to
     rounding.
     """
+    import numpy as np
+
     if qubo.n < 1:
         raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
     zh = qubo.phase_rows
@@ -217,6 +228,8 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
     each is built only when it is evaluated.  There is no evaluation limit;
     ``func`` ends the search early by raising.
     """
+    import numpy as np
+
     n = len(x0)
     sim = [x0]
     fsim = [func(x0)]
@@ -328,6 +341,8 @@ def extract_solution(
     """
     if config.extraction == "argmax":
         return state.most_probable_bits()
+    import numpy as np
+
     u = np.random.default_rng((config.sample_seed, iteration)).random(state.n)
     return tuple(int(v) for v in u < state.marginals())
 

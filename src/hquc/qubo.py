@@ -10,6 +10,11 @@ QUBO: ``energy(z) = sum_i q_i z_i + constant`` with
 
     q_i      = -lam_i + rho * (1/2 - a_i)
     constant = sum_i (lam_i * a_i + (rho / 2) * a_i**2)
+
+The problem itself is pure Python.  numpy is imported by the cached arrays
+the QAOA kernel reads (:attr:`QuboProblem.linear_array` and
+:attr:`QuboProblem.phase_rows`), so it loads on the first QAOA solve and
+never for the per-bit solve.
 """
 
 from __future__ import annotations
@@ -17,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import InvariantViolation, LengthMismatch
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -53,6 +59,8 @@ class QuboProblem:
     @cached_property
     def linear_array(self) -> np.ndarray:
         """``linear`` as a read-only float array."""
+        import numpy as np
+
         return _read_only(np.asarray(self.linear))
 
     @cached_property
@@ -66,6 +74,8 @@ class QuboProblem:
         """Read-only complex ``(2, n)``, zeros over :attr:`phase_slopes`: the
         cost step's ``zh`` in :func:`hquc.qaoa.run_circuit`, which owns its
         layout.  Stored complex so that the cost step does not cast it."""
+        import numpy as np
+
         rows = np.stack((np.zeros(self.n), self.phase_slopes))
         return _read_only(rows.astype(complex))
 

@@ -559,7 +559,13 @@ def _dual_bound(
         terms = [mu * load]
         terms.extend(_dual_term(g, mu)[0] for g in on)
         terms.extend(min(0.0, _dual_term(g, mu)[0]) for g in free)
-        return math.fsum(terms)
+        try:
+            bound = math.fsum(terms)
+        except (OverflowError, ValueError):  # a partial sum overflows, or inf - inf
+            return -math.inf
+        # A term past the float range bounds nothing; -inf is valid and never
+        # prunes.
+        return bound if math.isfinite(bound) else -math.inf
 
     units = (*on, *free)
     breaks = sorted(

@@ -4,15 +4,19 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import TEN_UNIT_CSV
 from helpers import random_generators
 
 from hquc import (
     Commitment,
+    Infeasible,
     InfeasibleCommitment,
     InstanceMismatch,
     UCInstance,
@@ -26,9 +30,10 @@ from hquc import (
     run_admm,
     solution_from_csv,
     solution_to_csv,
+    solve_uc_exact,
 )
 import hquc
-from hquc.cli import EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, EXIT_OK, main
+from hquc.cli import EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, EXIT_OK, MODES, main
 
 #: The directory the tests import hquc from, for subprocess runs.
 SRC_DIR = pathlib.Path(hquc.__file__).resolve().parents[1]
@@ -52,11 +57,15 @@ def twenty_unit_csv(tmp_path):
     )
 
 
-def _write_fleet(path, rows):
+def _fleet_text(rows):
+    """Generator CSV text with ids 1..N over rows of field texts."""
     lines = ["id,a,b,c,p_min,p_max"]
-    for i, row in enumerate(rows, start=1):
-        lines.append(",".join([str(i)] + [repr(v) for v in row]))
-    path.write_text("\n".join(lines) + "\n")
+    lines += [",".join([str(i), *row]) for i, row in enumerate(rows, start=1)]
+    return "\n".join(lines) + "\n"
+
+
+def _write_fleet(path, rows):
+    path.write_text(_fleet_text([[repr(v) for v in row] for row in rows]))
     return path
 
 
@@ -68,6 +77,17 @@ def four_unit_csv(tmp_path, ten_unit_generators):
     path = tmp_path / "four.csv"
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter that imports hquc from the tested tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 def _args(mode, gen_path, load, out, *extra):
@@ -506,39 +526,53 @@ class TestInputErrors:
 
     def test_module_run_is_warning_free(self):
         # The package must not import its front end, or runpy warns.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [sys.executable, "-W", "error::RuntimeWarning", "-m", "hquc.cli", "--help"],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
+        done = _fresh_python("-W", "error::RuntimeWarning", "-m", "hquc.cli", "--help")
         assert done.returncode == 0
         assert done.stderr == ""
 
     def test_import_leaves_scipy_out(self):
-        # The package needs only numpy at run time; scipy is a test oracle.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
-        )
-        done = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, hquc, hquc.cli; print('scipy' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
+        # scipy is a test oracle, never a run-time dependency.
+        done = _fresh_python(
+            "-c", "import sys, hquc, hquc.cli; print('scipy' in sys.modules)"
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
+
+    def test_numpy_loads_on_first_qaoa_solve(self, gen_csv, four_unit_csv, tmp_path):
+        # Only the QAOA kernel builds arrays, so the import and the baseline
+        # and s1 solves leave numpy out; the s2 run loads it.
+        s2_extra = ("--max-iters", "4", "--emit-histograms")
+        runs = [
+            _args("baseline", gen_csv, 800, tmp_path / "baseline"),
+            _args("s1", gen_csv, 800, tmp_path / "s1"),
+            _args("s2", four_unit_csv, 50, tmp_path / "s2", *s2_extra),
+        ]
+        script = (
+            "import json, sys\n"
+            "import hquc, hquc.cli\n"
+            "seen = [(None, 'numpy' in sys.modules)]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    seen.append((hquc.cli.main(argv), 'numpy' in sys.modules))\n"
+            "print(json.dumps(seen))\n"
+        )
+        done = _fresh_python("-c", script, json.dumps(runs))
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert seen == [
+            [None, False],
+            [EXIT_OK, False],
+            [EXIT_OK, False],
+            [EXIT_NOT_CONVERGED, True],
+        ]
+        # The same s2 run in this process, where numpy was loaded up front.
+        warm = tmp_path / "warm"
+        code = main(_args("s2", four_unit_csv, 50, warm, *s2_extra))
+        assert code == EXIT_NOT_CONVERGED
+        names = sorted(p.name for p in warm.iterdir())
+        assert sorted(p.name for p in (tmp_path / "s2").iterdir()) == names
+        assert sum(name.startswith("histogram_iter") for name in names) == 4
+        for name in names:
+            assert (tmp_path / "s2" / name).read_bytes() == (warm / name).read_bytes()
 
     @pytest.mark.parametrize(
         "flag, value", [("--rho", "inf"), ("--epsilon", "nan"), ("--epsilon", "inf")]
@@ -547,6 +581,157 @@ class TestInputErrors:
         code = main(_args("s1", gen_csv, 800, tmp_path / "o", flag, value))
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+#: Generator-field texts: values the parser must refuse, or that the solvers
+#: must survive, near the float maximum among them.
+_WILD_FIELD = st.one_of(
+    st.floats().map(repr),
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1e308", "-1e308", "1.7976931348623157e308",
+         "1e400", "5e-324", "-0.0", "0", "-1", "abc", ""]
+    ),
+)
+#: Rows that parse, in the ranges of the seeded test fleets.
+_PLAIN_ROW = st.tuples(
+    st.floats(0.0, 1000.0),
+    st.floats(0.0, 40.0),
+    st.one_of(st.just(0.0), st.floats(1e-4, 0.01)),
+    st.floats(0.0, 50.0),
+    st.floats(0.0, 200.0),
+).map(lambda u: [repr(v) for v in (*u[:4], u[3] + u[4])])
+#: Fleets of 1 to 4 units: plain ones, and ones with wild rows mixed in.
+_FLEET_ROWS = st.one_of(
+    st.lists(_PLAIN_ROW, min_size=1, max_size=4),
+    st.lists(
+        st.one_of(_PLAIN_ROW, st.lists(_WILD_FIELD, min_size=5, max_size=5)),
+        min_size=1,
+        max_size=4,
+    ),
+)
+_LOAD_TEXT = st.one_of(
+    st.floats(0.0, 600.0).map(repr),
+    st.sampled_from(["nan", "inf", "-5", "1e308", "0"]),
+)
+_CONFIG_NUMBER = st.one_of(
+    st.floats(), st.integers(-(10**400), 10**400), st.floats(1.0, 1e4)
+)
+#: Config files; ``max_iters`` and ``qaoa_budget`` are always capped, so an
+#: s2 run does at most 30 angle searches of at most 30 circuits each.
+_PLAIN_CONFIG = st.fixed_dictionaries(
+    {"max_iters": st.integers(1, 30), "qaoa_budget": st.integers(7, 30)},
+    optional={
+        "qaoa_depth": st.integers(1, 3),
+        "warm_start": st.booleans(),
+        "extract": st.sampled_from(["argmax", "sample"]),
+    },
+)
+_WILD_CONFIG = st.fixed_dictionaries(
+    {"max_iters": st.integers(1, 30), "qaoa_budget": st.integers(1, 30)},
+    optional={
+        "rho": _CONFIG_NUMBER,
+        "beta": _CONFIG_NUMBER,
+        "epsilon": _CONFIG_NUMBER,
+        "qaoa_depth": st.integers(0, 3),
+        "warm_start": st.booleans(),
+        "extract": st.sampled_from(["argmax", "sample", "neither"]),
+        "initial_z": st.lists(_CONFIG_NUMBER, max_size=4),
+        "initial_r": st.lists(_CONFIG_NUMBER, max_size=4),
+        "initial_lambda": st.lists(_CONFIG_NUMBER, max_size=4),
+    },
+)
+_CONFIG = st.one_of(_PLAIN_CONFIG, _WILD_CONFIG)
+
+#: Unit 1's commitment cost makes the dual bound's terms overflow.
+_OVERFLOW_FLEET = [
+    ["1e308", "25.92", "0.00413", "10", "55"],
+    ["670", "27.79", "0.00173", "10", "55"],
+    ["700", "16.6", "0.002", "20", "130"],
+]
+
+
+class TestContract:
+    """Whatever the input, ``main`` returns an exit code and never raises."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        mode=st.sampled_from(MODES),
+        rows=_FLEET_ROWS,
+        load=_LOAD_TEXT,
+        config=_CONFIG,
+        seed=st.integers(-1, 3),
+        histograms=st.booleans(),
+    )
+    @example(
+        mode="baseline",
+        rows=_OVERFLOW_FLEET,
+        load="240",
+        config={"max_iters": 30, "qaoa_budget": 30},
+        seed=0,
+        histograms=False,
+    )
+    def test_every_input_ends_in_an_exit_code(
+        self, mode, rows, load, config, seed, histograms
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            fleet = tmp / "generators.csv"
+            fleet.write_text(_fleet_text(rows))
+            cfg = tmp / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            extra = ["--config", str(cfg), "--seed", str(seed)]
+            if histograms:
+                extra.append("--emit-histograms")
+            code = main(_args(mode, fleet, load, tmp / "out", *extra))
+            assert code in (EXIT_OK, 1, EXIT_INFEASIBLE, EXIT_NOT_CONVERGED)
+            if code == EXIT_OK:
+                inst = UCInstance(parse_generators(fleet.read_text()), float(load))
+                sol = solution_from_csv((tmp / "out" / "solution.csv").read_text())
+                assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
+
+    def test_overflowing_bound_exits_zero(self, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        path.write_text(_fleet_text(_OVERFLOW_FLEET))
+        assert main(_args("baseline", path, 240, tmp_path / "o")) == EXIT_OK
+        assert capsys.readouterr().out == "baseline commitment |111> cost 1e+308\n"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(
+        units=st.lists(
+            st.tuples(
+                st.floats(-1e3, 1e6),
+                st.floats(0.0, 1e3),
+                st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                st.floats(0.0, 1e3),
+                st.floats(0.0, 1e3),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        load_frac=st.floats(0.0, 1.0),
+        mode=st.sampled_from(["baseline", "s1"]),
+    )
+    def test_solution_survives_a_csv_round_trip(self, units, load_frac, mode):
+        # parse_generators -> solve -> solution_to_csv -> solution_from_csv
+        # gives back the solution's bits, dispatch and cost, float for float.
+        rows = [[repr(v) for v in (a, b, c, lo, lo + w)] for a, b, c, lo, w in units]
+        gens = parse_generators(_fleet_text(rows))
+        load = load_frac * sum(g.p_max for g in gens)
+        instance = UCInstance(gens, load)
+        if mode == "baseline":
+            try:
+                solution = solve_uc_exact(instance)
+            except Infeasible:
+                return
+        else:
+            solution = run_admm(instance, default_config(load, max_iters=50)).final
+            if solution is None:
+                return
+        parsed = solution_from_csv(solution_to_csv(solution))
+        assert parsed.commitment.bits == solution.commitment.bits
+        assert parsed.dispatch == solution.dispatch
+        assert parsed.cost == solution.cost
 
 
 class TestCompare:

@@ -568,6 +568,20 @@ class TestSolveUcExact:
         assert _answer(solve_uc_exact, inst) == _answer(enumerate_uc, inst)
         assert solve_uc_exact(inst).cost == 478.0
 
+    def test_bound_whose_terms_overflow(self):
+        # Unit 1's average cost puts the dual price near 1.8e306, where
+        # mu * load is +inf and unit 3's phi is -inf.  Such a bound is -inf,
+        # which prunes nothing, so the answer is enumeration's.
+        gens = (
+            GeneratorParams(1, 1e308, 25.92, 0.00413, 10.0, 55.0),
+            GeneratorParams(2, 670.0, 27.79, 0.00173, 10.0, 55.0),
+            GeneratorParams(3, 700.0, 16.6, 0.002, 20.0, 130.0),
+        )
+        inst = UCInstance(gens, 240.0)
+        assert ucmodel._dual_bound((), gens, 240.0)[1] == -math.inf
+        assert _answer(solve_uc_exact, inst) == _answer(enumerate_uc, inst)
+        assert solve_uc_exact(inst).commitment.bits == (1, 1, 1)
+
     def test_tie_outside_the_seeds_neighbourhood(self):
         # The dual price is 2.5, where unit 2's phi is exactly 0, so the
         # Lagrangian commitment is (1, 0, 0), which cannot serve 30 MW.  The
