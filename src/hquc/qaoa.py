@@ -47,7 +47,7 @@ qubit first, so basis index 11 on four qubits is '1011'.
 Phase scaling: penalty-sized QUBO coefficients (thousands and up) would wrap
 the cost phases many times over and shred the parameter landscape, so
 :func:`run_circuit` divides the linear coefficients by ``max_i |q_i|`` before
-phase construction (:attr:`QuboProblem.phase_slopes`).  Positive rescaling
+phase construction (:attr:`QuboProblem.phase_rows`).  Positive rescaling
 never changes the argmin over bitstrings, and expectation values are always
 reported in original units with the constant offset restored.  The angle
 search runs the circuit about a hundred times per QUBO, so the problem builds

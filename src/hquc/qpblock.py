@@ -19,12 +19,13 @@ which has a closed form: either the unconstrained stationary point or the
 best of the three edges.  Strict convexity in ``y`` (rho > 0) makes the
 per-unit response unique and continuous whenever ``c > 0``; ``c == 0`` units
 respond with one flat price step that a final in-bracket allocation settles.
-The supply is therefore piecewise affine in ``mu``, and the price search
-(``hquc.ucmodel.bisect_price``) interpolates it between the bracket ends, so
-a solve takes about 10 supply evaluations where plain bisection took 52, and
-ends on bisection's bracket.  The search and the settle are the
-price-clearing kernel of ``hquc.ucmodel``, shared with the economic dispatch
-of a fixed commitment.
+The supply is therefore piecewise affine in ``mu``.  Its bracket grows by
+doubling steps, with no cap, until it holds the clearing price or leaves the
+float range, and the price search (``hquc.ucmodel.bisect_price``)
+interpolates the supply between the bracket ends, so a solve takes about 10
+supply evaluations where plain bisection took 52, and ends on bisection's
+bracket.  The search and the settle are the price-clearing kernel of
+``hquc.ucmodel``, shared with the economic dispatch of a fixed commitment.
 
 The returned point is certified a posteriori: the KKT residual is the largest
 distance of any per-unit negative gradient from the cone of its (at most three)
@@ -41,7 +42,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import InfeasibleRelaxation, InvariantViolation, LengthMismatch
-from .ucmodel import UCInstance, _step_output, bisect_price, settle_bracket
+from .ucmodel import UCInstance, _step_output, bisect_price, price_past, settle_bracket
 
 
 @dataclass(frozen=True)
@@ -193,6 +194,7 @@ def solve_block1(problem: Block1Problem) -> Block1Solution:
 
     Raises InfeasibleRelaxation when the load exceeds the fleet capacity; then
     the original binary problem is infeasible as well and the caller should stop.
+    Raises InvariantViolation, naming the load, when no float price clears it.
     """
     inst = problem.instance
     load = inst.load
@@ -220,25 +222,19 @@ def solve_block1(problem: Block1Problem) -> Block1Solution:
         profile = profiles[mu] = _profile(data, mu)
         return math.fsum(profile[1])
 
-    # Bracket the clearing price, expanding geometrically as needed.
-    lo = min(g.b for g in gens) - 1.0
-    hi = max(g.b + 2.0 * g.c * g.p_max for g in gens) + 1.0
-    step = 1.0 + (hi - lo)
-    for _ in range(200):
-        if supply(lo) <= load:
-            break
-        lo -= step
-        step *= 2.0
-    else:
-        raise InvariantViolation("failed to bracket the clearing price from below")
-    step = 1.0 + (hi - lo)
-    for _ in range(200):
-        if supply(hi) >= load:
-            break
-        hi += step
-        step *= 2.0
-    else:
-        raise InvariantViolation("failed to bracket the clearing price from above")
+    def widen(end: float, side: float, step: float) -> float:
+        # Double the step until supply(end) - load has the sign of side.
+        while math.isfinite(end):
+            if side * (supply(end) - load) >= 0.0:
+                return end
+            end += side * step
+            step *= 2.0
+        raise InvariantViolation(f"no float price clears load {load} in block 1")
+
+    lo = price_past(min(g.b for g in gens), -1.0)
+    hi = price_past(max(g.marginal_cost(g.p_max) for g in gens), 1.0)
+    lo = widen(lo, -1.0, 1.0 + (hi - lo))
+    hi = widen(hi, 1.0, 1.0 + (hi - lo))
 
     lo, hi = bisect_price(supply, load, lo, hi)
     y, p_lo = profiles[lo]

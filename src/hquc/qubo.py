@@ -64,20 +64,15 @@ class QuboProblem:
         return _read_only(np.asarray(self.linear))
 
     @cached_property
-    def phase_slopes(self) -> np.ndarray:
-        """``linear / phase_scale(self)``, read-only: the per-qubit slopes the
-        QAOA cost layer turns into phases."""
-        return _read_only(self.linear_array / phase_scale(self))
-
-    @cached_property
     def phase_rows(self) -> np.ndarray:
-        """Read-only complex ``(2, n)``, zeros over :attr:`phase_slopes`: the
-        cost step's ``zh`` in :func:`hquc.qaoa.run_circuit`, which owns its
-        layout.  Stored complex so that the cost step does not cast it."""
+        """Read-only complex ``(2, n)``, zeros over the slopes
+        ``linear / phase_scale(self)`` that the cost layer turns into phases:
+        the cost step's ``zh`` in :func:`hquc.qaoa.run_circuit`, which owns
+        its layout.  Stored complex so that the cost step does not cast it."""
         import numpy as np
 
-        rows = np.stack((np.zeros(self.n), self.phase_slopes))
-        return _read_only(rows.astype(complex))
+        slopes = self.linear_array / phase_scale(self)
+        return _read_only(np.stack((np.zeros(self.n), slopes)).astype(complex))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

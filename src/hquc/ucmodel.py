@@ -15,7 +15,8 @@ midpoint safeguards, and ends on plain bisection's bracket.  Units with
 greedy allocation inside the last bracket, which keeps the kernel exact for
 them too.  The search and the settle (:func:`settle_bracket`) are the one
 price-clearing kernel of the package: the first ADMM block (``hquc.qpblock``)
-clears its price with them too, over its own per-unit response.
+clears its price with them too, over its own per-unit response.  Every
+bracket end is :func:`price_past` a price read from the fleet's costs.
 
 :func:`solve_uc_exact` searches the commitments depth first and prunes with
 the Lagrangian dual of the balance constraint.  Its first incumbent is the
@@ -304,6 +305,11 @@ def _step_output(b: float, c: float, lo: float, hi: float, mu: float) -> float:
     return hi if mu > b else lo
 
 
+def price_past(end: float, side: float) -> float:
+    """``end`` moved to ``side`` (+1 or -1) by 1.0, or by 2**-50 |end| if more."""
+    return end + side * max(1.0, abs(end) * 2.0**-50)
+
+
 #: Cap on the nudge of an interpolated trial, in ulps (4**26).
 _NUDGE_MAX_ULPS = 2.0**52
 
@@ -314,7 +320,9 @@ def bisect_price(
     """Narrow a clearing-price bracket until no float lies strictly inside.
 
     ``supply(mu)`` must be nondecreasing in ``mu`` and the caller's bracket
-    must hold ``supply(lo) <= load <= supply(hi)``; the invariant is kept,
+    must hold ``supply(lo) <= load <= supply(hi)``, with ends :func:`price_past`
+    the extreme prices of :func:`_dispatch`, :func:`_dual_bound` and
+    :func:`hquc.qpblock.solve_block1` (widened there); the invariant is kept,
     with ``supply(hi) > load`` once ``hi`` has moved.  For such a supply the
     final bracket is unique: the largest float ``lo`` in ``[lo0, hi0)`` with
     ``supply(lo) <= load``, and the next float.  So the trial prices may be
@@ -414,8 +422,8 @@ def _dispatch(instance: UCInstance, bits: Sequence[int]) -> list[float] | None:
         lo, hi = bisect_price(
             lambda mu: math.fsum(profile(mu)),
             load,
-            min(g.b + 2.0 * g.c * g.p_min for g in on) - 1.0,
-            max(g.b + 2.0 * g.c * g.p_max for g in on) + 1.0,
+            price_past(min(g.marginal_cost(g.p_min) for g in on), -1.0),
+            price_past(max(g.marginal_cost(g.p_max) for g in on), 1.0),
         )
         on_p = settle_bracket(profile(lo), profile(hi), load)
     dispatch = [0.0] * instance.n
@@ -578,7 +586,7 @@ def _dual_bound(
     i = bisect.bisect_right(breaks, load, key=supply)
     if i == 0:
         # Below every b each unit sits at p_min and, for a >= 0, phi_i >= 0.
-        lo = min(g.b for g in units) - 1.0
+        lo = price_past(min(g.b for g in units), -1.0)
     else:
         lo = breaks[i - 1]
         above = math.nextafter(lo, math.inf)
@@ -590,12 +598,12 @@ def _dual_bound(
     else:
         # Above every marginal and average cost at p_max each unit sits at
         # p_max and has phi_i < 0.
-        hi = max(
-            max(g.b + 2.0 * g.c * g.p_max, g.a / g.p_max + g.b + g.c * g.p_max)
+        hi = price_past(max(
+            max(g.marginal_cost(g.p_max), g.a / g.p_max + g.b + g.c * g.p_max)
             if g.p_max > 0.0
             else g.b
             for g in units
-        ) + 1.0
+        ), 1.0)
     lo, hi = bisect_price(supply, load, lo, hi)
     return lo, value(lo)
 

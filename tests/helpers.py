@@ -243,7 +243,7 @@ def reference_run_circuit(qubo, params):
     value, the bit-for-bit oracle of :func:`hquc.qaoa.run_circuit`."""
     if qubo.n < 1:
         raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
-    h = qubo.phase_slopes
+    h = np.asarray(qubo.linear) / phase_scale(qubo)
     a0 = np.full(qubo.n, 2.0 ** -0.5, dtype=complex)
     a1 = a0.copy()
     for gamma, beta in zip(params.gammas, params.betas):

@@ -649,6 +649,24 @@ _OVERFLOW_FLEET = [
     ["670", "27.79", "0.00173", "10", "55"],
     ["700", "16.6", "0.002", "20", "130"],
 ]
+#: Clearing prices past 2**50, where a bracket margin of 1.0 rounds away:
+#: (fleet, load, commitment, dispatch, cost).
+_HUGE_PRICE_CASES = [
+    (
+        [["0", "1e17", "0", "0", "100"], ["0", "2e17", "0", "0", "100"]],
+        "150",
+        (1, 1),
+        (100.0, 50.0),
+        2e19,
+    ),
+    ([["0", "1e300", "1e-10", "0", "100"]], "50", (1,), (50.0,), 5e301),
+]
+#: Serving 100.001 MW needs unit 1 fully on, which block 1 prices above
+#: a / p_max = 1e311, past the float range.
+_OUT_OF_RANGE_FLEET = [
+    ["1e308", "1", "0", "0", "0.001"],
+    ["0", "1", "0", "0", "100"],
+]
 
 
 class TestContract:
@@ -695,6 +713,41 @@ class TestContract:
         path.write_text(_fleet_text(_OVERFLOW_FLEET))
         assert main(_args("baseline", path, 240, tmp_path / "o")) == EXIT_OK
         assert capsys.readouterr().out == "baseline commitment |111> cost 1e+308\n"
+
+    @pytest.mark.parametrize("mode", ["s1", "s2"])
+    def test_overflowing_bound_exits_zero_in_admm_modes(self, mode, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        path.write_text(_fleet_text(_OVERFLOW_FLEET))
+        assert main(_args(mode, path, 240, tmp_path / "o")) == EXIT_OK
+        assert "commitment |111> cost 1e+308\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "rows, load, bits, dispatch, cost", _HUGE_PRICE_CASES, ids=["150MW", "50MW"]
+    )
+    def test_huge_prices_are_cleared(
+        self, mode, rows, load, bits, dispatch, cost, tmp_path
+    ):
+        path = tmp_path / "g.csv"
+        path.write_text(_fleet_text(rows))
+        assert main(_args(mode, path, load, tmp_path / "o")) == EXIT_OK
+        sol = solution_from_csv((tmp_path / "o" / "solution.csv").read_text())
+        inst = UCInstance(parse_generators(path.read_text()), float(load))
+        assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
+        assert (sol.commitment.bits, sol.dispatch, sol.cost) == (bits, dispatch, cost)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_block1_price_past_the_float_range(self, mode, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        path.write_text(_fleet_text(_OUT_OF_RANGE_FLEET))
+        code = main(_args(mode, path, "100.001", tmp_path / "o"))
+        out, err = capsys.readouterr()
+        if mode == "baseline":
+            assert code == EXIT_OK
+            assert out == "baseline commitment |11> cost 1e+308\n"
+        else:
+            assert code == 1
+            assert err == "error: no float price clears load 100.001 in block 1\n"
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(

@@ -1,0 +1,65 @@
+"""Bit-identity pins: the pure-Python solver paths return the floats they
+returned when the pins were recorded.
+
+ROADMAP aim 2 asks that ADMM trajectories stay bit-identical while the maths
+is unchanged, so a change that moves any float here changed an answer; one
+that does so on purpose records new digests and states its tolerance.  Each
+pin hashes ``float.hex()`` of explicit value tuples rather than dataclass
+reprs, so a field added to a result type leaves it alone.  s2 is left out:
+it reads numpy's ``exp`` and libm's ``sin`` and ``cos``, which may differ
+across machines.
+"""
+
+import hashlib
+
+import numpy as np
+
+from helpers import random_instance
+
+from hquc import Infeasible, default_config, run_admm, solve_uc_exact
+
+#: sha256 over the s1 runs on the ten-unit system at 50, 100, ..., 1600 MW.
+S1_DIGEST = "c232986c56cb617f106f57a3902c3c18c67012ecc8cbfbf304de808a26e5ee0f"
+#: sha256 over the exact baseline on 20 seeded random fleets.
+BASELINE_DIGEST = "35db172a1b1831dfe17bc7a241e8095455c343acdd4f9d5e7101277f722d6c4a"
+
+
+def _digest(rows):
+    h = hashlib.sha256()
+    for row in rows:
+        fields = (v.hex() if isinstance(v, float) else repr(v) for v in row)
+        h.update((" ".join(fields) + "\n").encode())
+    return h.hexdigest()
+
+
+def _solution_row(tag, solution):
+    if solution is None:
+        return (tag, None)
+    return (tag, *solution.commitment.bits, *solution.dispatch, solution.cost)
+
+
+def test_s1_trajectories_are_pinned(ten_unit):
+    rows = []
+    for load in range(50, 1601, 50):
+        report = run_admm(ten_unit(float(load)), default_config(float(load)))
+        rows.append((load, report.iterations, report.converged))
+        rows.extend(
+            (t.iter, t.residual, t.objective, t.block1_objective, t.block1_kkt,
+             t.block2_energy)
+            for t in report.trace
+        )
+        rows.append(("terminal", *report.terminal_commitment.bits))
+        rows.append(_solution_row("final", report.final))
+    assert _digest(rows) == S1_DIGEST
+
+
+def test_exact_baseline_is_pinned():
+    rows = []
+    for seed in range(20):
+        instance = random_instance(np.random.default_rng(seed), allow_zero_c=True)
+        try:
+            solution = solve_uc_exact(instance)
+        except Infeasible:
+            solution = None
+        rows.append(_solution_row(seed, solution))
+    assert _digest(rows) == BASELINE_DIGEST

@@ -554,13 +554,13 @@ class TestSolveQuboQaoa:
         qubo = QuboProblem((4000.0, -3999.0, 12.0))
         outcome = solve_qubo_qaoa(qubo, QaoaConfig(depth=2, optimizer_budget=60))
         assert calls == [qubo]
-        assert np.array_equal(qubo.phase_slopes, np.array(qubo.linear) / 4000.0)
+        assert np.array_equal(qubo.phase_rows[1], np.array(qubo.linear) / 4000.0)
         assert outcome.bits == (0, 1, 0)
 
     def test_per_qubo_arrays_are_read_only(self):
         qubo = QuboProblem((4000.0, -3999.0, 12.0))
         solve_qubo_qaoa(qubo, QaoaConfig(depth=2, optimizer_budget=20))
-        for name in ("linear_array", "phase_slopes", "phase_rows"):
+        for name in ("linear_array", "phase_rows"):
             with pytest.raises(ValueError):
                 getattr(qubo, name)[...] = 0.0
 

@@ -10,6 +10,7 @@ from hquc import (
     Block1Problem,
     GeneratorParams,
     InfeasibleRelaxation,
+    InvariantViolation,
     LengthMismatch,
     UCInstance,
     block1_objective,
@@ -98,6 +99,17 @@ class TestSolveBlock1:
         )
         with pytest.raises(InfeasibleRelaxation):
             solve_block1(prob)
+
+    def test_no_float_price_names_the_load(self):
+        # Unit 1 must be fully on, which it is only above a / p_max = 1e311.
+        gens = (
+            GeneratorParams(1, 1e308, 1.0, 0.0, 0.0, 0.001),
+            GeneratorParams(2, 0.0, 1.0, 0.0, 0.0, 100.0),
+        )
+        zeros = (0.0, 0.0)
+        problem = Block1Problem(UCInstance(gens, 100.001), zeros, zeros, zeros, 10.0)
+        with pytest.raises(InvariantViolation, match="clears load 100.001 in block 1"):
+            solve_block1(problem)
 
     def test_single_unit_huge_penalty_tracks_z(self, ten_unit_generators):
         inst = UCInstance(ten_unit_generators[:1], 30.0)

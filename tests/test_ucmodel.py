@@ -35,6 +35,7 @@ from hquc.ucmodel import (
     lagrangian_commitment,
     one_flips,
     polish,
+    price_past,
 )
 
 #: The exact solvers, which must agree bit for bit and float for float.
@@ -265,6 +266,27 @@ class TestEconomicDispatch:
         inst = ten_unit(0.0)
         assert economic_dispatch(inst, Commitment((0,) * 10)) == (0.0,) * 10
 
+    @pytest.mark.parametrize(
+        "units, load, dispatch",
+        [
+            (
+                ((0.0, 1e17, 0.0, 0.0, 100.0), (0.0, 2e17, 0.0, 0.0, 100.0)),
+                150.0,
+                (100.0, 50.0),
+            ),
+            (((0.0, 1e300, 1e-10, 0.0, 100.0),), 50.0, (50.0,)),
+        ],
+    )
+    def test_huge_prices_clear(self, units, load, dispatch):
+        # Past 2**50 a bracket margin of 1.0 rounds away; every unit is on.
+        gens = [GeneratorParams(i, *u) for i, u in enumerate(units, start=1)]
+        inst = UCInstance(gens, load)
+        assert economic_dispatch(inst, Commitment((1,) * len(gens))) == dispatch
+        for solve in EXACT_SOLVERS:
+            solution = solve(inst)
+            assert solution.commitment.bits == (1,) * len(gens)
+            assert solution.dispatch == dispatch
+
     def test_kkt_conditions_on_random_commitments(self):
         rng = np.random.default_rng(5)
         checked = 0
@@ -450,6 +472,13 @@ def _piecewise_affine(pieces):
 
 
 class TestBisectPrice:
+    def test_price_past_is_strict_at_every_magnitude(self):
+        for end in (0.0, -7.25, 2.0**50 - 1.0, 2.0**50, -1e17, 1e300, 1.7e308):
+            assert price_past(end, -1.0) < end < price_past(end, 1.0)
+        # Below 2**50 the margin is exactly 1.0.
+        assert price_past(-7.25, -1.0) == -8.25
+        assert price_past(2.0**50 - 1.0, 1.0) == 2.0**50
+
     @pytest.mark.parametrize("load", [20.0, 0.0])
     def test_ends_at_adjacent_floats(self, load):
         calls = []
