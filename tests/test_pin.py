@@ -16,10 +16,13 @@ import numpy as np
 
 from helpers import random_instance
 
-from hquc import Infeasible, default_config, run_admm, solve_uc_exact
+from hquc import AdmmConfig, Infeasible, default_config, run_admm, solve_uc_exact
 
 #: sha256 over the s1 runs on the ten-unit system at 50, 100, ..., 1600 MW.
 S1_DIGEST = "c232986c56cb617f106f57a3902c3c18c67012ecc8cbfbf304de808a26e5ee0f"
+#: sha256 over s1 on 20 seeded random fleets, some units with c = 0, at two
+#: penalty pairs.
+S1_RANDOM_DIGEST = "fd6912444476878e6c443824459145cf0667fec4c7b5c0ff77fc31a46fb46593"
 #: sha256 over the exact baseline on 20 seeded random fleets.
 BASELINE_DIGEST = "35db172a1b1831dfe17bc7a241e8095455c343acdd4f9d5e7101277f722d6c4a"
 
@@ -38,19 +41,33 @@ def _solution_row(tag, solution):
     return (tag, *solution.commitment.bits, *solution.dispatch, solution.cost)
 
 
+def _report_rows(tag, report):
+    yield (tag, report.iterations, report.converged)
+    for t in report.trace:
+        yield (t.iter, t.residual, t.objective, t.block1_objective, t.block1_kkt,
+               t.block2_energy)
+    yield ("terminal", *report.terminal_commitment.bits)
+    yield _solution_row("final", report.final)
+
+
 def test_s1_trajectories_are_pinned(ten_unit):
     rows = []
     for load in range(50, 1601, 50):
         report = run_admm(ten_unit(float(load)), default_config(float(load)))
-        rows.append((load, report.iterations, report.converged))
-        rows.extend(
-            (t.iter, t.residual, t.objective, t.block1_objective, t.block1_kkt,
-             t.block2_energy)
-            for t in report.trace
-        )
-        rows.append(("terminal", *report.terminal_commitment.bits))
-        rows.append(_solution_row("final", report.final))
+        rows.extend(_report_rows(load, report))
     assert _digest(rows) == S1_DIGEST
+
+
+def test_s1_on_random_fleets_is_pinned():
+    # The ten-unit system has c > 0 everywhere and runs only the preset
+    # penalties; these fleets reach block 1's c = 0 price steps.
+    rows = []
+    for seed in range(20):
+        instance = random_instance(np.random.default_rng(seed), allow_zero_c=True)
+        for rho, beta in ((4000.0, 1000.0), (40.0, 10.0)):
+            report = run_admm(instance, AdmmConfig(rho=rho, beta=beta))
+            rows.extend(_report_rows((seed, rho), report))
+    assert _digest(rows) == S1_RANDOM_DIGEST
 
 
 def test_exact_baseline_is_pinned():
