@@ -16,9 +16,15 @@ constraint, so the solve dualizes the balance with a scalar price ``mu`` and
 searches for it.  For a fixed price each unit minimizes a strictly convex
 quadratic over the triangle ``{(y, p): 0 <= y <= 1, p_min y <= p <= p_max y}``,
 which has a closed form: either the unconstrained stationary point or the
-best of the three edges.  Strict convexity in ``y`` (rho > 0) makes the
-per-unit response unique and continuous whenever ``c > 0``; ``c == 0`` units
-respond with one flat price step that a final in-bracket allocation settles.
+best of the three edges.  Everything in it that does not depend on the price
+(the stationary ``y``, whether it can hold, each edge's quadratic
+coefficient) is computed once per solve into one tuple per unit
+(``_unit_constants``), and a supply evaluation (``_profile``) is one flat
+loop over those tuples, with no call per unit; it matches the per-unit
+oracle ``reference_unit_response`` in ``tests/helpers.py`` bit for bit.
+Strict convexity in ``y`` (rho > 0) makes the per-unit response unique and
+continuous whenever ``c > 0``; ``c == 0`` units respond with one flat price
+step that a final in-bracket allocation settles.
 The supply is therefore piecewise affine in ``mu``.  Its bracket grows by
 doubling steps, with no cap, until it holds the clearing price or leaves the
 float range, and the price search (``hquc.ucmodel.bisect_price``)
@@ -42,7 +48,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import InfeasibleRelaxation, InvariantViolation, LengthMismatch
-from .ucmodel import UCInstance, _step_output, bisect_price, price_past, settle_bracket
+from .ucmodel import UCInstance, bisect_price, price_past, settle_bracket
 
 
 @dataclass(frozen=True)
@@ -96,49 +102,72 @@ def block1_objective(
     return math.fsum(terms)
 
 
-def _unit_response(
-    g_lin: float,
-    b: float,
-    c: float,
-    pmin: float,
-    pmax: float,
-    rho: float,
-    mu: float,
-) -> tuple[float, float]:
-    """Minimize ``c p^2 + (b - mu) p + (rho/2) y^2 + g_lin y`` over the triangle.
+def _unit_constants(
+    g_lin: float, b: float, c: float, p_min: float, p_max: float, rho: float
+) -> tuple:
+    """One unit's price-response constants, in :func:`_profile`'s field order."""
+    half_rho = rho / 2.0
+    y0 = -g_lin / rho
+    quad_lo = c * p_min * p_min + half_rho
+    quad_hi = c * p_max * p_max + half_rho
+    return (
+        g_lin, b, c, 2.0 * c, p_min, p_max, half_rho,
+        y0, c > 0.0 and 0.0 <= y0 <= 1.0, p_min * y0, p_max * y0,
+        quad_lo, 2.0 * quad_lo, quad_hi, 2.0 * quad_hi,
+    )
 
-    Returns the minimizing ``(y, p)``; when the minimum in ``p`` is a flat
-    segment (c == 0 at its price step) the low end is returned.
+
+def _profile(units, mu: float) -> tuple[list[float], list[float]]:
+    """Each unit's minimizing ``(y, p)`` of
+    ``c p^2 + (b - mu) p + (rho/2) y^2 + g_lin y`` over its triangle.
+
+    Either the stationary point, or the best of the edges ``y = 1``,
+    ``p = p_min y`` and ``p = p_max y`` (earliest on a tie; a flat segment
+    in ``p`` at a c == 0 price step gives its low end).  Every float is
+    computed by the same expression, in the same order, as in the per-unit
+    oracle ``reference_unit_response`` of ``tests/helpers.py``: reordering
+    any sum or product would move last bits and so the ADMM trajectory.
+    The clamps are written as the conditionals ``max`` and ``min`` evaluate.
     """
-    if c > 0.0:
-        y0 = -g_lin / rho
-        p0 = (mu - b) / (2.0 * c)
-        if 0.0 <= y0 <= 1.0 and pmin * y0 <= p0 <= pmax * y0:
-            return y0, p0
-
-    # Edge y = 1.
-    p1 = _step_output(b, c, pmin, pmax, mu)
-    best_y, best_p = 1.0, p1
-    best_val = c * p1 * p1 + (b - mu) * p1 + rho / 2.0 + g_lin
-
-    # Edges p = pmin * y and p = pmax * y (cover the apex (0, 0) via clamping).
-    for edge in (pmin, pmax):
-        quad = c * edge * edge + rho / 2.0
-        lin = (b - mu) * edge + g_lin
-        ye = min(max(-lin / (2.0 * quad), 0.0), 1.0)
-        pe = edge * ye
-        val = quad * ye * ye + lin * ye
-        if val < best_val:
-            best_y, best_p, best_val = ye, pe, val
-    return best_y, best_p
-
-
-def _profile(problem_data, mu: float) -> tuple[list[float], list[float]]:
     ys, ps = [], []
-    for g_lin, b, c, pmin, pmax, rho in problem_data:
-        y, p = _unit_response(g_lin, b, c, pmin, pmax, rho, mu)
-        ys.append(y)
-        ps.append(p)
+    # One unit's constants: g_lin, b, c, 2c, p_min, p_max, rho/2; the
+    # stationary y0 = -g_lin/rho, whether it can hold (c > 0 and y0 in
+    # [0, 1]), p_min*y0, p_max*y0; each edge's quad = c*edge^2 + rho/2, 2*quad.
+    for (
+        g_lin, b, c, c2, p_min, p_max, half_rho,
+        y0, interior, p_min_y0, p_max_y0,
+        quad_lo, quad2_lo, quad_hi, quad2_hi,
+    ) in units:
+        if c > 0.0:
+            p0 = (mu - b) / c2
+            if interior and p_min_y0 <= p0 <= p_max_y0:
+                ys.append(y0)
+                ps.append(p0)
+                continue
+            p1 = p_min if p_min > p0 else p0
+            p1 = p_max if p_max < p1 else p1
+        else:
+            p1 = p_max if mu > b else p_min
+        b_mu = b - mu
+        best_y, best_p = 1.0, p1
+        best_val = c * p1 * p1 + b_mu * p1 + half_rho + g_lin
+
+        lin = b_mu * p_min + g_lin
+        ye = -lin / quad2_lo
+        ye = 0.0 if 0.0 > ye else ye
+        ye = 1.0 if 1.0 < ye else ye
+        val = quad_lo * ye * ye + lin * ye
+        if val < best_val:
+            best_y, best_p, best_val = ye, p_min * ye, val
+
+        lin = b_mu * p_max + g_lin
+        ye = -lin / quad2_hi
+        ye = 0.0 if 0.0 > ye else ye
+        ye = 1.0 if 1.0 < ye else ye
+        if quad_hi * ye * ye + lin * ye < best_val:
+            best_y, best_p = ye, p_max * ye
+        ys.append(best_y)
+        ps.append(best_p)
     return ys, ps
 
 
@@ -210,8 +239,9 @@ def solve_block1(problem: Block1Problem) -> Block1Solution:
         g.a + problem.lam[i] + rho * (problem.r[i] - problem.z[i])
         for i, g in enumerate(gens)
     ]
-    data = [
-        (g_lin[i], g.b, g.c, g.p_min, g.p_max, rho) for i, g in enumerate(gens)
+    units = [
+        _unit_constants(g_lin[i], g.b, g.c, g.p_min, g.p_max, rho)
+        for i, g in enumerate(gens)
     ]
 
     # Every final bracket end has been passed to supply, so its profile is
@@ -219,7 +249,7 @@ def solve_block1(problem: Block1Problem) -> Block1Solution:
     profiles = {}
 
     def supply(mu: float) -> float:
-        profile = profiles[mu] = _profile(data, mu)
+        profile = profiles[mu] = _profile(units, mu)
         return math.fsum(profile[1])
 
     def widen(end: float, side: float, step: float) -> float:

@@ -414,9 +414,17 @@ def _dispatch(instance: UCInstance, bits: Sequence[int]) -> list[float] | None:
     elif load == p_max_sum:
         on_p = [g.p_max for g in on]
     else:
+        # Settling reads the final bracket ends' profiles from the search's;
+        # an end it never priced is priced here.  As in solve_block1, no
+        # trial price is -0.0, which would share 0.0's key.
+        profiles = {}
 
         def profile(mu: float) -> list[float]:
-            return [_step_output(g.b, g.c, g.p_min, g.p_max, mu) for g in on]
+            if mu not in profiles:
+                profiles[mu] = [
+                    _step_output(g.b, g.c, g.p_min, g.p_max, mu) for g in on
+                ]
+            return profiles[mu]
 
         # Every unit sits at p_min at lo and at p_max at hi.
         lo, hi = bisect_price(

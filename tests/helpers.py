@@ -17,6 +17,7 @@ from hquc import (
     phase_scale,
 )
 from hquc.qaoa import check_dense_size
+from hquc.ucmodel import _step_output
 
 
 def random_generators(rng, n, allow_zero_c=False):
@@ -64,6 +65,44 @@ def reference_bisect(supply, load, lo, hi):
         else:
             hi = mid
     return lo, hi
+
+
+def reference_unit_response(
+    g_lin: float,
+    b: float,
+    c: float,
+    pmin: float,
+    pmax: float,
+    rho: float,
+    mu: float,
+) -> tuple[float, float]:
+    """Minimize ``c p^2 + (b - mu) p + (rho/2) y^2 + g_lin y`` over the triangle.
+
+    Returns the minimizing ``(y, p)``; when the minimum in ``p`` is a flat
+    segment (c == 0 at its price step) the low end is returned.  The oracle
+    of :func:`hquc.qpblock._profile`, which must match it bit for bit.
+    """
+    if c > 0.0:
+        y0 = -g_lin / rho
+        p0 = (mu - b) / (2.0 * c)
+        if 0.0 <= y0 <= 1.0 and pmin * y0 <= p0 <= pmax * y0:
+            return y0, p0
+
+    # Edge y = 1.
+    p1 = _step_output(b, c, pmin, pmax, mu)
+    best_y, best_p = 1.0, p1
+    best_val = c * p1 * p1 + (b - mu) * p1 + rho / 2.0 + g_lin
+
+    # Edges p = pmin * y and p = pmax * y (cover the apex (0, 0) via clamping).
+    for edge in (pmin, pmax):
+        quad = c * edge * edge + rho / 2.0
+        lin = (b - mu) * edge + g_lin
+        ye = min(max(-lin / (2.0 * quad), 0.0), 1.0)
+        pe = edge * ye
+        val = quad * ye * ye + lin * ye
+        if val < best_val:
+            best_y, best_p, best_val = ye, pe, val
+    return best_y, best_p
 
 
 def grid_min_two_unit(instance, z, r, lam, rho, beta, step=1e-3):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from helpers import grid_min_two_unit, random_instance
+from helpers import grid_min_two_unit, random_instance, reference_unit_response
 
 from hquc import (
     Block1Problem,
@@ -253,6 +253,77 @@ class TestSolveBlock1:
         for load in range(200, 1501, 100):
             run_admm(ten_unit(float(load)), default_config(float(load)))
         assert evaluations / calls <= 24
+
+
+def _random_unit(rng):
+    """Per-unit data ``(g_lin, b, c, p_min, p_max, rho)`` that reaches every
+    branch: c zero or positive, y0 = -g_lin/rho below, inside or above
+    [0, 1], and p_min zero, equal to p_max or in between."""
+    rho = float(rng.choice((4.0, 40.0, 1001.0, 4000.0, 1_000_001.0)))
+    if rng.random() < 0.5:
+        rho = float(10.0 ** rng.uniform(math.log10(4.0), math.log10(1_000_001.0)))
+    c = 0.0 if rng.random() < 0.25 else float(10.0 ** rng.uniform(-5.0, -1.0))
+    b = float(rng.uniform(5.0, 40.0))
+    p_max = float(rng.uniform(1.0, 500.0))
+    p_min = float(rng.choice((0.0, p_max, rng.uniform(0.0, p_max))))
+    y0 = float(
+        rng.choice((
+            -rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0),
+            0.0, 1.0, 1.0 + rng.uniform(0.0, 2.0),
+        ))
+    )
+    g_lin = -y0 * rho if rng.random() < 0.8 else float(rng.normal(0.0, rho))
+    return g_lin, b, c, p_min, p_max, rho
+
+
+def _breakpoint_price(rng, unit):
+    """A price at b, at an end of the interior, inside it, at an end of the
+    y = 1 edge, far below or above every breakpoint, or in between."""
+    g_lin, b, c, p_min, p_max, rho = unit
+    y0 = -g_lin / rho
+    top = b + 2.0 * c * p_max
+    return float(
+        rng.choice((
+            b,
+            b + 2.0 * c * (p_min * y0),
+            b + 2.0 * c * (p_max * y0),
+            b + 2.0 * c * (rng.uniform(p_min, p_max) * y0),
+            b + 2.0 * c * p_min,
+            top,
+            b - 1e9,
+            top + 1e9,
+            rng.uniform(b - 10.0, top + 10.0),
+        ))
+    )
+
+
+class TestProfileKernel:
+    def test_matches_reference_unit_response(self):
+        # 4000 prices over 4 units each: 16,000 (unit, price) cases, every
+        # output compared by its hex digits, so -0.0 and NaN count too.
+        rng = np.random.default_rng(61)
+        seen = {"interior": 0, "y=1": 0, "edge": 0, "apex": 0}
+        for _ in range(4000):
+            units = [_random_unit(rng) for _ in range(4)]
+            mu = _breakpoint_price(rng, units[rng.integers(4)])
+            ys, ps = qpblock._profile(
+                [qpblock._unit_constants(*u) for u in units], mu
+            )
+            for unit, y, p in zip(units, ys, ps):
+                want_y, want_p = reference_unit_response(*unit, mu)
+                assert (y.hex(), p.hex()) == (want_y.hex(), want_p.hex()), (
+                    unit, mu
+                )
+                p_min, p_max = unit[3], unit[4]
+                if y == 0.0:
+                    seen["apex"] += 1
+                elif y == 1.0:
+                    seen["y=1"] += 1
+                elif p in (p_min * y, p_max * y):
+                    seen["edge"] += 1
+                else:
+                    seen["interior"] += 1
+        assert min(seen.values()) >= 100, seen
 
 
 # (p_min, p_max, y, p) and the constraint normals active there: every set
