@@ -17,6 +17,7 @@ import numpy as np
 from helpers import random_instance
 
 from hquc import AdmmConfig, Infeasible, default_config, run_admm, solve_uc_exact
+from hquc.ucmodel import _dual_bound
 
 #: sha256 over the s1 runs on the ten-unit system at 50, 100, ..., 1600 MW.
 S1_DIGEST = "c232986c56cb617f106f57a3902c3c18c67012ecc8cbfbf304de808a26e5ee0f"
@@ -25,6 +26,9 @@ S1_DIGEST = "c232986c56cb617f106f57a3902c3c18c67012ecc8cbfbf304de808a26e5ee0f"
 S1_RANDOM_DIGEST = "fd6912444476878e6c443824459145cf0667fec4c7b5c0ff77fc31a46fb46593"
 #: sha256 over the exact baseline on 20 seeded random fleets.
 BASELINE_DIGEST = "35db172a1b1831dfe17bc7a241e8095455c343acdd4f9d5e7101277f722d6c4a"
+#: sha256 over the Lagrangian bound's (mu, bound) on the same 20 fleets, at
+#: the root and at three (on, free) prefixes per fleet.
+DUAL_BOUND_DIGEST = "36166514ffd17272346e325cde793c90316a044b6b9d94cdbcebfab29645f558"
 
 
 def _digest(rows):
@@ -80,3 +84,19 @@ def test_exact_baseline_is_pinned():
             solution = None
         rows.append(_solution_row(seed, solution))
     assert _digest(rows) == BASELINE_DIGEST
+
+
+def test_dual_bound_is_pinned():
+    # The baseline pin sees the bound only through pruning, which a moved
+    # last bit need not change; this one hashes the bound's own floats.
+    rows = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        instance = random_instance(rng, allow_zero_c=True)
+        gens, load = instance.generators, instance.load
+        rows.append((seed, *_dual_bound((), gens, load)))
+        for _ in range(3):
+            k = int(rng.integers(0, len(gens)))
+            on = [g for g in gens[:k] if rng.random() < 0.5]
+            rows.append((seed, k, *(g.id for g in on), *_dual_bound(on, gens[k:], load)))
+    assert _digest(rows) == DUAL_BOUND_DIGEST
