@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 input error (usage errors included), 2 infeasible,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import secrets
@@ -220,7 +221,9 @@ def _run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args reads the parser and leaves it as it is.
     parser = argparse.ArgumentParser(
         prog="hquc",
         description="Single-period unit commitment via three-block ADMM "

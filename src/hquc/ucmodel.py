@@ -13,10 +13,15 @@ interpolates the piecewise-affine supply between the bracket ends, with
 midpoint safeguards, and ends on plain bisection's bracket.  Units with
 ``c == 0`` respond with a step at ``mu == b`` and are settled by a final
 greedy allocation inside the last bracket, which keeps the kernel exact for
-them too.  The search and the settle (:func:`settle_bracket`) are the one
-price-clearing kernel of the package: the first ADMM block (``hquc.qpblock``)
-clears its price with them too, over its own per-unit response.  Every
-bracket end is :func:`price_past` a price read from the fleet's costs.
+them too.  Each unit's constants for this (``a``, ``b``, ``c``, ``2 c``,
+``p_min``, ``p_max`` and its least average cost) are built once per unit
+(:attr:`GeneratorParams.price_constants`), and the dispatch's supply, the
+Lagrangian dual's supply and the dual's terms are flat loops over those
+tuples, with no call per unit.  The search and the settle
+(:func:`settle_bracket`) are the one price-clearing kernel of the package:
+the first ADMM block (``hquc.qpblock``) clears its price with them too, over
+its own per-unit response.  Every bracket end is :func:`price_past` a price
+read from the fleet's costs.
 
 :func:`solve_uc_exact` searches the commitments depth first and prunes with
 the Lagrangian dual of the balance constraint.  Its first incumbent is the
@@ -125,6 +130,19 @@ class GeneratorParams:
         if p == 0.0:  # a == 0 and p_min == 0: the infimum b + c p at p -> 0
             return self.b
         return self.a / p + self.b + self.c * p
+
+    @cached_property
+    def price_constants(self) -> tuple[float, ...]:
+        """``(a, b, c, 2c, p_min, p_max, min_average_cost)``: the unit's
+        constants for pricing it at a trial price, unpacked in this order by
+        the flat loops of :func:`_outputs`, :func:`_phis` and
+        :func:`_dual_supply`.  Built once per unit, like
+        :attr:`min_average_cost`.
+        """
+        return (
+            self.a, self.b, self.c, 2.0 * self.c, self.p_min, self.p_max,
+            self.min_average_cost,
+        )
 
 
 @dataclass(frozen=True)
@@ -298,13 +316,6 @@ def check_feasible(
     return FeasibilityReport(not violations, tuple(violations))
 
 
-def _step_output(b: float, c: float, lo: float, hi: float, mu: float) -> float:
-    """Single-unit response to price mu: argmin of b*p + c*p^2 - mu*p on [lo, hi]."""
-    if c > 0.0:
-        return min(max((mu - b) / (2.0 * c), lo), hi)
-    return hi if mu > b else lo
-
-
 def price_past(end: float, side: float) -> float:
     """``end`` moved to ``side`` (+1 or -1) by 1.0, or by 2**-50 |end| if more."""
     return end + side * max(1.0, abs(end) * 2.0**-50)
@@ -397,6 +408,28 @@ def settle_bracket(
     return out
 
 
+def _outputs(units: Sequence[tuple[float, ...]], mu: float) -> list[float]:
+    """Each unit's output at price ``mu``, the argmin of ``b p + c p^2 - mu p``
+    over ``[p_min, p_max]``, for units given by their
+    :attr:`~GeneratorParams.price_constants`.
+
+    A ``c == 0`` unit steps from ``p_min`` to ``p_max`` for ``mu`` strictly
+    above ``b``.  The clamps are written as the conditionals ``max`` and
+    ``min`` evaluate, and every flat loop over the constants prices a unit
+    by these same expressions, so all of them return the floats of the
+    per-unit oracles ``_step_output`` and ``_dual_term`` in ``tests/helpers.py``.
+    """
+    out = []
+    for _, b, c, c2, p_min, p_max, _ in units:
+        if c > 0.0:
+            p = (mu - b) / c2
+            p = p_min if p_min > p else p
+            out.append(p_max if p_max < p else p)
+        else:
+            out.append(p_max if mu > b else p_min)
+    return out
+
+
 def _dispatch(instance: UCInstance, bits: Sequence[int]) -> list[float] | None:
     """Exact dispatch of the load over the units ``bits`` commits.
 
@@ -418,20 +451,20 @@ def _dispatch(instance: UCInstance, bits: Sequence[int]) -> list[float] | None:
         # an end it never priced is priced here.  As in solve_block1, no
         # trial price is -0.0, which would share 0.0's key.
         profiles = {}
+        units = [g.price_constants for g in on]
 
         def profile(mu: float) -> list[float]:
             if mu not in profiles:
-                profiles[mu] = [
-                    _step_output(g.b, g.c, g.p_min, g.p_max, mu) for g in on
-                ]
+                profiles[mu] = _outputs(units, mu)
             return profiles[mu]
 
-        # Every unit sits at p_min at lo and at p_max at hi.
+        # Every unit sits at p_min at lo and at p_max at hi: past each end's
+        # marginal cost b + 2c p.
         lo, hi = bisect_price(
             lambda mu: math.fsum(profile(mu)),
             load,
-            price_past(min(g.marginal_cost(g.p_min) for g in on), -1.0),
-            price_past(max(g.marginal_cost(g.p_max) for g in on), 1.0),
+            price_past(min(b + c2 * p_min for _, b, _, c2, p_min, _, _ in units), -1.0),
+            price_past(max(b + c2 * p_max for _, b, _, c2, _, p_max, _ in units), 1.0),
         )
         on_p = settle_bracket(profile(lo), profile(hi), load)
     dispatch = [0.0] * instance.n
@@ -518,26 +551,42 @@ def enumerate_uc(instance: UCInstance) -> UCSolution:
     return best
 
 
-def _dual_term(g: GeneratorParams, mu: float) -> tuple[float, float]:
+def _phis(units: Sequence[tuple[float, ...]], mu: float) -> list[float]:
     """``phi(mu) = a + min over p in [p_min, p_max] of (b p + c p^2 - mu p)``
-    for unit ``g``, with the minimizing output ``p``."""
-    p = _step_output(g.b, g.c, g.p_min, g.p_max, mu)
-    return g.a + g.b * p + g.c * p * p - mu * p, p
+    of each unit, given by its :attr:`~GeneratorParams.price_constants`, at
+    the output :func:`_outputs` gives it."""
+    return [
+        a + b * p + c * p * p - mu * p
+        for (a, b, c, _, _, _, _), p in zip(units, _outputs(units, mu))
+    ]
 
 
 def _dual_supply(
-    on: Sequence[GeneratorParams], free: Sequence[GeneratorParams], mu: float
+    on: Sequence[tuple[float, ...]], free: Sequence[tuple[float, ...]], mu: float
 ) -> float:
     """Output at price ``mu`` of the ``on`` units and of the ``free`` units
     that pay for themselves there (``mu`` above their
     :attr:`~GeneratorParams.min_average_cost`): the supply whose crossing
-    with the load is the price of :func:`_dual_bound`."""
+    with the load is the price of :func:`_dual_bound`.  Units are given by
+    their :attr:`~GeneratorParams.price_constants` and priced as
+    :func:`_outputs` prices them, inline, since this is the bound's hot loop.
+    """
     total = 0.0
-    for g in on:
-        total += _step_output(g.b, g.c, g.p_min, g.p_max, mu)
-    for g in free:
-        if mu > g.min_average_cost:
-            total += _step_output(g.b, g.c, g.p_min, g.p_max, mu)
+    for _, b, c, c2, p_min, p_max, _ in on:
+        if c > 0.0:
+            p = (mu - b) / c2
+            p = p_min if p_min > p else p
+            total += p_max if p_max < p else p
+        else:
+            total += p_max if mu > b else p_min
+    for _, b, c, c2, p_min, p_max, min_average_cost in free:
+        if mu > min_average_cost:
+            if c > 0.0:
+                p = (mu - b) / c2
+                p = p_min if p_min > p else p
+                total += p_max if p_max < p else p
+            else:
+                total += p_max if mu > b else p_min
     return total
 
 
@@ -549,7 +598,7 @@ def _dual_bound(
 
     Dualizing the balance with a price ``mu`` gives the bound
     ``mu * load + sum_on phi_i(mu) + sum_free min(0, phi_i(mu))`` (see
-    :func:`_dual_term`).  It is concave in ``mu`` and its supergradient is
+    :func:`_phis`).  It is concave in ``mu`` and its supergradient is
     ``load`` minus the output of the on units and of the free units with
     ``phi_i < 0`` (:func:`_dual_supply`), so the bound is greatest where
     that supply crosses the load.  By weak duality every ``mu`` gives a
@@ -567,14 +616,15 @@ def _dual_bound(
     piecewise-affine supply there.  The bound is taken at the bracket's low
     end.
     """
+    on_units = [g.price_constants for g in on]
+    free_units = [g.price_constants for g in free]
 
     def supply(mu: float) -> float:
-        return _dual_supply(on, free, mu)
+        return _dual_supply(on_units, free_units, mu)
 
     def value(mu: float) -> float:
-        terms = [mu * load]
-        terms.extend(_dual_term(g, mu)[0] for g in on)
-        terms.extend(min(0.0, _dual_term(g, mu)[0]) for g in free)
+        terms = [mu * load, *_phis(on_units, mu)]
+        terms.extend(min(0.0, phi) for phi in _phis(free_units, mu))
         try:
             bound = math.fsum(terms)
         except (OverflowError, ValueError):  # a partial sum overflows, or inf - inf
@@ -607,10 +657,8 @@ def _dual_bound(
         # Above every marginal and average cost at p_max each unit sits at
         # p_max and has phi_i < 0.
         hi = price_past(max(
-            max(g.marginal_cost(g.p_max), g.a / g.p_max + g.b + g.c * g.p_max)
-            if g.p_max > 0.0
-            else g.b
-            for g in units
+            max(b + c2 * p_max, a / p_max + b + c * p_max) if p_max > 0.0 else b
+            for a, b, c, c2, _, p_max, _ in (*on_units, *free_units)
         ), 1.0)
     lo, hi = bisect_price(supply, load, lo, hi)
     return lo, value(lo)
@@ -687,7 +735,7 @@ def solve_uc_exact(instance: UCInstance) -> UCSolution:
                 continue
             # At the same mu, fixing unit k off drops min(0, phi_k) from the
             # bound and fixing it on adds max(0, phi_k).
-            phi = _dual_term(gens[k], mu)[0]
+            (phi,) = _phis((gens[k].price_constants,), mu)
             floor_off = bound - min(0.0, phi)
             floor_on = bound + max(0.0, phi)
         stack.append((bits + (1,), floor_on))

@@ -17,7 +17,20 @@ from hquc import (
     phase_scale,
 )
 from hquc.qaoa import check_dense_size
-from hquc.ucmodel import _step_output
+
+
+def _step_output(b: float, c: float, lo: float, hi: float, mu: float) -> float:
+    """Single-unit response to price mu: argmin of b*p + c*p^2 - mu*p on [lo, hi]."""
+    if c > 0.0:
+        return min(max((mu - b) / (2.0 * c), lo), hi)
+    return hi if mu > b else lo
+
+
+def _dual_term(g: GeneratorParams, mu: float) -> tuple[float, float]:
+    """``phi(mu) = a + min over p in [p_min, p_max] of (b p + c p^2 - mu p)``
+    for unit ``g``, with the minimizing output ``p``."""
+    p = _step_output(g.b, g.c, g.p_min, g.p_max, mu)
+    return g.a + g.b * p + g.c * p * p - mu * p, p
 
 
 def random_generators(rng, n, allow_zero_c=False):

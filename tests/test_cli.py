@@ -33,7 +33,14 @@ from hquc import (
     solve_uc_exact,
 )
 import hquc
-from hquc.cli import EXIT_INFEASIBLE, EXIT_NOT_CONVERGED, EXIT_OK, MODES, main
+from hquc.cli import (
+    EXIT_INFEASIBLE,
+    EXIT_NOT_CONVERGED,
+    EXIT_OK,
+    MODES,
+    _build_parser,
+    main,
+)
 
 #: The directory the tests import hquc from, for subprocess runs.
 SRC_DIR = pathlib.Path(hquc.__file__).resolve().parents[1]
@@ -667,6 +674,47 @@ _OUT_OF_RANGE_FLEET = [
     ["1e308", "1", "0", "0", "0.001"],
     ["0", "1", "0", "0", "100"],
 ]
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+class TestParserReuse:
+    """The parser is built once per process, so no call may leave a trace
+    in it for the next."""
+
+    def test_flags_do_not_leak_into_the_next_call(self, four_unit_csv, tmp_path):
+        plain = ["--max-iters", "3"]
+        flags = ["--emit-histograms", "--rho", "5", "--beta", "1", "--seed", "3"]
+        _build_parser.cache_clear()
+        first = main(_args("s2", four_unit_csv, 50, tmp_path / "first", *plain))
+        parser = _build_parser()
+        flagged = main(
+            _args("s2", four_unit_csv, 50, tmp_path / "flags", *plain, *flags)
+        )
+        again = main(_args("s2", four_unit_csv, 50, tmp_path / "again", *plain))
+        assert _build_parser() is parser
+        assert first == again == EXIT_NOT_CONVERGED
+        assert flagged == EXIT_NOT_CONVERGED
+        assert "histogram_iter1.csv" in _files(tmp_path / "flags")
+        assert _files(tmp_path / "flags") != _files(tmp_path / "first")
+        assert _files(tmp_path / "again") == _files(tmp_path / "first")
+
+    def test_usage_error_then_valid_call(self, gen_csv, tmp_path, capsys):
+        argv = ["--mode", "s9", "--generators", str(gen_csv), "--load", "800"]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert main(_args("baseline", gen_csv, 800, tmp_path / "out")) == EXIT_OK
+        assert (tmp_path / "out" / "solution.csv").is_file()
+
+    def test_help_after_earlier_calls(self, gen_csv, tmp_path, capsys):
+        assert main(_args("baseline", gen_csv, 800, tmp_path / "out")) == EXIT_OK
+        assert main(["--load", "800"]) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "--mode" in capsys.readouterr().out
 
 
 class TestContract:

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_generators, random_instance, reference_bisect
+from helpers import (
+    _dual_term,
+    _step_output,
+    random_generators,
+    random_instance,
+    reference_bisect,
+)
 
 from hquc import (
     Commitment,
@@ -550,6 +556,82 @@ class TestBisectPrice:
         assert evaluations <= 2 * halvings + 2
 
 
+def _price_unit(rng, uid):
+    """A unit that reaches every branch of the price kernels: c zero or
+    positive, p_min zero, equal to p_max or in between, and ``a`` of either
+    sign, so that the least average cost may be any of its cases."""
+    c = 0.0 if rng.random() < 0.3 else float(10.0 ** rng.uniform(-5.0, -1.0))
+    p_max = float(rng.uniform(1.0, 500.0))
+    p_min = float(rng.choice((0.0, p_max, rng.uniform(0.0, p_max))))
+    a = float(rng.choice((0.0, rng.uniform(0.0, 1000.0), -rng.uniform(0.0, 100.0))))
+    return GeneratorParams(uid, a, float(rng.uniform(5.0, 40.0)), c, p_min, p_max)
+
+
+def _kernel_price(rng, g):
+    """A price at, 1 ulp or 1e9 off one of the unit's breakpoints (b, the
+    marginal costs at p_min and p_max, the least average cost), or between."""
+    anchors = [g.b, g.b + 2.0 * g.c * g.p_min, g.b + 2.0 * g.c * g.p_max]
+    if math.isfinite(g.min_average_cost):
+        anchors.append(g.min_average_cost)
+    anchor = anchors[rng.integers(len(anchors))]
+    kind = rng.integers(6)
+    if kind == 5:
+        return float(rng.uniform(g.b - 10.0, anchors[2] + 10.0))
+    return (
+        anchor,
+        math.nextafter(anchor, -math.inf),
+        math.nextafter(anchor, math.inf),
+        anchor - 1e9,
+        anchor + 1e9,
+    )[kind]
+
+
+class TestPriceKernel:
+    def test_matches_per_unit_oracles(self):
+        # 3000 prices over 4 units each: 12,000 (unit, price) cases.  The
+        # flat loops of _outputs, _phis and _dual_supply must give the
+        # per-unit oracles' floats, compared by their hex digits.
+        rng = np.random.default_rng(19)
+        seen = dict.fromkeys(
+            ("below p_min", "inside", "above p_max", "step low", "step high",
+             "free pays", "free idle"),
+            0,
+        )
+        for _ in range(3000):
+            gens = [_price_unit(rng, uid) for uid in range(1, 5)]
+            mu = _kernel_price(rng, gens[rng.integers(4)])
+            units = [g.price_constants for g in gens]
+            k = int(rng.integers(0, 5))
+
+            want = [_step_output(g.b, g.c, g.p_min, g.p_max, mu) for g in gens]
+            got = ucmodel._outputs(units, mu)
+            assert [p.hex() for p in got] == [p.hex() for p in want], (gens, mu)
+            phis = [_dual_term(g, mu)[0] for g in gens]
+            got = ucmodel._phis(units, mu)
+            assert [v.hex() for v in got] == [v.hex() for v in phis], (gens, mu)
+            total = 0.0
+            for i, (g, p) in enumerate(zip(gens, want)):
+                if i < k or mu > g.min_average_cost:
+                    total += p
+            got = ucmodel._dual_supply(units[:k], units[k:], mu)
+            assert got.hex() == total.hex(), (gens, mu, k)
+
+            for i, g in enumerate(gens):
+                if g.c == 0.0:
+                    seen["step high" if mu > g.b else "step low"] += 1
+                else:
+                    raw = (mu - g.b) / (2.0 * g.c)
+                    if raw < g.p_min:
+                        seen["below p_min"] += 1
+                    elif raw > g.p_max:
+                        seen["above p_max"] += 1
+                    else:
+                        seen["inside"] += 1
+                if i >= k:
+                    seen["free pays" if mu > g.min_average_cost else "free idle"] += 1
+        assert min(seen.values()) >= 100, seen
+
+
 class TestSolveUcExact:
     """Branch and bound returns exactly what enumeration returns."""
 
@@ -656,6 +738,8 @@ class TestSolveUcExact:
             except Infeasible:
                 pass
         assert calls > 1000
+        # A bound that stopped calling the module's _dual_supply would count 0.
+        assert evaluations > 0
         assert evaluations / calls <= 15
 
     def test_one_flips(self):
