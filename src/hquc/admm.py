@@ -91,12 +91,17 @@ def default_config(load: float, backend: str = BACKEND_CLASSICAL, **overrides) -
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One ADMM iteration.  ``block2_gap`` is ``block2_energy`` minus the
+    QUBO's exact minimum (:func:`~hquc.qubo.solve_qubo_perbit`): 0.0 for
+    the classical backend, and how far the QAOA bits fell short for qaoa."""
+
     iter: int
     residual: float
     objective: float
     block1_objective: float
     block1_kkt: float
     block2_energy: float
+    block2_gap: float
 
 
 @dataclass(frozen=True)
@@ -209,11 +214,13 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
         qubo = build_qubo(y, r, lam, config.rho)
         if config.backend == BACKEND_CLASSICAL:
             bits, block2_energy = solve_qubo_perbit(qubo)
+            block2_gap = 0.0
         else:
             warm = qaoa_params if config.warm_start else None
             outcome = solve_qubo_qaoa(qubo, config.qaoa, warm=warm, iteration=it)
             bits = outcome.bits
             block2_energy = qubo.energy(bits)
+            block2_gap = block2_energy - solve_qubo_perbit(qubo)[1]
             qaoa_params = outcome.params
             diagnostics.append(outcome)
         z = tuple(float(b) for b in bits)
@@ -228,6 +235,7 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
             TraceRow(
                 it, res, objective,
                 block1.objective, block1.kkt_residual, block2_energy,
+                block2_gap,
             )
         )
         if res <= config.epsilon:

@@ -28,11 +28,21 @@ Sample extraction draws each bit from its own marginal.  No solve has a size
 limit; the 2^n amplitudes are built (by Kronecker product) only for the
 probability map, up to 16 qubits.
 
+The angle search evaluates the expectation about a hundred times per QUBO
+and needs nothing else, so it goes through :func:`_energy`.  Up to
+:data:`_SCALAR_QUBITS` qubits that is the same arithmetic as a flat loop over
+each qubit's amplitude parts in Python floats, since at a few qubits numpy's
+per-call overhead costs more than the arithmetic; it builds no state or
+array.  Its values agree with ``expectation(run_circuit(...))`` to rounding,
+not bitwise.  Above the threshold it is that expression.  Each solve builds
+the :class:`ProductState` once, at the optimum, for the bits.
+
 numpy is imported inside the functions that build or read arrays
-(:func:`run_circuit`, :func:`extract_solution`, the angle search's sort and
-:attr:`ProductState.amplitudes`), and the other :class:`ProductState`
-methods use the arrays' own operators.  So ``import hquc`` and the s1 and
-baseline solves never load numpy; the first QAOA solve does.
+(:func:`run_circuit`, :func:`extract_solution`, the angle search's sort of
+tied values and :attr:`ProductState.amplitudes`), and the other
+:class:`ProductState` methods use the arrays' own operators.  So ``import
+hquc`` and the s1 and baseline solves never load numpy; the first QAOA solve
+does.
 
 Oracle: the tests simulate the same circuit on the full 2^n statevector,
 layer by layer, and ground that simulation in the full-matrix product at
@@ -49,18 +59,19 @@ the cost phases many times over and shred the parameter landscape, so
 :func:`run_circuit` divides the linear coefficients by ``max_i |q_i|`` before
 phase construction (:attr:`QuboProblem.phase_rows`).  Positive rescaling
 never changes the argmin over bitstrings, and expectation values are always
-reported in original units with the constant offset restored.  The angle
-search runs the circuit about a hundred times per QUBO, so the problem builds
-the per-QUBO arrays once, read-only: :attr:`QuboProblem.phase_rows` (the
-cost step's ``zh``, described in :func:`run_circuit`) and
-:attr:`QuboProblem.linear_array` (the expectation's coefficients).
+reported in original units with the constant offset restored.  The problem
+builds the per-QUBO values once: the scaled slopes
+(:attr:`QuboProblem.slopes`, which the scalar loop reads) and, read-only,
+:attr:`QuboProblem.phase_rows` (the cost step's ``zh``, described in
+:func:`run_circuit`) and :attr:`QuboProblem.linear_array` (the
+expectation's coefficients).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InvariantViolation, LengthMismatch, TooManyQubits
 from .qubo import QuboProblem
@@ -134,6 +145,10 @@ class QaoaParams:
             raise InvariantViolation(
                 f"need equal-length nonempty angle lists, got "
                 f"{len(self.gammas)} gammas and {len(self.betas)} betas"
+            )
+        if not all(map(math.isfinite, self.gammas + self.betas)):
+            raise InvariantViolation(
+                f"angles must be finite, got gammas {self.gammas} and betas {self.betas}"
             )
 
     @property
@@ -213,6 +228,56 @@ def expectation(state: ProductState, qubo: QuboProblem) -> float:
     return float(state.marginals() @ qubo.linear_array) + qubo.constant
 
 
+#: Largest QUBO whose angle-search evaluations run as a scalar loop (see
+#: :func:`_energy`).  Below the crossover, measured between 20 and 30 qubits
+#: at depths 1 to 3, numpy's per-call overhead costs more than the
+#: arithmetic it vectorizes; above it, numpy wins by up to 5x at 200.
+_SCALAR_QUBITS = 20
+
+
+def _energy(qubo: QuboProblem, gammas: Sequence[float], betas: Sequence[float]) -> float:
+    """The expectation at the angles ``(gammas, betas)``: one angle-search
+    evaluation.
+
+    Up to :data:`_SCALAR_QUBITS` qubits this is :func:`run_circuit`'s
+    arithmetic as a loop over each qubit's four amplitude parts in Python
+    floats, with the per-layer constants built once; above it, it is
+    ``expectation(run_circuit(...))``.  The two agree to rounding, not
+    bitwise: numpy's complex multiply and ``abs`` round differently from
+    the scalar products.  An angle whose phase ``pi * angle / 2`` is not
+    finite prices as NaN, which the search ranks last.
+    """
+    layers = []
+    for gamma, beta in zip(gammas, betas):
+        t = math.pi * gamma / 2.0
+        m = math.pi * beta / 2.0
+        if not (math.isfinite(t) and math.isfinite(m)):
+            return math.nan
+        layers.append((t, math.cos(m), math.sin(m)))
+    if qubo.n > _SCALAR_QUBITS:
+        return expectation(run_circuit(qubo, QaoaParams(gammas, betas)), qubo)
+    cos, sin = math.cos, math.sin
+    amp = 2.0**-0.5
+    total = 0.0
+    for q, h in zip(qubo.linear, qubo.slopes):
+        a0r = a1r = amp
+        a0i = a1i = 0.0
+        for t, c, s in layers:
+            # Cost: |1> picks up exp(i t h), giving (x, y).  Mixer: each
+            # amplitude becomes c times itself plus i s times the other one.
+            th = t * h
+            er = cos(th)
+            ei = sin(th)
+            x = a1r * er - a1i * ei
+            y = a1r * ei + a1i * er
+            a1r = c * x - s * a0i
+            a1i = c * y + s * a0r
+            a0r = c * a0r - s * y
+            a0i = c * a0i + s * x
+        total += q * (a1r * a1r + a1i * a1i)
+    return total + qubo.constant
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -225,11 +290,10 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
     1.17.1, no bounds, ``adaptive=False``): the same initial simplex, step
     arithmetic, comparisons, stopping test and ``np.argsort`` order, which
     need not keep tied vertices in place.  Vertices are lists of floats, and
-    each is built only when it is evaluated.  There is no evaluation limit;
-    ``func`` ends the search early by raising.
+    each is built only when it is evaluated.  Strictly increasing values
+    have one sorted order, which ``sorted`` finds without numpy.  There is
+    no evaluation limit; ``func`` ends the search early by raising.
     """
-    import numpy as np
-
     n = len(x0)
     sim = [x0]
     fsim = [func(x0)]
@@ -240,7 +304,13 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
         fsim.append(func(vertex))
 
     def sort() -> None:
-        order = np.argsort(fsim)
+        order = sorted(range(n + 1), key=fsim.__getitem__)
+        if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
+            # Ties, signed zeros or NaN: argsort's own order, which may move
+            # tied vertices, and ranks NaN last.
+            import numpy as np
+
+            order = np.argsort(fsim)
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 
@@ -292,8 +362,9 @@ def optimize_params(
     Starts from ``start``, whose depth sets the number of angles, or from
     ``(0.1,) * config.depth`` when it is ``None``: small nonzero angles avoid
     the flat-gradient point at exactly zero.  Spends at most
-    ``config.optimizer_budget`` expectation evaluations and returns the best
-    parameters seen, so the result is never worse than the starting point.
+    ``config.optimizer_budget`` evaluations of :func:`_energy` and returns
+    the best parameters seen with their value, so the result is never worse
+    than the starting point.
     The search is the in-package :func:`_nelder_mead`, which visits the same
     angles as scipy's Nelder-Mead with ``maxfev`` set to the budget.
     """
@@ -311,8 +382,7 @@ def optimize_params(
         if evals >= budget:
             raise _BudgetExhausted
         evals += 1
-        params = QaoaParams(tuple(x[:depth]), tuple(x[depth:]))
-        val = expectation(run_circuit(qubo, params), qubo)
+        val = _energy(qubo, x[:depth], x[depth:])
         if val < best_val:
             best_val = val
             best_x = x

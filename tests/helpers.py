@@ -12,6 +12,7 @@ from hquc import (
     GeneratorParams,
     InvariantViolation,
     ProductState,
+    QaoaParams,
     QuboProblem,
     UCInstance,
     phase_scale,
@@ -257,6 +258,14 @@ def dense_run_circuit(qubo, params):
         state = dense_cost_layer(state, qubo, gamma, scale=phase_scale(qubo))
         state = dense_mixer_layer(state, beta)
     return state
+
+
+def dense_energy(qubo, gammas, betas):
+    """The circuit's expected energy, its 2^n probabilities over the energy
+    table: the dense oracle of :func:`hquc.qaoa._energy`, with its
+    signature."""
+    state = dense_run_circuit(qubo, QaoaParams(tuple(gammas), tuple(betas)))
+    return float(state.probabilities() @ energy_table(qubo))
 
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)

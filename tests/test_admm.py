@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from helpers import dense_run_circuit, random_instance
+from helpers import dense_energy, dense_run_circuit, random_instance
 
 import hquc.qaoa
 from hquc import (
@@ -26,6 +26,7 @@ from hquc import (
     residual,
     UCInstance,
     run_admm,
+    solve_qubo_perbit,
     update_dual,
     update_r,
 )
@@ -196,9 +197,29 @@ class TestRunAdmm:
         for row in report.trace:
             for value in (
                 row.residual, row.objective, row.block1_objective,
-                row.block1_kkt, row.block2_energy,
+                row.block1_kkt, row.block2_energy, row.block2_gap,
             ):
                 assert math.isfinite(value)
+
+    def test_block2_gap_is_zero_on_every_s1_row(self, ten_unit):
+        for load in range(50, 1601, 50):
+            report = run_admm(ten_unit(float(load)), default_config(float(load)))
+            assert all(row.block2_gap == 0.0 for row in report.trace)
+
+    def test_block2_gap_measures_the_qaoa_bits(self, four_unit, ten_unit_generators):
+        # The gap is the returned bits' energy over the per-bit minimum, so
+        # it is never negative.  A budget of one leaves the bits to the start
+        # angles, which miss the minimum here.
+        for inst in (four_unit(300.0), UCInstance(ten_unit_generators[:7], 500.0)):
+            for budget in (1, 100):
+                qaoa = QaoaConfig(depth=1, optimizer_budget=budget)
+                config = default_config(inst.load, backend="qaoa", qaoa=qaoa, max_iters=20)
+                report = run_admm(inst, config)
+                for row, outcome in zip(report.trace, report.qaoa_diagnostics):
+                    least = solve_qubo_perbit(outcome.qubo)[1]
+                    assert row.block2_gap == outcome.qubo.energy(outcome.bits) - least
+                    assert row.block2_gap >= 0.0
+                assert any(row.block2_gap > 0.0 for row in report.trace) == (budget == 1)
 
     def test_classical_runs_are_deterministic(self, ten_unit):
         a = run_admm(ten_unit(800.0), default_config(800.0))
@@ -385,11 +406,12 @@ class TestFinalRepair:
 
 
 class TestQaoaKernelTrajectory:
-    """The product-state kernel leaves every s2 trajectory bit-identical.
+    """The product-state kernel and the angle search's scalar loop leave
+    every s2 trajectory bit-identical to the dense statevector simulation's.
 
     The speedup relies on this: ADMM sees only the extracted bits, and those
-    match the dense statevector simulation's, even where the optimized angles
-    differ in their last digits.
+    match the dense simulation's, even where the expectations and optimized
+    angles differ in their last digits.
     """
 
     @staticmethod
@@ -410,6 +432,7 @@ class TestQaoaKernelTrajectory:
         for inst in (four_unit(50.0), UCInstance(ten_unit_generators[:6], 200.0)):
             product = self._run(inst)
             with monkeypatch.context() as patch:
+                patch.setattr(hquc.qaoa, "_energy", dense_energy)
                 patch.setattr(hquc.qaoa, "run_circuit", dense_run_circuit)
                 dense = self._run(inst)
             assert product == dense

@@ -194,7 +194,8 @@ class TestAdmmModes:
         assert code == EXIT_OK
         trace_lines = (out / "trace.csv").read_text().splitlines()
         assert trace_lines[0] == (
-            "iter,residual,objective,block1_objective,block1_kkt,block2_energy"
+            "iter,residual,objective,block1_objective,block1_kkt,block2_energy,"
+            "block2_gap"
         )
         final_residual = float(trace_lines[-1].split(",")[1])
         assert final_residual <= 1e-6

@@ -1,13 +1,18 @@
-"""Bit-identity pins: the pure-Python solver paths return the floats they
-returned when the pins were recorded.
+"""Bit-identity pins: the solver paths return the floats they returned when
+the pins were recorded.
 
 ROADMAP aim 2 asks that ADMM trajectories stay bit-identical while the maths
 is unchanged, so a change that moves any float here changed an answer; one
 that does so on purpose records new digests and states its tolerance.  Each
 pin hashes ``float.hex()`` of explicit value tuples rather than dataclass
-reprs, so a field added to a result type leaves it alone.  s2 is left out:
-it reads numpy's ``exp`` and libm's ``sin`` and ``cos``, which may differ
-across machines.
+reprs, so a field added to a result type leaves it alone.
+
+The s2 pin hashes only the pure-Python values that follow from each
+iteration's QAOA bits: the trace, the bits and the polished answer.  It
+leaves out the angles and the QAOA expectation, which read numpy's and
+libm's ``exp``, ``sin`` and ``cos`` and may move by ulps across machines or
+kernels.  Each bit compares its qubit's two probabilities, which such ulps
+move only at a near tie.
 """
 
 import hashlib
@@ -16,7 +21,14 @@ import numpy as np
 
 from helpers import random_instance
 
-from hquc import AdmmConfig, Infeasible, default_config, run_admm, solve_uc_exact
+from hquc import (
+    AdmmConfig,
+    Infeasible,
+    UCInstance,
+    default_config,
+    run_admm,
+    solve_uc_exact,
+)
 from hquc.ucmodel import _dual_bound
 
 #: sha256 over the s1 runs on the ten-unit system at 50, 100, ..., 1600 MW.
@@ -24,6 +36,9 @@ S1_DIGEST = "c232986c56cb617f106f57a3902c3c18c67012ecc8cbfbf304de808a26e5ee0f"
 #: sha256 over s1 on 20 seeded random fleets, some units with c = 0, at two
 #: penalty pairs.
 S1_RANDOM_DIGEST = "fd6912444476878e6c443824459145cf0667fec4c7b5c0ff77fc31a46fb46593"
+#: sha256 over s2 on the first 4, 7 and 10 ten-unit rows at 20%, 50% and 80%
+#: of their capacity, with each iteration's QAOA bits.
+S2_DIGEST = "0d4809b8409d1a068edad381a42f0bcc774f380788d2bb120e3e264e18a68af2"
 #: sha256 over the exact baseline on 20 seeded random fleets.
 BASELINE_DIGEST = "35db172a1b1831dfe17bc7a241e8095455c343acdd4f9d5e7101277f722d6c4a"
 #: sha256 over the Lagrangian bound's (mu, bound) on the same 20 fleets, at
@@ -72,6 +87,22 @@ def test_s1_on_random_fleets_is_pinned():
             report = run_admm(instance, AdmmConfig(rho=rho, beta=beta))
             rows.extend(_report_rows((seed, rho), report))
     assert _digest(rows) == S1_RANDOM_DIGEST
+
+
+def test_s2_trajectories_are_pinned(ten_unit_generators):
+    rows = []
+    for k in (4, 7, 10):
+        generators = ten_unit_generators[:k]
+        capacity = sum(g.p_max for g in generators)
+        for fraction in (0.2, 0.5, 0.8):
+            load = fraction * capacity
+            report = run_admm(
+                UCInstance(generators, load), default_config(load, backend="qaoa")
+            )
+            rows.extend(_report_rows((k, fraction), report))
+            for it, outcome in enumerate(report.qaoa_diagnostics, 1):
+                rows.append((it, *outcome.bits))
+    assert _digest(rows) == S2_DIGEST
 
 
 def test_exact_baseline_is_pinned():

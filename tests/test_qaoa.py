@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from helpers import (
     DenseState,
     dense_cost_layer,
+    dense_energy,
     dense_mixer_layer,
     dense_run_circuit,
     dense_uniform,
@@ -267,6 +268,70 @@ class TestProductKernel:
         assert bits == dense_run_circuit(qubo, params).most_probable_bits()
 
 
+class TestScalarEnergy:
+    """The angle search's scalar loop prices the circuit that
+    :func:`run_circuit` and the dense oracle simulate."""
+
+    def test_agrees_with_kernel_and_dense_oracle(self):
+        # Rounding differs (numpy's complex multiply and abs round their own
+        # way), so the values agree to 1e-12 of the energy's size, not bitwise.
+        rng = np.random.default_rng(2026)
+        for case in range(600):
+            n = int(rng.integers(1, hquc.qaoa._SCALAR_QUBITS + 1))
+            depth = 1 + case % 4
+            linear = rng.normal(0, 10.0 ** rng.uniform(0, 6), n)
+            linear[rng.random(n) < 0.2] = 0.0
+            if case % 7 == 0:
+                linear[:] = 0.0
+            gammas = rng.uniform(-2, 2, depth)
+            betas = rng.uniform(-2, 2, depth)
+            if case % 5 in (1, 3):
+                gammas[:] = 0.0
+            if case % 5 in (2, 3):
+                betas[:] = 0.0
+            qubo = QuboProblem(tuple(linear), float(rng.normal(0, 100)))
+            got = hquc.qaoa._energy(qubo, gammas.tolist(), betas.tolist())
+            assert type(got) is float
+            size = max(1.0, np.abs(linear).sum() + abs(qubo.constant))
+            params = QaoaParams(tuple(gammas), tuple(betas))
+            kernel = expectation(run_circuit(qubo, params), qubo)
+            assert abs(got - kernel) <= 1e-12 * size
+            if n <= 10:
+                assert abs(got - dense_energy(qubo, gammas, betas)) <= 1e-12 * size
+
+    def test_above_the_threshold_it_is_the_kernel(self):
+        # Large QUBOs keep numpy's values bit for bit.
+        rng = np.random.default_rng(5)
+        for n in (hquc.qaoa._SCALAR_QUBITS + 1, 100, 200):
+            qubo = QuboProblem(tuple(rng.normal(0, 1000, n)), 2.0)
+            params = QaoaParams((0.3, -0.7), (0.45, 0.1))
+            got = hquc.qaoa._energy(qubo, [0.3, -0.7], [0.45, 0.1])
+            assert got == expectation(run_circuit(qubo, params), qubo)
+
+    @pytest.mark.parametrize("n", [3, hquc.qaoa._SCALAR_QUBITS + 1])
+    @pytest.mark.parametrize(
+        "gammas, betas",
+        [([1e308], [0.1]), ([0.1], [-1e308]), ([math.inf], [0.1]), ([0.1], [math.nan])],
+    )
+    def test_overflowing_phase_prices_as_nan(self, n, gammas, betas):
+        # pi * 1e308 / 2 overflows: math.cos would raise and numpy's exp
+        # would warn, so both paths return NaN, which the search ranks last.
+        qubo = QuboProblem(tuple(float(i) - 1.5 for i in range(n)))
+        assert math.isnan(hquc.qaoa._energy(qubo, gammas, betas))
+
+    def test_search_past_an_overflowing_vertex(self):
+        # pi * gamma / 2 is finite at the start but overflows at the simplex
+        # vertex 1.05 * gamma: that vertex prices NaN and the search goes on.
+        qubo = QuboProblem((-1.0, 2.0))
+        start = QaoaParams((5.5e307,), (0.3,))
+        config = QaoaConfig(depth=1, optimizer_budget=30)
+        assert math.isnan(hquc.qaoa._energy(qubo, [1.05 * 5.5e307], [0.3]))
+        params, value = optimize_params(qubo, config, start)
+        f_start = hquc.qaoa._energy(qubo, [5.5e307], [0.3])
+        assert math.isfinite(value) and value <= f_start
+        assert value == hquc.qaoa._energy(qubo, list(params.gammas), list(params.betas))
+
+
 class TestExpectation:
     def test_uniform_single_qubit(self):
         assert expectation(_uniform(1), QuboProblem((-1.0,))) == pytest.approx(-0.5)
@@ -347,8 +412,7 @@ class TestNelderMeadParity:
 
         def objective(x):
             points.append(tuple(float(v) for v in x))
-            params = QaoaParams(tuple(x[:depth]), tuple(x[depth:]))
-            return expectation(run_circuit(qubo, params), qubo)
+            return hquc.qaoa._energy(qubo, x[:depth].tolist(), x[depth:].tolist())
 
         minimize(
             objective,
@@ -362,12 +426,14 @@ class TestNelderMeadParity:
     def _package_points(monkeypatch, qubo, start, budget):
         points = []
 
-        def recorded(qubo, params):
-            points.append(params.gammas + params.betas)
-            return run_circuit(qubo, params)
+        energy = hquc.qaoa._energy
+
+        def recorded(qubo, gammas, betas):
+            points.append(tuple(gammas) + tuple(betas))
+            return energy(qubo, gammas, betas)
 
         with monkeypatch.context() as patch:
-            patch.setattr(hquc.qaoa, "run_circuit", recorded)
+            patch.setattr(hquc.qaoa, "_energy", recorded)
             optimize_params(qubo, QaoaConfig(optimizer_budget=budget), start)
         return points
 
@@ -409,13 +475,13 @@ class TestNelderMeadParity:
 
 
 class TestSeams:
-    """The angle search reaches the circuit through the module attributes
-    ``run_circuit`` and ``expectation``, once per evaluation: the dense
-    oracle tests and the benchmark's span tracer replace those attributes."""
+    """The angle search prices each evaluation through the module attribute
+    ``_energy``, and a solve builds its state through ``run_circuit`` once,
+    at the optimum: the dense oracle tests replace those attributes."""
 
     @staticmethod
     def _counted(monkeypatch):
-        calls = {"run_circuit": 0, "expectation": 0}
+        calls = {"_energy": 0, "run_circuit": 0}
         for name in calls:
             original = getattr(hquc.qaoa, name)
 
@@ -429,14 +495,19 @@ class TestSeams:
     @pytest.mark.parametrize("budget", [1, 2, 5, 7, 40])
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_one_call_of_each_per_evaluation(self, monkeypatch, depth, budget):
-        qubo = QuboProblem((-3.0, 1.5, 40.0, 0.0), 2.0)
-        config = QaoaConfig(depth=depth, optimizer_budget=budget)
         calls = self._counted(monkeypatch)
-        optimize_params(qubo, config)
-        assert calls == {"run_circuit": budget, "expectation": budget}
-        calls.update(run_circuit=0, expectation=0)
-        solve_qubo_qaoa(qubo, config)
-        assert calls == {"run_circuit": budget + 1, "expectation": budget}
+        for n in (4, hquc.qaoa._SCALAR_QUBITS + 1):
+            linear = (-3.0, 1.5, 40.0, 0.0) * (n // 4) + (7.0,) * (n % 4)
+            qubo = QuboProblem(linear, 2.0)
+            config = QaoaConfig(depth=depth, optimizer_budget=budget)
+            # Above the threshold each evaluation also runs the circuit.
+            circuits = budget if n > hquc.qaoa._SCALAR_QUBITS else 0
+            calls.update(_energy=0, run_circuit=0)
+            optimize_params(qubo, config)
+            assert calls == {"_energy": budget, "run_circuit": circuits}
+            calls.update(_energy=0, run_circuit=0)
+            solve_qubo_qaoa(qubo, config)
+            assert calls == {"_energy": budget, "run_circuit": circuits + 1}
 
 
 class TestExtractSolution:
@@ -518,6 +589,15 @@ class TestSolveQuboQaoa:
         warm = QaoaParams((0.9, -0.2), (0.4, 0.7))
         outcome = solve_qubo_qaoa(qubo, config, warm=warm)
         assert outcome.params == warm
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_rejected(self, bad):
+        # optimize_params once returned a NaN start with value inf; no such
+        # start can be built now.
+        with pytest.raises(InvariantViolation, match="finite"):
+            QaoaParams((bad,), (0.1,))
+        with pytest.raises(InvariantViolation, match="finite"):
+            QaoaParams((0.1, 0.2), (0.3, bad))
 
     def test_negative_sample_seed_rejected(self):
         with pytest.raises(InvariantViolation):

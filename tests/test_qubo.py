@@ -115,3 +115,22 @@ class TestPerBitSolver:
             pb, pe = solve_qubo_perbit(qubo)
             assert eb == pb
             assert ee == pe
+
+
+class TestPhaseSlopes:
+    def test_rows_are_built_from_the_slopes(self):
+        # One definition: the circuit's phase row holds the slopes that the
+        # angle search's scalar loop reads, bit for bit.
+        rng = np.random.default_rng(212)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            linear = rng.normal(0.0, 10.0 ** rng.uniform(0, 6), n)
+            linear[rng.random(n) < 0.2] = 0.0
+            qubo = QuboProblem(tuple(linear))
+            assert type(qubo.slopes) is tuple
+            assert qubo.phase_rows[1].real.tolist() == list(qubo.slopes)
+            assert not qubo.phase_rows[1].imag.any() and not qubo.phase_rows[0].any()
+            assert max(abs(h) for h in qubo.slopes) == (1.0 if linear.any() else 0.0)
+
+    def test_all_zero_objective_keeps_zero_slopes(self):
+        assert QuboProblem((0.0, -0.0, 0.0)).slopes == (0.0, -0.0, 0.0)
