@@ -29,13 +29,13 @@ limit; the 2^n amplitudes are built (by Kronecker product) only for the
 probability map, up to 16 qubits.
 
 The angle search evaluates the expectation about a hundred times per QUBO
-and needs nothing else, so it goes through :func:`_energy`.  Up to
-:data:`_SCALAR_QUBITS` qubits that is the same arithmetic as a flat loop over
-each qubit's amplitude parts in Python floats, since at a few qubits numpy's
-per-call overhead costs more than the arithmetic; it builds no state or
-array.  Its values agree with ``expectation(run_circuit(...))`` to rounding,
-not bitwise.  Above the threshold it is that expression.  Each solve builds
-the :class:`ProductState` once, at the optimum, for the bits.
+and needs nothing else, so it goes through :func:`_energy`: the same
+arithmetic as a flat loop over each qubit's amplitude parts in Python floats,
+which builds no state or array.  At the few qubits of a block-2 QUBO numpy's
+per-call overhead costs more than the arithmetic it vectorizes; at a hundred
+qubits and more the loop is the slower.  Its values agree with
+``expectation(run_circuit(...))`` to rounding, not bitwise.  Each solve
+builds the :class:`ProductState` once, at the optimum, for the bits.
 
 numpy is imported inside the functions that build or read arrays
 (:func:`run_circuit`, :func:`extract_solution`, the angle search's sort of
@@ -228,24 +228,17 @@ def expectation(state: ProductState, qubo: QuboProblem) -> float:
     return float(state.marginals() @ qubo.linear_array) + qubo.constant
 
 
-#: Largest QUBO whose angle-search evaluations run as a scalar loop (see
-#: :func:`_energy`).  Below the crossover, measured between 20 and 30 qubits
-#: at depths 1 to 3, numpy's per-call overhead costs more than the
-#: arithmetic it vectorizes; above it, numpy wins by up to 5x at 200.
-_SCALAR_QUBITS = 20
-
-
 def _energy(qubo: QuboProblem, gammas: Sequence[float], betas: Sequence[float]) -> float:
     """The expectation at the angles ``(gammas, betas)``: one angle-search
     evaluation.
 
-    Up to :data:`_SCALAR_QUBITS` qubits this is :func:`run_circuit`'s
-    arithmetic as a loop over each qubit's four amplitude parts in Python
-    floats, with the per-layer constants built once; above it, it is
-    ``expectation(run_circuit(...))``.  The two agree to rounding, not
-    bitwise: numpy's complex multiply and ``abs`` round differently from
-    the scalar products.  An angle whose phase ``pi * angle / 2`` is not
-    finite prices as NaN, which the search ranks last.
+    This is :func:`run_circuit`'s arithmetic as a loop over each qubit's
+    four amplitude parts in Python floats, with the per-layer constants
+    built once.  It agrees with ``expectation(run_circuit(...))`` to
+    rounding, not bitwise: numpy's complex multiply and ``abs`` round
+    differently from the scalar products.  An angle whose phase
+    ``pi * angle / 2`` is not finite prices as NaN, which the search ranks
+    last.
     """
     layers = []
     for gamma, beta in zip(gammas, betas):
@@ -254,8 +247,6 @@ def _energy(qubo: QuboProblem, gammas: Sequence[float], betas: Sequence[float]) 
         if not (math.isfinite(t) and math.isfinite(m)):
             return math.nan
         layers.append((t, math.cos(m), math.sin(m)))
-    if qubo.n > _SCALAR_QUBITS:
-        return expectation(run_circuit(qubo, QaoaParams(gammas, betas)), qubo)
     cos, sin = math.cos, math.sin
     amp = 2.0**-0.5
     total = 0.0
