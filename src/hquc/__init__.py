@@ -5,10 +5,8 @@ from .admm import (
     AdmmConfig,
     BACKEND_CLASSICAL,
     BACKEND_QAOA,
-    ComparisonReport,
     SolveReport,
     TraceRow,
-    compare,
     default_config,
     preset_penalties,
     residual,
@@ -21,7 +19,6 @@ from .errors import (
     Infeasible,
     InfeasibleCommitment,
     InfeasibleRelaxation,
-    InstanceMismatch,
     InvariantViolation,
     LengthMismatch,
     MalformedRow,
@@ -35,7 +32,6 @@ from .qaoa import (
     QaoaConfig,
     QaoaOutcome,
     QaoaParams,
-    expectation,
     extract_solution,
     optimize_params,
     run_circuit,

@@ -40,6 +40,3 @@ class InfeasibleRelaxation(SolverError):
 class TooManyQubits(SolverError):
     """A 2**n amplitude table would exceed its size guard."""
 
-
-class InstanceMismatch(SolverError):
-    """Two reports being compared come from different instances."""

@@ -17,67 +17,45 @@ Product form: the block-2 QUBO has no couplings, ``C = sum_i h_i z_i``, so
 single-qubit rotations too, and so is ``H^n |0>``.  A product of single-qubit
 gates keeps a product state a product state, so the QAOA state is one
 amplitude pair ``(a0_i, a1_i)`` per qubit at every depth, exactly: no
-approximation is made.  :func:`run_circuit` holds the n pairs as one complex
-``(2, n)`` array, row ``k`` the amplitudes of ``|k>``, and spends three numpy
-steps per layer: the phase row, one multiply, and the mixer's sum of the rows
-and the swapped rows.  That is O(n P) per circuit instead of O(n 2^n P).  It
-returns a :class:`ProductState` whose ``pairs`` is the ``(n, 2)`` transpose.
-The expectation is ``sum_i q_i P_i(1) + constant`` from the per-qubit
-marginals, and the most probable bitstring takes each bit from its own qubit.
-Sample extraction draws each bit from its own marginal.  No solve has a size
-limit; the 2^n amplitudes are built (by Kronecker product) only for the
-probability map, up to 16 qubits.
+approximation is made (Farhi, Goldstone and Gutmann, arXiv:1411.4028).  That
+is O(n P) per circuit instead of O(n 2^n P).
 
-The angle search evaluates the expectation about a hundred times per QUBO
-and needs nothing else, so it goes through :func:`_energy`: the same
-arithmetic as a flat loop over each qubit's amplitude parts in Python floats,
-which builds no state or array.  At the few qubits of a block-2 QUBO numpy's
-per-call overhead costs more than the arithmetic it vectorizes; at a hundred
-qubits and more the loop is the slower.  Its values agree with
-``expectation(run_circuit(...))`` to rounding, not bitwise.  Each solve
-builds the :class:`ProductState` once, at the optimum, for the bits.
-
-numpy is imported inside the functions that build or read arrays
-(:func:`run_circuit`, :func:`extract_solution`, the angle search's sort of
-tied values and :attr:`ProductState.amplitudes`), and the other
-:class:`ProductState` methods use the arrays' own operators.  So ``import
-hquc`` and the s1 and baseline solves never load numpy; the first QAOA solve
-does.
+One kernel, :func:`_energy`, carries each qubit's four amplitude parts
+through the layers in Python floats and sums ``q_i P_i(1)``.  The angle
+search calls it about a hundred times per QUBO for the expectation alone;
+:func:`run_circuit` calls it once more, at the optimum, and keeps each
+qubit's pair as a :class:`ProductState`.  The most probable bitstring takes
+each bit from its own qubit, and sample extraction draws each bit from its
+own marginal.  No solve has a size limit; the 2^n amplitudes are built (as a
+Kronecker product, in pure Python) only for the probability map, up to 16
+qubits.  The package needs no numpy.
 
 Oracle: the tests simulate the same circuit on the full 2^n statevector,
 layer by layer, and ground that simulation in the full-matrix product at
-small n; the package ships only the product state.  So :func:`expectation`
-and :func:`extract_solution` take a :class:`ProductState`, for which the
-per-qubit draw of sample mode is a true sample of the circuit's output.
+small n.  :func:`extract_solution` takes a :class:`ProductState`, for which
+the per-qubit draw of sample mode is a true sample of the circuit's output.
 
 Bit convention: variable ``i`` (1-based) lives on qubit ``i - 1``, the least
 significant bit of the basis index, and bitstrings render most significant
 qubit first, so basis index 11 on four qubits is '1011'.
 
 Phase scaling: penalty-sized QUBO coefficients (thousands and up) would wrap
-the cost phases many times over and shred the parameter landscape, so
-:func:`run_circuit` divides the linear coefficients by ``max_i |q_i|`` before
-phase construction (:attr:`QuboProblem.phase_rows`).  Positive rescaling
-never changes the argmin over bitstrings, and expectation values are always
-reported in original units with the constant offset restored.  The problem
-builds the per-QUBO values once: the scaled slopes
-(:attr:`QuboProblem.slopes`, which the scalar loop reads) and, read-only,
-:attr:`QuboProblem.phase_rows` (the cost step's ``zh``, described in
-:func:`run_circuit`) and :attr:`QuboProblem.linear_array` (the
-expectation's coefficients).
+the cost phases many times over and shred the parameter landscape, so the
+cost layer reads the coefficients divided by ``max_i |q_i|``
+(:attr:`QuboProblem.slopes`, built once per QUBO).  Positive rescaling never
+changes the argmin over bitstrings, and expectation values are always
+reported in original units with the constant offset restored.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from random import Random
+from typing import Callable, Sequence
 
-from .errors import InvariantViolation, LengthMismatch, TooManyQubits
+from .errors import InvariantViolation, TooManyQubits
 from .qubo import QuboProblem
-
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Guard on 2**n amplitude tables (histograms): 2**16 amplitudes.
 MAX_QUBITS = 16
@@ -89,37 +67,40 @@ def check_dense_size(n: int) -> None:
         raise TooManyQubits(f"n={n} exceeds simulation guard {MAX_QUBITS}")
 
 
+def _prob(a: complex) -> float:
+    """``|a|^2`` as ``re^2 + im^2``, the kernel's own arithmetic."""
+    return a.real * a.real + a.imag * a.imag
+
+
 @dataclass(frozen=True, eq=False)
 class ProductState:
-    """Unentangled n-qubit state: row ``i`` of ``pairs`` is ``(a0_i, a1_i)``."""
+    """Unentangled n-qubit state: ``pairs[i]`` is qubit i's ``(a0_i, a1_i)``."""
 
-    pairs: np.ndarray
+    pairs: tuple[tuple[complex, complex], ...]
 
     @property
     def n(self) -> int:
         return len(self.pairs)
 
     @property
-    def amplitudes(self) -> np.ndarray:
+    def amplitudes(self) -> list[complex]:
         """The 2**n amplitudes, qubit 0 as the least significant bit."""
-        import numpy as np
-
         check_dense_size(self.n)
-        amps = np.ones(1, dtype=complex)
-        for pair in self.pairs:
-            amps = np.kron(pair, amps)
+        amps = [1.0 + 0.0j]
+        for a0, a1 in self.pairs:
+            amps = [a0 * x for x in amps] + [a1 * x for x in amps]
         return amps
 
-    def probabilities(self) -> np.ndarray:
-        return abs(self.amplitudes) ** 2
+    def probabilities(self) -> list[float]:
+        return [_prob(a) for a in self.amplitudes]
 
     def norm_error(self) -> float:
         """Deviation of the total probability from one."""
-        return abs(float((abs(self.pairs) ** 2).sum(axis=1).prod()) - 1.0)
+        return abs(math.prod(_prob(a0) + _prob(a1) for a0, a1 in self.pairs) - 1.0)
 
-    def marginals(self) -> np.ndarray:
+    def marginals(self) -> list[float]:
         """Per-qubit probability of reading 1, ``P_i(1)``."""
-        return abs(self.pairs[:, 1]) ** 2
+        return [_prob(a1) for _, a1 in self.pairs]
 
     def most_probable_bits(self) -> tuple[int, ...]:
         """Each bit is 1 iff ``P_i(1) > P_i(0)``; ties go to 0.
@@ -127,8 +108,7 @@ class ProductState:
         For a product state this is the argmax over basis states, ties going
         to the smallest basis index.
         """
-        probs = abs(self.pairs) ** 2
-        return tuple(int(p1 > p0) for p0, p1 in probs)
+        return tuple(int(_prob(a1) > _prob(a0)) for a0, a1 in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -146,9 +126,12 @@ class QaoaParams:
                 f"need equal-length nonempty angle lists, got "
                 f"{len(self.gammas)} gammas and {len(self.betas)} betas"
             )
-        if not all(map(math.isfinite, self.gammas + self.betas)):
+        # The kernel's phase pi * angle / 2: it is not finite for a NaN or
+        # infinite angle, nor for a finite one above about 5.7e307.
+        if not all(math.isfinite(math.pi * a / 2.0) for a in self.gammas + self.betas):
             raise InvariantViolation(
-                f"angles must be finite, got gammas {self.gammas} and betas {self.betas}"
+                f"angles and their phases pi * angle / 2 must be finite, got "
+                f"gammas {self.gammas} and betas {self.betas}"
             )
 
     @property
@@ -191,54 +174,19 @@ class QaoaOutcome:
         return {format(i, f"0{self.state.n}b"): float(p) for i, p in enumerate(probs)}
 
 
-def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
-    """Prepare the uniform state, then apply P (cost, mixer) layer pairs.
+def _energy(
+    qubo: QuboProblem,
+    gammas: Sequence[float],
+    betas: Sequence[float],
+    pairs: list[tuple[complex, complex]] | None = None,
+) -> float:
+    """The expectation at the angles ``(gammas, betas)``: the QAOA kernel.
 
-    The state is one complex ``(2, n)`` array, row ``k`` holding every
-    qubit's ``|k>`` amplitude.  The cost step multiplies it by
-    ``exp(i pi gamma zh / 2)``, where ``zh`` (:attr:`QuboProblem.phase_rows`)
-    is 0 in row 0 and ``h = q / phase_scale(qubo)`` in row 1; the mixer step
-    adds ``i sin(pi beta / 2)`` times the swapped rows to ``cos(pi beta / 2)``
-    times the rows.  The result equals the full 2^n-amplitude circuit up to
-    rounding.
-    """
-    import numpy as np
-
-    if qubo.n < 1:
-        raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
-    zh = qubo.phase_rows
-    amps = np.full((2, qubo.n), 2.0**-0.5, dtype=complex)
-    for gamma, beta in zip(params.gammas, params.betas):
-        # Out of place: an in-place complex multiply such as ``amps[1] *= p``
-        # can take another numpy loop, which rounds differently.
-        amps = amps * np.exp((1j * math.pi * gamma / 2.0) * zh)
-        c = math.cos(math.pi * beta / 2.0)
-        s = 1j * math.sin(math.pi * beta / 2.0)
-        amps = c * amps + s * amps[::-1]
-    return ProductState(amps.T)
-
-
-def expectation(state: ProductState, qubo: QuboProblem) -> float:
-    """Expected full QUBO energy (constant restored, original units).
-
-    For a diagonal QUBO this is ``sum_i q_i P_i(1) + constant``.
-    """
-    if qubo.n != state.n:
-        raise LengthMismatch(f"qubo n={qubo.n} but state n={state.n}")
-    return float(state.marginals() @ qubo.linear_array) + qubo.constant
-
-
-def _energy(qubo: QuboProblem, gammas: Sequence[float], betas: Sequence[float]) -> float:
-    """The expectation at the angles ``(gammas, betas)``: one angle-search
-    evaluation.
-
-    This is :func:`run_circuit`'s arithmetic as a loop over each qubit's
-    four amplitude parts in Python floats, with the per-layer constants
-    built once.  It agrees with ``expectation(run_circuit(...))`` to
-    rounding, not bitwise: numpy's complex multiply and ``abs`` round
-    differently from the scalar products.  An angle whose phase
-    ``pi * angle / 2`` is not finite prices as NaN, which the search ranks
-    last.
+    A loop over each qubit's four amplitude parts in Python floats, with the
+    per-layer constants built once; it returns ``sum_i q_i P_i(1)`` plus the
+    constant.  Given ``pairs``, it also appends each qubit's final
+    ``(a0_i, a1_i)`` there.  An angle whose phase ``pi * angle / 2`` is not
+    finite prices as NaN, which the search ranks last.
     """
     layers = []
     for gamma, beta in zip(gammas, betas):
@@ -266,7 +214,22 @@ def _energy(qubo: QuboProblem, gammas: Sequence[float], betas: Sequence[float]) 
             a0r = c * a0r - s * y
             a0i = c * a0i + s * x
         total += q * (a1r * a1r + a1i * a1i)
+        if pairs is not None:
+            pairs.append((complex(a0r, a0i), complex(a1r, a1i)))
     return total + qubo.constant
+
+
+def run_circuit(qubo: QuboProblem, params: QaoaParams) -> ProductState:
+    """Prepare the uniform state, then apply P (cost, mixer) layer pairs.
+
+    Runs :func:`_energy`'s loop once and keeps each qubit's amplitude pair.
+    The result equals the full 2^n-amplitude circuit up to rounding.
+    """
+    if qubo.n < 1:
+        raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
+    pairs: list[tuple[complex, complex]] = []
+    _energy(qubo, params.gammas, params.betas, pairs)
+    return ProductState(tuple(pairs))
 
 
 class _BudgetExhausted(Exception):
@@ -276,14 +239,15 @@ class _BudgetExhausted(Exception):
 def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
     """Nelder-Mead from ``x0``, run until the simplex converges.
 
-    Visits exactly the trial points of ``scipy.optimize.minimize(func, x0,
+    Visits the trial points of ``scipy.optimize.minimize(func, x0,
     method="Nelder-Mead", options={"xatol": 1e-6, "fatol": 1e-10})`` (scipy
     1.17.1, no bounds, ``adaptive=False``): the same initial simplex, step
-    arithmetic, comparisons, stopping test and ``np.argsort`` order, which
-    need not keep tied vertices in place.  Vertices are lists of floats, and
-    each is built only when it is evaluated.  Strictly increasing values
-    have one sorted order, which ``sorted`` finds without numpy.  There is
-    no evaluation limit; ``func`` ends the search early by raising.
+    arithmetic, comparisons and stopping test.  The vertices are ranked by a
+    stable sort that puts NaN last, so tied vertices keep their places;
+    scipy's ``np.argsort`` may move them, and then the two searches part.
+    Vertices are lists of floats, and each is built only when it is
+    evaluated.  There is no evaluation limit; ``func`` ends the search early
+    by raising.
     """
     n = len(x0)
     sim = [x0]
@@ -295,18 +259,10 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
         fsim.append(func(vertex))
 
     def sort() -> None:
-        order = sorted(range(n + 1), key=fsim.__getitem__)
-        if not all(fsim[i] < fsim[j] for i, j in zip(order, order[1:])):
-            # Ties, signed zeros or NaN: argsort's own order, which may move
-            # tied vertices, and ranks NaN last.
-            import numpy as np
-
-            order = np.argsort(fsim)
+        order = sorted(range(n + 1), key=lambda i: (math.isnan(fsim[i]), fsim[i]))
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 
-    # scipy sorts twice here; a second unstable argsort may swap ties.
-    sort()
     sort()
     while not (
         all(abs(v - v0) <= 1e-6 for x in sim[1:] for v, v0 in zip(x, sim[0]))
@@ -357,7 +313,8 @@ def optimize_params(
     the best parameters seen with their value, so the result is never worse
     than the starting point.
     The search is the in-package :func:`_nelder_mead`, which visits the same
-    angles as scipy's Nelder-Mead with ``maxfev`` set to the budget.
+    angles as scipy's Nelder-Mead with ``maxfev`` set to the budget wherever
+    no two vertices tie.
     """
     if start is None:
         start = QaoaParams((0.1,) * config.depth, (0.1,) * config.depth)
@@ -394,18 +351,17 @@ def extract_solution(
 
     argmax mode returns the most probable basis state, ties resolved toward
     the smallest basis index.  sample mode sets bit i to 1 iff ``u_i < P_i(1)``
-    with ``u`` drawn uniform from ``default_rng((config.sample_seed,
-    iteration))``: one draw per qubit, which for a product state has the
-    distribution of one draw over all 2**n basis states, at O(n) cost.  Each
-    outer ADMM iteration passes its own number, so each draws fresh
-    uniforms, and a rerun with the same seed draws the same ones.
+    with ``u`` drawn uniform from ``Random(f"{config.sample_seed}:{iteration}")``:
+    one draw per qubit, which for a product state has the distribution of one
+    draw over all 2**n basis states, at O(n) cost.  A string seed is hashed
+    the same way in every process.  Each outer ADMM iteration passes its own
+    number, so each draws fresh uniforms, and a rerun with the same seed
+    draws the same ones.
     """
     if config.extraction == "argmax":
         return state.most_probable_bits()
-    import numpy as np
-
-    u = np.random.default_rng((config.sample_seed, iteration)).random(state.n)
-    return tuple(int(v) for v in u < state.marginals())
+    rng = Random(f"{config.sample_seed}:{iteration}")
+    return tuple(int(rng.random() < p) for p in state.marginals())
 
 
 def solve_qubo_qaoa(

@@ -11,11 +11,8 @@ QUBO: ``energy(z) = sum_i q_i z_i + constant`` with
     q_i      = -lam_i + rho * (1/2 - a_i)
     constant = sum_i (lam_i * a_i + (rho / 2) * a_i**2)
 
-The problem itself is pure Python, and so are the phase slopes
-(:attr:`QuboProblem.slopes`) that the QAOA angle search reads.  numpy is
-imported by the cached arrays the QAOA circuit reads
-(:attr:`QuboProblem.linear_array` and :attr:`QuboProblem.phase_rows`), so it
-loads on the first QAOA solve and never for the per-bit solve.
+The problem is pure Python, and so are the phase slopes
+(:attr:`QuboProblem.slopes`) that the QAOA kernel reads.
 """
 
 from __future__ import annotations
@@ -23,12 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .errors import InvariantViolation, LengthMismatch
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -54,37 +48,13 @@ class QuboProblem:
                 e += q
         return e + self.constant
 
-    # The QAOA kernel's per-problem values, each built once, since the angle
-    # search evaluates one problem about a hundred times.
-
-    @cached_property
-    def linear_array(self) -> np.ndarray:
-        """``linear`` as a read-only float array."""
-        import numpy as np
-
-        return _read_only(np.asarray(self.linear))
-
     @cached_property
     def slopes(self) -> tuple[float, ...]:
-        """The slopes ``linear / phase_scale(self)`` that the cost layer turns
-        into phases, read by the angle search's scalar loop."""
+        """The slopes ``linear / phase_scale(self)`` that the QAOA cost layer
+        turns into phases, built once: the angle search evaluates one
+        problem about a hundred times."""
         scale = phase_scale(self)
         return tuple(q / scale for q in self.linear)
-
-    @cached_property
-    def phase_rows(self) -> np.ndarray:
-        """Read-only complex ``(2, n)``, zeros over :attr:`slopes`: the cost
-        step's ``zh`` in :func:`hquc.qaoa.run_circuit`, which owns its
-        layout.  Stored complex so that the cost step does not cast it."""
-        import numpy as np
-
-        rows = np.stack((np.zeros(self.n), np.asarray(self.slopes)))
-        return _read_only(rows.astype(complex))
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def phase_scale(qubo: QuboProblem) -> float:

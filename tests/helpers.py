@@ -186,9 +186,9 @@ def solve_qubo_exact(qubo):
 class DenseState:
     """Complex amplitudes over the 2**n computational basis states.
 
-    It has the read methods that :func:`hquc.qaoa.expectation`,
-    :func:`hquc.qaoa.extract_solution` and the QAOA outcome's probability map
-    call, so :func:`dense_run_circuit` can stand in for the product kernel.
+    It has the read methods that :func:`hquc.qaoa.extract_solution` and the
+    QAOA outcome's probability map call, so :func:`dense_run_circuit` can
+    stand in for the product kernel.
     """
 
     amplitudes: np.ndarray
@@ -300,8 +300,9 @@ def matrix_circuit(qubo, params):
 
 
 def reference_run_circuit(qubo, params):
-    """The product-state kernel as two ``(n,)`` amplitude arrays, one per basis
-    value, the bit-for-bit oracle of :func:`hquc.qaoa.run_circuit`."""
+    """The product-state circuit as two ``(n,)`` numpy amplitude arrays, one
+    per basis value: the array oracle of :func:`hquc.qaoa.run_circuit`, which
+    it agrees with to 1e-12, not to the bit."""
     if qubo.n < 1:
         raise InvariantViolation(f"need at least one qubit, got {qubo.n}")
     h = np.asarray(qubo.linear) / phase_scale(qubo)
@@ -312,10 +313,10 @@ def reference_run_circuit(qubo, params):
         c = math.cos(math.pi * beta / 2.0)
         s = 1j * math.sin(math.pi * beta / 2.0)
         a0, a1 = c * a0 + s * a1, s * a0 + c * a1
-    return ProductState(np.stack((a0, a1), axis=1))
+    return ProductState(tuple(zip(a0.tolist(), a1.tolist())))
 
 
 def reference_expectation(state, qubo):
-    """``sum_i q_i P_i(1) + constant`` with the coefficients converted on each
-    call, the bit-for-bit oracle of :func:`hquc.qaoa.expectation`."""
-    return float(state.marginals() @ np.asarray(qubo.linear)) + qubo.constant
+    """``sum_i q_i P_i(1) + constant`` as a numpy dot product: the array
+    oracle of :func:`hquc.qaoa._energy`, read off a state's marginals."""
+    return float(np.asarray(state.marginals()) @ np.asarray(qubo.linear)) + qubo.constant

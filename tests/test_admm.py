@@ -1,4 +1,5 @@
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -240,19 +241,20 @@ class TestRunAdmm:
     def test_sample_runs_draw_fresh_uniforms_each_iteration(
         self, four_unit, monkeypatch
     ):
+        # One stream per iteration, one uniform per qubit from each.
         draws = []
-        make_rng = np.random.default_rng
 
-        class RecordingRng:
+        class Recording(Random):
             def __init__(self, seed):
-                self._rng = make_rng(seed)
+                super().__init__(seed)
+                self.drawn = []
+                draws.append(self.drawn)
 
-            def random(self, size):
-                u = self._rng.random(size)
-                draws.append(tuple(u))
-                return u
+            def random(self):
+                self.drawn.append(super().random())
+                return self.drawn[-1]
 
-        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        monkeypatch.setattr(hquc.qaoa, "Random", Recording)
         qaoa = QaoaConfig(optimizer_budget=20, extraction="sample", sample_seed=7)
         cfg = default_config(50.0, backend="qaoa", qaoa=qaoa)
         first = run_admm(four_unit(50.0), cfg)
@@ -261,7 +263,8 @@ class TestRunAdmm:
         second = run_admm(four_unit(50.0), cfg)
         assert first.iterations >= 2
         assert len(first_draws) == first.iterations
-        assert len(set(first_draws)) == first.iterations
+        assert all(len(drawn) == 4 for drawn in first_draws)
+        assert len(set(map(tuple, first_draws))) == first.iterations
         assert draws == first_draws
         assert first.trace == second.trace
         assert first.final == second.final

@@ -18,10 +18,8 @@ from hquc import (
     Commitment,
     Infeasible,
     InfeasibleCommitment,
-    InstanceMismatch,
     UCInstance,
     check_feasible,
-    compare,
     default_config,
     economic_dispatch,
     enumerate_uc,
@@ -546,39 +544,42 @@ class TestInputErrors:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n"
 
-    def test_numpy_loads_on_first_qaoa_solve(self, gen_csv, four_unit_csv, tmp_path):
-        # Only the QAOA kernel builds arrays, so the import and the baseline
-        # and s1 solves leave numpy out; the s2 run loads it.
-        s2_extra = ("--max-iters", "4", "--emit-histograms")
+    def test_runs_with_numpy_blocked(self, gen_csv, tmp_path):
+        # numpy is a test oracle, never a run-time dependency: with its
+        # import refused, hquc imports and every mode solves.
         runs = [
             _args("baseline", gen_csv, 800, tmp_path / "baseline"),
             _args("s1", gen_csv, 800, tmp_path / "s1"),
-            _args("s2", four_unit_csv, 50, tmp_path / "s2", *s2_extra),
+            _args("s2", gen_csv, 800, tmp_path / "s2", "--emit-histograms"),
+            _args("s2", gen_csv, 800, tmp_path / "sample", "--extract", "sample"),
         ]
         script = (
             "import json, sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'numpy':\n"
+            "            raise ImportError(f'{name} is blocked')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "try:\n"
+            "    import numpy\n"
+            "except ImportError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('numpy was not blocked')\n"
             "import hquc, hquc.cli\n"
-            "seen = [(None, 'numpy' in sys.modules)]\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    seen.append((hquc.cli.main(argv), 'numpy' in sys.modules))\n"
-            "print(json.dumps(seen))\n"
+            "codes = [hquc.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
         )
         done = _fresh_python("-c", script, json.dumps(runs))
         assert done.returncode == 0, done.stderr
-        seen = json.loads(done.stdout.splitlines()[-1])
-        assert seen == [
-            [None, False],
-            [EXIT_OK, False],
-            [EXIT_OK, False],
-            [EXIT_NOT_CONVERGED, True],
-        ]
-        # The same s2 run in this process, where numpy was loaded up front.
+        assert json.loads(done.stdout.splitlines()[-1]) == [[EXIT_OK] * 4, False]
+        # The histogram run in this process, where numpy is loaded, writes
+        # the same files.
         warm = tmp_path / "warm"
-        code = main(_args("s2", four_unit_csv, 50, warm, *s2_extra))
-        assert code == EXIT_NOT_CONVERGED
+        assert main(_args("s2", gen_csv, 800, warm, "--emit-histograms")) == EXIT_OK
         names = sorted(p.name for p in warm.iterdir())
         assert sorted(p.name for p in (tmp_path / "s2").iterdir()) == names
-        assert sum(name.startswith("histogram_iter") for name in names) == 4
+        assert any(name.startswith("histogram_iter") for name in names)
         for name in names:
             assert (tmp_path / "s2" / name).read_bytes() == (warm / name).read_bytes()
 
@@ -835,41 +836,3 @@ class TestContract:
         assert parsed.dispatch == solution.dispatch
         assert parsed.cost == solution.cost
 
-
-class TestCompare:
-    def test_identical_reports(self, ten_unit):
-        inst = ten_unit(800.0)
-        report = run_admm(inst, default_config(800.0))
-        diff = compare(report, report)
-        assert diff.commitments_equal
-        assert diff.cost_delta == 0.0
-        assert all(ratio == 1.0 for _, _, _, ratio in diff.residual_ratios)
-
-    def test_s1_vs_s2_commitment_equality(self, ten_unit):
-        inst = ten_unit(800.0)
-        s1 = run_admm(inst, default_config(800.0))
-        s2 = run_admm(inst, default_config(800.0, backend="qaoa"))
-        diff = compare(s1, s2)
-        assert diff.commitments_equal
-        assert diff.converged == (True, True)
-
-    def test_cap_hit_flagged(self, ten_unit):
-        inst = ten_unit(800.0)
-        good = run_admm(inst, default_config(800.0))
-        capped = run_admm(inst, default_config(800.0, max_iters=2))
-        diff = compare(good, capped)
-        assert diff.converged == (True, False)
-        assert len(diff.residual_ratios) == 2
-
-    def test_instance_mismatch(self, ten_unit):
-        a = run_admm(ten_unit(800.0), default_config(800.0))
-        b = run_admm(ten_unit(400.0), default_config(400.0))
-        with pytest.raises(InstanceMismatch):
-            compare(a, b)
-
-    def test_format_renders(self, ten_unit):
-        inst = ten_unit(800.0)
-        report = run_admm(inst, default_config(800.0))
-        text = compare(report, report).format()
-        assert "commitments_equal: True" in text
-        assert "iter,residual_a,residual_b,ratio" in text

@@ -10,6 +10,7 @@ from hquc import (
     LengthMismatch,
     QuboProblem,
     build_qubo,
+    phase_scale,
     solve_qubo_perbit,
 )
 
@@ -118,9 +119,9 @@ class TestPerBitSolver:
 
 
 class TestPhaseSlopes:
-    def test_rows_are_built_from_the_slopes(self):
-        # One definition: the circuit's phase row holds the slopes that the
-        # angle search's scalar loop reads, bit for bit.
+    def test_slopes_are_the_scaled_coefficients(self):
+        # The QAOA kernel's phase slopes: each coefficient over the largest
+        # magnitude, bit for bit, so the largest slope is exactly +-1.
         rng = np.random.default_rng(212)
         for _ in range(200):
             n = int(rng.integers(1, 30))
@@ -128,8 +129,7 @@ class TestPhaseSlopes:
             linear[rng.random(n) < 0.2] = 0.0
             qubo = QuboProblem(tuple(linear))
             assert type(qubo.slopes) is tuple
-            assert qubo.phase_rows[1].real.tolist() == list(qubo.slopes)
-            assert not qubo.phase_rows[1].imag.any() and not qubo.phase_rows[0].any()
+            assert qubo.slopes == tuple(q / phase_scale(qubo) for q in qubo.linear)
             assert max(abs(h) for h in qubo.slopes) == (1.0 if linear.any() else 0.0)
 
     def test_all_zero_objective_keeps_zero_slopes(self):
