@@ -21,14 +21,18 @@ approximation is made (Farhi, Goldstone and Gutmann, arXiv:1411.4028).  That
 is O(n P) per circuit instead of O(n 2^n P).
 
 One kernel, :func:`_energy`, carries each qubit's four amplitude parts
-through the layers in Python floats and sums ``q_i P_i(1)``.  The angle
-search calls it about a hundred times per QUBO for the expectation alone;
-:func:`run_circuit` calls it once more, at the optimum, and keeps each
-qubit's pair as a :class:`ProductState`.  The most probable bitstring takes
-each bit from its own qubit, and sample extraction draws each bit from its
-own marginal.  No solve has a size limit; the 2^n amplitudes are built (as a
-Kronecker product, in pure Python) only for the probability map, up to 16
-qubits.  The package needs no numpy.
+through the layers in Python floats and sums ``q_i P_i(1)``.  It does no
+arithmetic whose result is known or unused: the first cost step starts
+from the uniform state's zeros, and the last mixer builds ``a0_i`` only
+when the pair is kept.  The angle search, the in-package Nelder-Mead
+:func:`_nelder_mead`, calls it about a hundred times per QUBO for the
+expectation alone, and re-ranks its simplex by one insertion after every
+step but a shrink; :func:`run_circuit` calls it once more, at the optimum,
+and keeps each qubit's pair as a :class:`ProductState`.  The most probable
+bitstring takes each bit from its own qubit, and sample extraction draws
+each bit from its own marginal.  No solve has a size limit; the 2^n
+amplitudes are built (as a Kronecker product, in pure Python) only for the
+probability map, up to 16 qubits.  The package needs no numpy.
 
 Oracle: the tests simulate the same circuit on the full 2^n statevector,
 layer by layer, and ground that simulation in the full-matrix product at
@@ -51,6 +55,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from random import Random
 from typing import Callable, Sequence
 
@@ -187,35 +193,58 @@ def _energy(
     constant.  Given ``pairs``, it also appends each qubit's final
     ``(a0_i, a1_i)`` there.  An angle whose phase ``pi * angle / 2`` is not
     finite prices as NaN, which the search ranks last.
+
+    The loop skips the arithmetic whose result is known or unused: the first
+    cost step acts on the uniform state ``(amp, 0, amp, 0)``, so it is two
+    products, and the last mixer builds ``a0_i`` only for ``pairs``.  Every
+    value it returns is the full 2x2 update's to the bit; an amplitude part
+    that is zero may differ in its sign, which no probability reads.
     """
-    layers = []
+    # Layer k's mixer (c, s) runs with layer k + 1's cost phase t, so each
+    # pass of the inner loop below is one mixer then one cost step.  The
+    # first phase t0 and the last mixer (cl, sl) run outside it; depth 1
+    # makes no pass.
+    t0 = None
+    steps = []
     for gamma, beta in zip(gammas, betas):
         t = math.pi * gamma / 2.0
         m = math.pi * beta / 2.0
         if not (math.isfinite(t) and math.isfinite(m)):
             return math.nan
-        layers.append((t, math.cos(m), math.sin(m)))
+        if t0 is None:
+            t0 = t
+        else:
+            steps.append((cl, sl, t))
+        cl = math.cos(m)
+        sl = math.sin(m)
     cos, sin = math.cos, math.sin
     amp = 2.0**-0.5
     total = 0.0
     for q, h in zip(qubo.linear, qubo.slopes):
-        a0r = a1r = amp
-        a0i = a1i = 0.0
-        for t, c, s in layers:
-            # Cost: |1> picks up exp(i t h), giving (x, y).  Mixer: each
-            # amplitude becomes c times itself plus i s times the other one.
+        # Cost: |1> picks up exp(i t h), giving (x, y).  Mixer: each
+        # amplitude becomes c times itself plus i s times the other one.
+        th = t0 * h
+        x = amp * cos(th)
+        y = amp * sin(th)
+        a0r = amp
+        a0i = 0.0
+        for c, s, t in steps:
+            a1r = c * x - s * a0i
+            a1i = c * y + s * a0r
+            a0r = c * a0r - s * y
+            a0i = c * a0i + s * x
             th = t * h
             er = cos(th)
             ei = sin(th)
             x = a1r * er - a1i * ei
             y = a1r * ei + a1i * er
-            a1r = c * x - s * a0i
-            a1i = c * y + s * a0r
-            a0r = c * a0r - s * y
-            a0i = c * a0i + s * x
+        a1r = cl * x - sl * a0i
+        a1i = cl * y + sl * a0r
         total += q * (a1r * a1r + a1i * a1i)
         if pairs is not None:
-            pairs.append((complex(a0r, a0i), complex(a1r, a1i)))
+            pairs.append(
+                (complex(cl * a0r - sl * y, cl * a0i + sl * x), complex(a1r, a1i))
+            )
     return total + qubo.constant
 
 
@@ -245,9 +274,12 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
     arithmetic, comparisons and stopping test.  The vertices are ranked by a
     stable sort that puts NaN last, so tied vertices keep their places;
     scipy's ``np.argsort`` may move them, and then the two searches part.
-    Vertices are lists of floats, and each is built only when it is
-    evaluated.  There is no evaluation limit; ``func`` ends the search early
-    by raising.
+    The full sort runs on the initial simplex and after a shrink.  A reflect,
+    expand or contract step changes only the worst vertex, so the new one is
+    inserted where that sort would put it: after every non-NaN vertex whose
+    value is at most its own (it is never NaN).  Vertices are lists of
+    floats, and each is built only when it is evaluated.  There is no
+    evaluation limit; ``func`` ends the search early by raising.
     """
     n = len(x0)
     sim = [x0]
@@ -268,38 +300,45 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
         all(abs(v - v0) <= 1e-6 for x in sim[1:] for v, v0 in zip(x, sim[0]))
         and all(abs(fsim[0] - f) <= 1e-10 for f in fsim[1:])
     ):
-        # numpy's column sums over the vertices: in order, from +0.0.
-        total = [0.0] * n
-        for x in sim[:-1]:
-            total = [t + v for t, v in zip(total, x)]
-        xbar = [t / n for t in total]
+        # Each column of the n best vertices summed in order from +0.0, as
+        # numpy sums it; sum() may compensate and math.fsum rounds once.
+        xbar = [reduce(add, col, 0.0) / n for col in zip(*sim[:-1])]
         worst = sim[-1]
         xr = [2 * b - w for b, w in zip(xbar, worst)]
         fxr = func(xr)
         if fxr < fsim[0]:
             xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
             fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            x, f = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+            x, f = xr, fxr
         else:
             if fxr < fsim[-1]:
-                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-                fxc = func(xc)
-                accept = fxc <= fxr
+                x = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                f = func(x)
+                accept = f <= fxr
             else:
-                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-                fxc = func(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:
+                x = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                f = func(x)
+                accept = f < fsim[-1]
+            if not accept:
                 best = sim[0]
                 for j in range(1, n + 1):
                     sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
                     fsim[j] = func(sim[j])
-        sort()
-
+                sort()
+                continue
+        # Only the worst vertex changed: insert the new one where the
+        # stable sort would put it, after every non-NaN vertex not above it.
+        # Every acceptance test above is a comparison that NaN fails, so f
+        # is never NaN.
+        j = n
+        while j and not fsim[j - 1] <= f:
+            j -= 1
+        sim.pop()
+        fsim.pop()
+        sim.insert(j, x)
+        fsim.insert(j, f)
 
 def optimize_params(
     qubo: QuboProblem, config: QaoaConfig, start: QaoaParams | None = None

@@ -320,3 +320,95 @@ def reference_expectation(state, qubo):
     """``sum_i q_i P_i(1) + constant`` as a numpy dot product: the array
     oracle of :func:`hquc.qaoa._energy`, read off a state's marginals."""
     return float(np.asarray(state.marginals()) @ np.asarray(qubo.linear)) + qubo.constant
+
+
+def reference_energy(qubo, gammas, betas, pairs=None):
+    """Every layer's full 2x2 update on each qubit's four amplitude parts:
+    the bit-for-bit oracle of :func:`hquc.qaoa._energy`, with its signature.
+
+    Each returned value must match the kernel's by ``float.hex()``.  The
+    kernel skips the first cost step's products with the uniform state's
+    zeros, so a zero amplitude part in ``pairs`` may differ in its sign.
+    """
+    layers = []
+    for gamma, beta in zip(gammas, betas):
+        t = math.pi * gamma / 2.0
+        m = math.pi * beta / 2.0
+        if not (math.isfinite(t) and math.isfinite(m)):
+            return math.nan
+        layers.append((t, math.cos(m), math.sin(m)))
+    amp = 2.0**-0.5
+    total = 0.0
+    for q, h in zip(qubo.linear, qubo.slopes):
+        a0r = a1r = amp
+        a0i = a1i = 0.0
+        for t, c, s in layers:
+            th = t * h
+            er = math.cos(th)
+            ei = math.sin(th)
+            x = a1r * er - a1i * ei
+            y = a1r * ei + a1i * er
+            a1r = c * x - s * a0i
+            a1i = c * y + s * a0r
+            a0r = c * a0r - s * y
+            a0i = c * a0i + s * x
+        total += q * (a1r * a1r + a1i * a1i)
+        if pairs is not None:
+            pairs.append((complex(a0r, a0i), complex(a1r, a1i)))
+    return total + qubo.constant
+
+
+def reference_nelder_mead(func, x0):
+    """Nelder-Mead that re-ranks the whole simplex with a stable sort, NaN
+    last, after every step: the oracle of :func:`hquc.qaoa._nelder_mead`,
+    which must call ``func`` at exactly these points, in this order."""
+    n = len(x0)
+    sim = [x0]
+    fsim = [func(x0)]
+    for k in range(n):
+        vertex = list(x0)
+        vertex[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        sim.append(vertex)
+        fsim.append(func(vertex))
+
+    def sort():
+        order = sorted(range(n + 1), key=lambda i: (math.isnan(fsim[i]), fsim[i]))
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    sort()
+    while not (
+        all(abs(v - v0) <= 1e-6 for x in sim[1:] for v, v0 in zip(x, sim[0]))
+        and all(abs(fsim[0] - f) <= 1e-10 for f in fsim[1:])
+    ):
+        # numpy's column sums over the vertices: in order, from +0.0.
+        total = [0.0] * n
+        for x in sim[:-1]:
+            total = [t + v for t, v in zip(total, x)]
+        xbar = [t / n for t in total]
+        worst = sim[-1]
+        xr = [2 * b - w for b, w in zip(xbar, worst)]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                fxc = func(xc)
+                accept = fxc <= fxr
+            else:
+                xc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                fxc = func(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                best = sim[0]
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
+                    fsim[j] = func(sim[j])
+        sort()

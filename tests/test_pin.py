@@ -9,10 +9,10 @@ reprs, so a field added to a result type leaves it alone.
 
 The s2 pin hashes only the pure-Python values that follow from each
 iteration's QAOA bits: the trace, the bits and the polished answer.  It
-leaves out the angles and the QAOA expectation, which read numpy's and
-libm's ``exp``, ``sin`` and ``cos`` and may move by ulps across machines or
-kernels.  Each bit compares its qubit's two probabilities, which such ulps
-move only at a near tie.
+leaves out the angles and the QAOA expectation, which read libm's ``sin``
+and ``cos`` and may move by ulps across machines or C libraries.  Each bit
+compares its qubit's two probabilities, which such ulps move only at a near
+tie.
 """
 
 import hashlib

@@ -16,7 +16,9 @@ from helpers import (
     matrix_circuit,
     matrix_cost,
     matrix_mixer,
+    reference_energy,
     reference_expectation,
+    reference_nelder_mead,
     reference_run_circuit,
 )
 
@@ -332,6 +334,44 @@ class TestScalarEnergy:
             kernel = reference_expectation(reference_run_circuit(qubo, params), qubo)
             assert abs(got - kernel) <= 1e-12 * (np.abs(linear).sum() + 2.0)
 
+    def test_bit_identical_to_full_update_oracle(self):
+        # The kernel skips products with the uniform state's zeros in the
+        # first cost step and the last mixer's unused a0; every value it
+        # returns is the full update's to the bit.  In the pairs, a zero
+        # amplitude part may differ in its sign (at zero angles, say), which
+        # == ignores and no probability reads: re^2 + im^2 squares it away.
+        rng = Random(22)
+        edges = (0.0, -0.0, 1.0, -1.0, 2.0, -2.0)
+        # pi * angle / 2 overflows, and the value is NaN, past about 5.72e307.
+        overflow = (5.5e307, -5.5e307, 5.7e307, 5.8e307)
+        for case in range(3000):
+            n = rng.randint(1, 30)
+            depth = rng.randint(1, 5)
+            linear = [rng.gauss(0.0, 10.0 ** rng.uniform(-3, 6)) for _ in range(n)]
+            for i in range(n):
+                if rng.random() < 0.15:
+                    linear[i] = rng.choice((0.0, -0.0))
+            if case % 11 == 0:
+                linear = [rng.choice((0.0, -0.0)) for _ in range(n)]
+            qubo = QuboProblem(tuple(linear), rng.gauss(0.0, 100.0))
+
+            def angle():
+                kind = rng.random()
+                if kind < 0.3:
+                    return rng.choice(edges)
+                if kind < 0.4:
+                    return rng.choice(overflow) * rng.uniform(0.99, 1.01)
+                return rng.uniform(-2.0, 2.0)
+
+            gammas = [angle() for _ in range(depth)]
+            betas = [angle() for _ in range(depth)]
+            ours, oracle = [], []
+            got = hquc.qaoa._energy(qubo, gammas, betas, ours)
+            want = reference_energy(qubo, gammas, betas, oracle)
+            assert got.hex() == want.hex()
+            assert hquc.qaoa._energy(qubo, gammas, betas).hex() == want.hex()
+            assert ours == oracle
+
     @pytest.mark.parametrize(
         "gammas, betas",
         [([1e308], [0.1]), ([0.1], [-1e308]), ([math.inf], [0.1]), ([0.1], [math.nan])],
@@ -516,6 +556,60 @@ class TestNelderMeadParity:
         for budget in (9, 10, 11, 12, 60):
             points, _ = self._assert_same_points(monkeypatch, qubo, start, budget)
             assert len(points) == budget
+
+    def test_visits_the_full_sort_oracles_points(self):
+        # The search re-ranks after a reflect, expand or contract step by
+        # one insertion; the oracle sorts the whole simplex every time.  The
+        # objectives have plateaus, so vertices tie, and NaN regions.
+        rng = Random(19)
+
+        class Stop(Exception):
+            pass
+
+        def points(search, objective, x0, budget):
+            seen = []
+
+            def func(x):
+                if len(seen) == budget:
+                    raise Stop
+                seen.append(tuple(x))
+                return objective(x)
+
+            try:
+                search(func, list(x0))  # a plateau may converge in budget
+            except Stop:
+                pass
+            return seen
+
+        ties = nans = 0
+        for case in range(600):
+            size = 2 * rng.randint(1, 3)
+            x0 = [rng.choice((0.0, rng.uniform(-1.0, 1.0))) for _ in range(size)]
+            centre = [rng.uniform(-1.0, 1.0) for _ in range(size)]
+            step = rng.choice((1e-3, 0.05, 0.5)) if case % 3 else 0.0
+            # NaN past a wall across one axis, near x0: below a zero offset
+            # x0 and most initial vertices are NaN, so NaN vertices sit
+            # among the n best when a new vertex is inserted.
+            k = rng.randrange(size)
+            side = rng.choice((1.0, -1.0))
+            offset = rng.uniform(-0.02, 0.3) if case % 4 else math.inf
+
+            def objective(x):
+                if side * (x[k] - x0[k]) > offset or abs(x[-1]) > 1.5:
+                    return math.nan
+                value = 0.0
+                for v, c in zip(x, centre):
+                    value += (v - c) * (v - c)
+                return math.floor(value / step) * step if step else value
+
+            budget = rng.randint(size + 2, 150)
+            ours = points(hquc.qaoa._nelder_mead, objective, x0, budget)
+            assert ours == points(reference_nelder_mead, objective, x0, budget)
+            values = [objective(list(x)) for x in ours]
+            finite = [v for v in values if not math.isnan(v)]
+            ties += len(set(finite)) < len(finite)
+            nans += len(finite) < len(values)
+        assert ties >= 200 and nans >= 100
 
     @staticmethod
     def _reflection(values):
