@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .errors import InvariantViolation, LengthMismatch
 from .qaoa import QaoaConfig, QaoaOutcome, QaoaParams, solve_qubo_qaoa
-from .qpblock import Block1Problem, block1_objective, solve_block1
+from .qpblock import Block1Problem, augmented_lagrangian, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
 from .ucmodel import Commitment, UCInstance, UCSolution, polish
 
@@ -109,15 +109,18 @@ class SolveReport:
     """Result of :func:`run_admm`.
 
     ``terminal_commitment`` is the last iteration's block-2 bits, before the
-    polish that makes ``final``; ``qaoa_diagnostics`` holds the qaoa
-    backend's outcome of every iteration, in order, and is empty for the
-    classical backend.
+    polish that makes ``final``; ``commitment_fixed_at`` is the last
+    iteration whose block-2 bits differ from the previous iteration's, 1
+    when they never change; ``qaoa_diagnostics`` holds the qaoa backend's
+    outcome of every iteration, in order, and is empty for the classical
+    backend.
     """
 
     instance: UCInstance
     converged: bool
     iterations: int
     terminal_commitment: Commitment
+    commitment_fixed_at: int
     final: UCSolution | None
     trace: tuple[TraceRow, ...]
     qaoa_diagnostics: tuple[QaoaOutcome, ...]
@@ -203,15 +206,22 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     diagnostics: list[QaoaOutcome] = []
     converged = False
     iterations = 0
+    # Block 1's (price, move) of the previous iteration, its next start.
+    hint: tuple[float, float] | None = None
+    bits: tuple[int, ...] | None = None
+    fixed_at = 1
 
     for it in range(1, config.max_iters + 1):
         iterations = it
         block1 = solve_block1(
-            Block1Problem(instance, z, r, lam, rho=config.rho, beta=config.beta)
+            Block1Problem(instance, z, r, lam, rho=config.rho, beta=config.beta),
+            hint,
         )
         y, p = block1.y, block1.p
+        hint = (block1.price, abs(block1.price - hint[0]) if hint else 0.0)
 
         qubo = build_qubo(y, r, lam, config.rho)
+        previous = bits
         if config.backend == BACKEND_CLASSICAL:
             bits, block2_energy = solve_qubo_perbit(qubo)
             block2_gap = 0.0
@@ -223,12 +233,14 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
             block2_gap = block2_energy - solve_qubo_perbit(qubo)[1]
             qaoa_params = outcome.params
             diagnostics.append(outcome)
+        if previous is not None and bits != previous:
+            fixed_at = it
         z = tuple(float(b) for b in bits)
 
         r = update_r(y, z, lam, config.rho, config.beta)
         res = residual(y, z, r)
-        objective = block1_objective(
-            Block1Problem(instance, z, r, lam, config.rho, config.beta), y, p
+        objective = augmented_lagrangian(
+            instance.generators, y, p, z, r, lam, config.rho, config.beta
         )
         lam = update_dual(lam, y, z, r, config.rho)
         trace.append(
@@ -242,13 +254,14 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
             converged = True
             break
 
-    # max_iters >= 1, so block 2 ran and ``bits`` is bound.
+    # max_iters >= 1, so block 2 ran and ``bits`` is set.
     terminal = Commitment(bits)
     return SolveReport(
         instance=instance,
         converged=converged,
         iterations=iterations,
         terminal_commitment=terminal,
+        commitment_fixed_at=fixed_at,
         final=polish(instance, terminal.bits),
         trace=tuple(trace),
         qaoa_diagnostics=tuple(diagnostics),

@@ -215,7 +215,8 @@ def _run(args: argparse.Namespace) -> int:
         )
         return EXIT_INFEASIBLE
     print(
-        f"{args.mode} converged in {report.iterations} iterations: "
+        f"{args.mode} converged in {report.iterations} iterations "
+        f"(commitment fixed at iteration {report.commitment_fixed_at}): "
         f"commitment |{report.final.commitment.bitstring}> cost {report.final.cost}"
     )
     return EXIT_OK

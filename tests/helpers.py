@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import expm
@@ -117,6 +118,47 @@ def reference_unit_response(
         if val < best_val:
             best_y, best_p, best_val = ye, pe, val
     return best_y, best_p
+
+
+def reference_kkt_residual(problem, y, p, g_lin, mu):
+    """Block 1's KKT residual with every pair and ray of every unit tested:
+    the oracle of :func:`hquc.qpblock._kkt_residual`, which must match it
+    bit for bit.
+
+    Per unit, the distance of the negative gradient ``w`` from the cone of
+    the active constraint normals: 0 when two normals combine
+    nonnegatively to ``w``, else the distance to the nearest ray
+    ``|w x n| / |n|`` (or ``|w|``); the largest of these, or the balance
+    gap if larger.
+    """
+    gens = problem.instance.generators
+    rho = problem.rho
+    worst = 0.0
+    for i, g in enumerate(gens):
+        scale = 1e-9 * max(1.0, g.p_max)
+        normals = []
+        if abs(g.p_min * y[i] - p[i]) <= scale:
+            normals.append((g.p_min, -1.0))
+        if abs(p[i] - g.p_max * y[i]) <= scale:
+            normals.append((-g.p_max, 1.0))
+        if y[i] <= 1e-12:
+            normals.append((-1.0, 0.0))
+        if y[i] >= 1.0 - 1e-12:
+            normals.append((1.0, 0.0))
+        wy, wp = -(rho * y[i] + g_lin[i]), -(2.0 * g.c * p[i] + g.b - mu)
+        res = math.hypot(wy, wp)
+        for (ay, ap), (by, bp) in combinations(normals, 2):
+            det = ay * bp - ap * by
+            if det != 0.0:
+                s, t = (wy * bp - wp * by) / det, (ay * wp - ap * wy) / det
+                if s >= 0.0 and t >= 0.0:
+                    res = 0.0
+        for u, v in normals:
+            if wy * u + wp * v > 0.0:
+                res = min(res, abs(wy * v - wp * u) / math.hypot(u, v))
+        worst = max(worst, res)
+    balance = abs(math.fsum(p) - problem.instance.load)
+    return max(worst, balance)
 
 
 def grid_min_two_unit(instance, z, r, lam, rho, beta, step=1e-3):

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from helpers import dense_energy, dense_run_circuit, random_instance
 
+import hquc.admm
 import hquc.qaoa
 from hquc import (
     AdmmConfig,
@@ -303,6 +304,29 @@ class TestRunAdmm:
     def test_block1_certificates_along_the_run(self, ten_unit):
         report = run_admm(ten_unit(800.0), default_config(800.0))
         assert max(row.block1_kkt for row in report.trace) <= 1e-9
+
+    def test_commitment_fixed_at_reports_the_last_change_of_bits(
+        self, ten_unit, monkeypatch
+    ):
+        # From a non-zero start the bits can keep changing: at 150 MW with
+        # lambda = 1000 for every unit they last change at iteration 5.
+        seen = []
+        perbit = hquc.admm.solve_qubo_perbit
+
+        def recorded(qubo):
+            seen.append(perbit(qubo)[0])
+            return seen[-1], qubo.energy(seen[-1])
+
+        monkeypatch.setattr(hquc.admm, "solve_qubo_perbit", recorded)
+        config = default_config(150.0, initial_lambda=(1000.0,) * 10)
+        report = run_admm(ten_unit(150.0), config)
+        changes = [k for k in range(1, len(seen)) if seen[k] != seen[k - 1]]
+        assert report.commitment_fixed_at == changes[-1] + 1 == 5
+        assert len(seen) == report.iterations > 5
+
+    def test_commitment_fixed_at_is_one_when_the_bits_never_change(self, ten_unit):
+        report = run_admm(ten_unit(800.0), default_config(800.0, max_iters=1))
+        assert report.commitment_fixed_at == 1
 
     def test_random_small_instances_when_converged_match_oracle(self):
         # On tiny fleets the commitment lock still lets the first iteration

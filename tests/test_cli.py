@@ -184,7 +184,7 @@ class TestBaselineMode:
 
 
 class TestAdmmModes:
-    def test_s1_converged_run_artifacts(self, gen_csv, tmp_path):
+    def test_s1_converged_run_artifacts(self, gen_csv, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
             _args("s1", gen_csv, 800, out, "--rho", "4000", "--beta", "1000")
@@ -199,6 +199,11 @@ class TestAdmmModes:
         assert final_residual <= 1e-6
         parsed = solution_from_csv((out / "solution.csv").read_text())
         assert parsed.commitment.on_units() == (6, 9)
+        assert capsys.readouterr().out == (
+            f"s1 converged in {len(trace_lines) - 1} iterations (commitment "
+            f"fixed at iteration 1): commitment |{parsed.commitment.bitstring}> "
+            f"cost {parsed.cost}\n"
+        )
 
     def test_s2_infeasible_exit_code(self, gen_csv, tmp_path, capsys):
         code = main(_args("s2", gen_csv, 2000, tmp_path / "o"))

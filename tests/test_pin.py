@@ -70,27 +70,32 @@ def _report_rows(tag, report):
 
 
 def test_s1_trajectories_are_pinned(ten_unit):
-    rows = []
+    rows, fixed_at = [], set()
     for load in range(50, 1601, 50):
         report = run_admm(ten_unit(float(load)), default_config(float(load)))
         rows.extend(_report_rows(load, report))
+        fixed_at.add(report.commitment_fixed_at)
     assert _digest(rows) == S1_DIGEST
+    # From the zero start the block-2 bits never change after iteration 1.
+    assert fixed_at == {1}
 
 
 def test_s1_on_random_fleets_is_pinned():
     # The ten-unit system has c > 0 everywhere and runs only the preset
     # penalties; these fleets reach block 1's c = 0 price steps.
-    rows = []
+    rows, fixed_at = [], set()
     for seed in range(20):
         instance = random_instance(np.random.default_rng(seed), allow_zero_c=True)
         for rho, beta in ((4000.0, 1000.0), (40.0, 10.0)):
             report = run_admm(instance, AdmmConfig(rho=rho, beta=beta))
             rows.extend(_report_rows((seed, rho), report))
+            fixed_at.add(report.commitment_fixed_at)
     assert _digest(rows) == S1_RANDOM_DIGEST
+    assert fixed_at == {1}
 
 
 def test_s2_trajectories_are_pinned(ten_unit_generators):
-    rows = []
+    rows, fixed_at = [], set()
     for k in (4, 7, 10):
         generators = ten_unit_generators[:k]
         capacity = sum(g.p_max for g in generators)
@@ -102,7 +107,9 @@ def test_s2_trajectories_are_pinned(ten_unit_generators):
             rows.extend(_report_rows((k, fraction), report))
             for it, outcome in enumerate(report.qaoa_diagnostics, 1):
                 rows.append((it, *outcome.bits))
+            fixed_at.add(report.commitment_fixed_at)
     assert _digest(rows) == S2_DIGEST
+    assert fixed_at == {1}
 
 
 def test_exact_baseline_is_pinned():

@@ -1,10 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from helpers import grid_min_two_unit, random_instance, reference_unit_response
+from helpers import (
+    grid_min_two_unit,
+    random_generators,
+    random_instance,
+    reference_kkt_residual,
+    reference_unit_response,
+)
 
 from hquc import (
     Block1Problem,
@@ -18,7 +25,8 @@ from hquc import (
     run_admm,
     solve_block1,
 )
-from hquc import qpblock
+from hquc import admm, qpblock
+from hquc.ucmodel import price_past
 
 
 def _random_problem(rng, inst, rho=None, beta=None):
@@ -233,26 +241,207 @@ class TestSolveBlock1:
         assert sol.kkt_residual <= 1e-9
 
     def test_price_search_evaluations_on_load_suite(self, ten_unit, monkeypatch):
-        # Plain bisection takes about 52 supply evaluations per solve here;
-        # the interpolating search about 10.
-        calls = evaluations = 0
-        search = qpblock.bisect_price
+        # Every supply evaluation of a block-1 solve: the hint, the widening
+        # and the search.  Plain bisection takes about 52 here, the
+        # interpolating search from the cold bracket about 12, and from the
+        # previous iteration's price about 8.
+        solves = evaluations = 0
+        solve, profile = admm.solve_block1, qpblock._profile
 
-        def counting(supply, load, lo, hi):
-            nonlocal calls
-            calls += 1
+        def counted_solve(*args):
+            nonlocal solves
+            solves += 1
+            return solve(*args)
 
-            def counted(mu):
-                nonlocal evaluations
-                evaluations += 1
-                return supply(mu)
+        def counted_profile(*args):
+            nonlocal evaluations
+            evaluations += 1
+            return profile(*args)
 
-            return search(counted, load, lo, hi)
-
-        monkeypatch.setattr(qpblock, "bisect_price", counting)
+        monkeypatch.setattr(admm, "solve_block1", counted_solve)
+        monkeypatch.setattr(qpblock, "_profile", counted_profile)
         for load in range(200, 1501, 100):
             run_admm(ten_unit(float(load)), default_config(float(load)))
-        assert evaluations / calls <= 24
+        assert evaluations / solves <= 9
+
+
+def _warm_problem(rng, zero_c):
+    """A random block-1 problem on 1-6 units, with ``rho`` up to 1e6 + 1;
+    with ``zero_c``, a nonempty random subset of its units has c = 0."""
+    n = int(rng.integers(1, 7))
+    gens = list(random_generators(rng, n))
+    if zero_c:
+        for i in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+            gens[i] = replace(gens[i], c=0.0)
+    load = float(rng.uniform(0.0, 1.0)) * sum(g.p_max for g in gens)
+    rho = float(rng.choice((4.0, 40.0, 1001.0, 4000.0, 1_000_001.0)))
+    return _random_problem(rng, UCInstance(tuple(gens), load), rho=rho)
+
+
+def _hints(rng, price):
+    """Hints at the cold price, 1 ulp either side, 10**-k of it either side
+    and far either side (often outside the cold bracket), alternately with
+    no move (0.0) and with a random one."""
+    k = int(rng.integers(1, 16))
+    far = 10.0 ** rng.uniform(0.0, 3.0) * (1.0 + abs(price))
+    prices = (
+        price,
+        math.nextafter(price, math.inf),
+        math.nextafter(price, -math.inf),
+        price * (1.0 + 10.0 ** -k),
+        price * (1.0 - 10.0 ** -k),
+        price + far,
+        price - far,
+    )
+    for j, hint in enumerate(prices):
+        move = 10.0 ** rng.uniform(-12.0, 0.0) * (1.0 + abs(price))
+        yield hint, (0.0 if (j + k) % 2 else float(move))
+
+
+def _hex(solution):
+    return tuple(
+        v.hex()
+        for v in (
+            *solution.y, *solution.p, solution.objective,
+            solution.kkt_residual, solution.price,
+        )
+    )
+
+
+@pytest.fixture
+def brackets(monkeypatch):
+    """Each block-1 search's final ``(lo, hi, supply(lo), supply(hi))``."""
+    seen = []
+    search = qpblock.bisect_price
+
+    def recorded(supply, load, *args):
+        lo, hi = search(supply, load, *args)
+        seen.append((lo, hi, supply(lo), supply(hi)))
+        return lo, hi
+
+    monkeypatch.setattr(qpblock, "bisect_price", recorded)
+    return seen
+
+
+class TestWarmStart:
+    """``solve_block1``'s hint moves only where the search starts.
+
+    For a nondecreasing supply the final bracket is unique, so every hint
+    gives the cold solve's floats.  Block 1's float supply can dip near a
+    c = 0 unit's price step, and there a hint may end on another bracket.
+    The stated tolerance: the bracket is adjacent floats with
+    ``supply(lo) <= load < supply(hi)``, y moves by at most 1e-15, p by at
+    most 1e-15 of the load (here it moved only on fleets with two or more
+    c = 0 units), and both KKT residuals are at most 1e-9.
+    """
+
+    def test_hints_give_the_cold_solve_without_c_zero_units(self, brackets):
+        rng = np.random.default_rng(5)
+        for _ in range(3000):
+            problem = _warm_problem(rng, zero_c=False)
+            cold = solve_block1(problem)
+            for hint in _hints(rng, cold.price):
+                assert _hex(solve_block1(problem, hint)) == _hex(cold), (problem, hint)
+                lo, hi, s_lo, s_hi = brackets[-1]
+                assert s_lo <= problem.instance.load < s_hi
+
+    def test_hints_stay_within_tolerance_with_c_zero_units(self, brackets):
+        rng = np.random.default_rng(7)
+        differ = 0
+        for _ in range(3000):
+            problem = _warm_problem(rng, zero_c=True)
+            load = problem.instance.load
+            cold = solve_block1(problem)
+            for hint in _hints(rng, cold.price):
+                warm = solve_block1(problem, hint)
+                lo, hi, s_lo, s_hi = brackets[-1]
+                assert hi == math.nextafter(lo, math.inf)
+                assert s_lo <= load < s_hi
+                if _hex(warm) == _hex(cold):
+                    continue
+                differ += 1
+                assert max(abs(a - b) for a, b in zip(warm.y, cold.y)) <= 1e-15
+                assert max(abs(a - b) for a, b in zip(warm.p, cold.p)) <= 1e-15 * max(
+                    1.0, load
+                )
+                assert max(warm.kkt_residual, cold.kkt_residual) <= 1e-9
+        # 19 of the 21,000 hinted solves here, on 10 problems, end on
+        # another bracket.
+        assert differ <= 100
+
+    def test_non_monotone_supply_reproducer(self, brackets):
+        # Unit 2 has c = 0; near its price step its two edges tie within
+        # rounding, and supply - load reads -0.061, +9.421, -0.061, -0.061,
+        # +9.421 at ...179, ...17a, ...274, ...275 and ...276.
+        gens = (
+            GeneratorParams(
+                1, 375.0246791839688, 38.93797808238526, 0.0020998363534374047,
+                34.89566132760896, 125.03143778803069,
+            ),
+            GeneratorParams(
+                2, 590.4992669133038, 35.97622404582395, 0.0,
+                11.462247083875749, 32.485230442391455,
+            ),
+        )
+        problem = Block1Problem(
+            UCInstance(gens, 5.229855327696306),
+            (0.0, 1.0),
+            (0.1540553405251019, 0.4645435893773976),
+            (145982.6994900088, 83876.51003164148),
+            rho=1000001.0,
+            beta=789308.1676906693,
+        )
+        cold = solve_block1(problem)
+        cold_lo = brackets[-1][0]
+        warm = solve_block1(problem, (39.5738, 0.1))
+        warm_lo = brackets[-1][0]
+        assert cold_lo.hex() == "0x1.1fcf4e8d73179p+5"
+        assert warm_lo.hex() == "0x1.1fcf4e8d73275p+5"
+        assert warm.p == cold.p
+        assert warm.y != cold.y
+        assert max(abs(a - b) for a, b in zip(warm.y, cold.y)) <= 1e-15
+        assert cold.kkt_residual <= 1e-12 and warm.kkt_residual <= 1e-10
+
+    def test_plateau_at_the_load_keeps_the_cold_bracket(self):
+        # With y held at 1, the unit's supply equals the load exactly for
+        # every price above b + 2 c p_max = 11, the cold bracket's high end
+        # included.  A warm high end must have supply strictly above the
+        # load, so a hint on the plateau steps up to that cold end, as the
+        # cold search does, and ends on its bracket.
+        gens = (GeneratorParams(1, 0.0, 10.0, 0.01, 0.0, 50.0),)
+        problem = Block1Problem(UCInstance(gens, 50.0), (1.0,), (0.0,), (0.0,), rho=1e6)
+        cold = solve_block1(problem)
+        assert (cold.y, cold.p) == ((1.0,), (50.0,))
+        for price in (10.5, 11.0, 11.25, 11.75):
+            for move in (0.0, 0.01):
+                assert _hex(solve_block1(problem, (price, move))) == _hex(cold)
+
+    def test_hint_outside_the_cold_bracket_is_ignored(self, ten_unit, monkeypatch):
+        # The cold bracket starts at price_past(16.19, -1) and
+        # price_past(27.74 + 2 * 0.0079 * 85, 1); a hint on or past an end
+        # runs the cold search, evaluation for evaluation.
+        problem = Block1Problem(
+            ten_unit(800.0), (0.0,) * 10, (0.0,) * 10, (0.0,) * 10, rho=4000.0
+        )
+        prices = []
+        profile = qpblock._profile
+
+        def recorded(units, mu):
+            prices.append(mu)
+            return profile(units, mu)
+
+        monkeypatch.setattr(qpblock, "_profile", recorded)
+        cold = solve_block1(problem)
+        cold_prices = list(prices)
+        lo = price_past(16.19, -1.0)
+        hi = price_past(27.74 + 2.0 * 0.0079 * 85.0, 1.0)
+        for hint in (-1e6, lo, hi, 1e6):
+            prices.clear()
+            assert _hex(solve_block1(problem, (hint, 1.0))) == _hex(cold)
+            assert prices == cold_prices
+        prices.clear()
+        solve_block1(problem, (math.nextafter(lo, math.inf), 1.0))
+        assert prices[0] == math.nextafter(lo, math.inf)
 
 
 def _random_unit(rng):
@@ -390,3 +579,47 @@ class TestKktResidual:
             else:
                 want = float(np.linalg.norm(grad))
             assert abs(got - want) <= 1e-12 * max(1.0, float(np.linalg.norm(grad)))
+
+    def test_matches_reference_on_block1_shapes(self):
+        # s1's block-1 solves end in three active-set shapes: y = 0 at p = 0
+        # (58% of units), an interior y on the p_max edge (25%) and y = 1 at
+        # p_max (17%).  Here with the p_min shapes and points off every
+        # constraint, gradients inside, on and off the cone, and the kernel's
+        # early exit compared by hex digits with the oracle that tests every
+        # pair and ray.
+        rng = np.random.default_rng(43)
+        shapes = {
+            "apex": lambda lo, hi, y: (0.0, 0.0, ((lo, -1.0), (-hi, 1.0), (-1.0, 0.0))),
+            "p_max edge": lambda lo, hi, y: (y, hi * y, ((-hi, 1.0),)),
+            "y = 1 at p_max": lambda lo, hi, y: (1.0, hi, ((-hi, 1.0), (1.0, 0.0))),
+            "p_min edge": lambda lo, hi, y: (y, lo * y, ((lo, -1.0),)),
+            "y = 1 at p_min": lambda lo, hi, y: (1.0, lo, ((lo, -1.0), (1.0, 0.0))),
+            "off": lambda lo, hi, y: (y, (lo + 0.5 * (hi - lo)) * y, ()),
+        }
+        zeros = 0
+        for k in range(4000):
+            gens, ys, ps, g_lin = [], [], [], []
+            rho = float(rng.choice((4.0, 40.0, 1001.0, 4000.0, 1_000_001.0)))
+            mu = float(rng.uniform(5.0, 40.0))
+            for i in range(1 if k % 2 else 10):
+                p_max = float(rng.uniform(1.0, 500.0))
+                p_min = float(rng.choice((0.0, rng.uniform(0.0, 0.9 * p_max))))
+                c = 0.0 if rng.random() < 0.2 else float(rng.uniform(1e-4, 0.01))
+                shape = list(shapes)[int(rng.integers(len(shapes)))]
+                y, p, normals = shapes[shape](p_min, p_max, float(rng.uniform(0.01, 0.99)))
+                *_, (wy, wp) = _cone_points(rng, normals, int(rng.integers(1, 5)))
+                # w = -(rho y + g_lin, 2 c p + b - mu), solved for g_lin and b.
+                gens.append(GeneratorParams(i + 1, 0.0, mu - wp - 2.0 * c * p, c, p_min, p_max))
+                ys.append(y)
+                ps.append(p)
+                g_lin.append(-wy - rho * y)
+            problem = Block1Problem(
+                UCInstance(tuple(gens), math.fsum(ps)),
+                (0.0,) * len(gens), (0.0,) * len(gens), (0.0,) * len(gens), rho,
+            )
+            got = qpblock._kkt_residual(problem, ys, ps, g_lin, mu)
+            want = reference_kkt_residual(problem, ys, ps, g_lin, mu)
+            assert got.hex() == want.hex(), (problem, ys, ps, g_lin, mu)
+            zeros += got == 0.0
+        assert zeros >= 400, zeros
+

@@ -449,7 +449,7 @@ def _seed(instance):
     return polish(instance, seed.bits)
 
 
-def _evaluations(search, supply, load, lo, hi):
+def _evaluations(search, supply, load, lo, hi, *ends):
     """The bracket ``search`` returns and the number of supply evaluations."""
     mus = []
 
@@ -457,7 +457,7 @@ def _evaluations(search, supply, load, lo, hi):
         mus.append(mu)
         return supply(mu)
 
-    return search(counted, load, lo, hi), len(mus)
+    return search(counted, load, lo, hi, *ends), len(mus)
 
 
 def _piecewise_affine(pieces):
@@ -537,6 +537,12 @@ class TestBisectPrice:
         )
         got, evaluations = _evaluations(bisect_price, supply, load, lo, hi)
         want, halvings = _evaluations(reference_bisect, supply, load, lo, hi)
+        assert got == want
+        assert evaluations <= 2 * halvings + 2
+        # With the end supplies known the first trial interpolates; the
+        # result and the bound stay, a top plateau at the load included.
+        ends = supply(lo), supply(hi)
+        got, evaluations = _evaluations(bisect_price, supply, load, lo, hi, *ends)
         assert got == want
         assert evaluations <= 2 * halvings + 2
 
