@@ -116,7 +116,6 @@ class SolveReport:
     backend.
     """
 
-    instance: UCInstance
     converged: bool
     iterations: int
     terminal_commitment: Commitment
@@ -257,7 +256,6 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     # max_iters >= 1, so block 2 ran and ``bits`` is set.
     terminal = Commitment(bits)
     return SolveReport(
-        instance=instance,
         converged=converged,
         iterations=iterations,
         terminal_commitment=terminal,

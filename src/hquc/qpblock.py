@@ -16,7 +16,8 @@ constraint, so the solve dualizes the balance with a scalar price ``mu`` and
 searches for it.  For a fixed price each unit minimizes a strictly convex
 quadratic over the triangle ``{(y, p): 0 <= y <= 1, p_min y <= p <= p_max y}``,
 which has a closed form: either the unconstrained stationary point or the
-best of the three edges.  Everything in it that does not depend on the price
+best of the three edges, and for ``c == 0`` the one edge ``p = e y`` that
+the price favours.  Everything in it that does not depend on the price
 (the stationary ``y``, whether it can hold, each edge's quadratic
 coefficient) is computed once per solve into one tuple per unit
 (``_unit_constants``), and a supply evaluation (``_profile``) is one flat
@@ -25,18 +26,19 @@ oracle ``reference_unit_response`` in ``tests/helpers.py`` bit for bit.
 Strict convexity in ``y`` (rho > 0) makes the per-unit response unique and
 continuous whenever ``c > 0``; ``c == 0`` units respond with one flat price
 step that a final in-bracket allocation settles.
-The supply is therefore piecewise affine in ``mu``.  Its bracket grows by
-doubling steps, with no cap, until it holds the clearing price or leaves the
-float range, and the price search (``hquc.ucmodel.bisect_price``)
-interpolates the supply between the bracket ends and ends on bisection's
-bracket.  From the fleet's cold bracket a solve takes about 12 supply
-evaluations where plain bisection took 52.  Consecutive ADMM iterations pose
-almost the same problem, so ``run_admm`` passes each solve the previous
-clearing price and its last move, the bracket is grown from there, and a
-solve takes about 8 (warm starting, as in Boyd et al., "Distributed
-optimization and statistical learning via ADMM", 2011).  The search and the
-settle are the price-clearing kernel of ``hquc.ucmodel``, shared with the
-economic dispatch of a fixed commitment.
+The supply is therefore piecewise affine and nondecreasing in ``mu``, in
+floats too, so the final bracket does not depend on where the search
+starts.  The search steps out from a start price by doubling steps, with no
+cap, until the supply crosses the load or the price leaves the float range,
+and the price search (``hquc.ucmodel.bisect_price``) interpolates the
+supply between the bracket ends and ends on bisection's bracket.  From the
+fleet's cold bracket a solve takes about 12 supply evaluations where plain
+bisection took 52.  Consecutive ADMM iterations pose almost the same
+problem, so ``run_admm`` passes each solve the previous clearing price and
+its last move as the start, and a solve takes about 7 (warm starting, as in
+Boyd et al., "Distributed optimization and statistical learning via ADMM",
+2011).  The search and the settle are the price-clearing kernel of
+``hquc.ucmodel``, shared with the economic dispatch of a fixed commitment.
 
 The returned point is certified a posteriori: the KKT residual is the largest
 distance of any per-unit negative gradient from the cone of its (at most three)
@@ -74,9 +76,6 @@ class Block1Problem:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "z", tuple(float(v) for v in self.z))
-        object.__setattr__(self, "r", tuple(float(v) for v in self.r))
-        object.__setattr__(self, "lam", tuple(float(v) for v in self.lam))
         n = self.instance.n
         for name, seq in (("z", self.z), ("r", self.r), ("lam", self.lam)):
             if len(seq) != n:
@@ -154,9 +153,12 @@ def _profile(units, mu: float) -> tuple[list[float], list[float]]:
     """Each unit's minimizing ``(y, p)`` of
     ``c p^2 + (b - mu) p + (rho/2) y^2 + g_lin y`` over its triangle.
 
-    Either the stationary point, or the best of the edges ``y = 1``,
-    ``p = p_min y`` and ``p = p_max y`` (earliest on a tie; a flat segment
-    in ``p`` at a c == 0 price step gives its low end).  Every float is
+    For c > 0, either the stationary point, or the best of the edges
+    ``y = 1``, ``p = p_min y`` and ``p = p_max y`` (earliest on a tie).  For
+    c == 0, the edge ``p = e y`` with ``e = p_max`` above ``b`` and ``p_min``
+    at or below it (the low end of the flat segment at the price step): the
+    minimum lies on it, so no rounded comparison can pick another edge, and
+    the output is nondecreasing in ``mu``.  Every float is
     computed by the same expression, in the same order, as in the per-unit
     oracle ``reference_unit_response`` of ``tests/helpers.py``: reordering
     any sum or product would move last bits and so the ADMM trajectory.
@@ -180,7 +182,16 @@ def _profile(units, mu: float) -> tuple[list[float], list[float]]:
             p1 = p_min if p_min > p0 else p0
             p1 = p_max if p_max < p1 else p1
         else:
-            p1 = p_max if mu > b else p_min
+            # Both edges' 2 quad are rho here.  (b - mu) * 0 is NaN where
+            # b - mu overflows; the term is 0.
+            e = p_max if mu > b else p_min
+            lin = (b - mu) * e + g_lin if e else g_lin
+            ye = -lin / quad2_lo
+            ye = 0.0 if 0.0 > ye else ye
+            ye = 1.0 if 1.0 < ye else ye
+            ys.append(ye)
+            ps.append(e * ye)
+            continue
         b_mu = b - mu
         best_y, best_p = 1.0, p1
         best_val = c * p1 * p1 + b_mu * p1 + half_rho + g_lin
@@ -259,20 +270,20 @@ def solve_block1(
     two ends are settled to close the balance exactly.
 
     The cold bracket is :func:`~hquc.ucmodel.price_past` the fleet's least
-    ``b`` and greatest marginal cost at ``p_max``, each end widened by
-    doubling steps until its supply is on its side of the load.  ``hint``,
-    when given, is ``(price, move)``: the previous ADMM iteration's clearing
-    price and how far it moved from the one before (0.0 when unknown).  A
-    hint strictly inside the cold bracket starts the search there: the
-    supply is priced at the hint, then steps of ``4 move`` (or
-    ``1e-4 (1 + |price|)`` when the move is 0), doubling each time, go
-    outward until ``supply(lo) <= load < supply(hi)``, and the known end
-    supplies go to the search.  A step that would reach a cold end takes
-    that end, widened by doubling steps as the cold bracket is.  For a
-    nondecreasing supply the result is the cold bracket's.  Where block 1's
-    float supply dips (see ``bisect_price``) a hint may end on another pair
-    of adjacent floats: y then moves by at most 1e-15, p by at most 1e-15 of
-    the load, and the residual stays within 1e-9 (``tests/test_qpblock.py``).
+    ``b`` and greatest marginal cost at ``p_max``.  ``hint``, when given, is
+    ``(price, move)``: the previous ADMM iteration's clearing price and how
+    far it moved from the one before (0.0 when unknown).  The search starts
+    at the hint, wherever it lies, with a step of ``4 move`` (or
+    ``1e-4 (1 + |price|)`` when the move is 0); with no hint, or at full
+    load, it starts at the cold low end with a step of ``1 + (hi - lo)``.
+    It prices the start, then steps outward, doubling the step, until the
+    supply crosses the load: above it going up, or at the capacity, which no
+    price exceeds; at or below it going down.  A step that would pass the
+    cold end ahead lands on that end and is not doubled.  The two end
+    supplies go to the search.  The supply is nondecreasing, so every start
+    gives the same floats, but at full load the result is the high end
+    itself, so the search starts cold there.  The price is the final
+    bracket's midpoint, halved before the sum where ``lo + hi`` overflows.
 
     Raises InfeasibleRelaxation when the load exceeds the fleet capacity; then
     the original binary problem is infeasible as well and the caller should stop.
@@ -305,49 +316,40 @@ def solve_block1(
         profile = profiles[mu] = _profile(units, mu)
         return math.fsum(profile[1])
 
-    def widen(end: float, side: float, step: float) -> tuple[float, float]:
-        # Double the step until supply(end) - load has the sign of side;
-        # returns the end and its supply.
-        while math.isfinite(end):
-            s = supply(end)
-            if side * (s - load) >= 0.0:
-                return end, s
-            end += side * step
-            step *= 2.0
-        raise InvariantViolation(f"no float price clears load {load} in block 1")
-
     lo = price_past(min(g.b for g in gens), -1.0)
     hi = price_past(max(g.marginal_cost(g.p_max) for g in gens), 1.0)
-    if hint is None or not lo < hint[0] < hi:
-        lo = widen(lo, -1.0, 1.0 + (hi - lo))[0]
-        hi = widen(hi, 1.0, 1.0 + (hi - lo))[0]
-        lo, hi = bisect_price(supply, load, lo, hi)
+    if hint is None or load == cap:
+        price, step = lo, 1.0 + (hi - lo)
     else:
         price, move = hint
         step = 4.0 * move if move > 0.0 else 1e-4 * (1.0 + abs(price))
-        near = price, supply(price)
-        # Step up from a low end, down from a high one, until the step
-        # crosses the load (strictly above it at the high end).
-        side = 1.0 if near[1] <= load else -1.0
-        while True:
-            trial = near[0] + side * step
-            if not lo < trial < hi:
-                far = widen(hi if side > 0.0 else lo, side, 1.0 + (hi - lo))
-                break
-            s = supply(trial)
-            if (s > load) == (side > 0.0):
-                far = trial, s
-                break
-            near = trial, s
+    near = price, supply(price)
+    side = 1.0 if near[1] <= load else -1.0
+    ahead = hi if side > 0.0 else lo
+    while True:
+        trial = near[0] + side * step
+        if min(near[0], trial) < ahead < max(near[0], trial):
+            trial = ahead
+        else:
             step *= 2.0
-        (lo, s_lo), (hi, s_hi) = (near, far) if side > 0.0 else (far, near)
-        lo, hi = bisect_price(supply, load, lo, hi, s_lo, s_hi)
+        if not math.isfinite(trial):
+            raise InvariantViolation(f"no float price clears load {load} in block 1")
+        s = supply(trial)
+        # No price lifts the supply above the capacity: at full load,
+        # reaching it crosses the load.
+        if (s > load or s == cap) if side > 0.0 else s <= load:
+            break
+        near = trial, s
+    (lo, s_lo), (hi, s_hi) = (near, (trial, s)) if side > 0.0 else ((trial, s), near)
+    lo, hi = bisect_price(supply, load, lo, hi, s_lo, s_hi)
 
     y, p_lo = profiles[lo]
     p_hi = profiles[hi][1]
     p = settle_bracket(p_lo, p_hi, load)
 
     mu = 0.5 * (lo + hi)
+    if math.isinf(mu):  # lo + hi overflowed
+        mu = 0.5 * lo + 0.5 * hi
     return Block1Solution(
         y=tuple(y),
         p=tuple(p),

@@ -337,12 +337,13 @@ def bisect_price(
 
     ``supply(mu)`` must be nondecreasing in ``mu`` and the caller's bracket
     must hold ``supply(lo) <= load <= supply(hi)``, with ends :func:`price_past`
-    the extreme prices of :func:`_dispatch`, :func:`_dual_bound` and
-    :func:`hquc.qpblock.solve_block1` (widened there); the invariant is kept,
-    with ``supply(hi) > load`` once ``hi`` has moved.  For such a supply the
-    final bracket is unique: the largest float ``lo`` in ``[lo0, hi0)`` with
-    ``supply(lo) <= load``, and the next float.  So the trial prices may be
-    chosen freely inside the bracket, and the result is plain bisection's.
+    the extreme prices of :func:`_dispatch` and :func:`_dual_bound`, or
+    stepped out to by :func:`hquc.qpblock.solve_block1`; the invariant is
+    kept, with ``supply(hi) > load`` once ``hi`` has moved.  For such a
+    supply the final bracket is unique: the largest float ``lo`` in
+    ``[lo0, hi0)`` with ``supply(lo) <= load``, and the next float.  So the
+    trial prices may be chosen freely inside the bracket, and the result is
+    plain bisection's.
 
     The trials are those of a safeguarded regula falsi (after Dowell and
     Jarratt, BIT 11, 1971).  Once both ends have a known supply, the trial
@@ -357,24 +358,15 @@ def bisect_price(
     followed by one that does: the search takes at most twice plain
     bisection's supply evaluations plus 2, and plain bisection takes at most
     about 2100 on a finite bracket (2072 on ``[-1e300, 1e300]`` around 0).
-    A NaN or infinite midpoint ends the loop.
+    The midpoint is ``0.5 * (lo + hi)``, or ``0.5 * lo + 0.5 * hi`` where
+    the sum overflows; the loop ends when neither lies strictly inside.
 
     ``s_lo`` and ``s_hi`` are ``supply(lo)`` and ``supply(hi)`` when the
     caller has already priced the ends (NaN when not); then the first trial
     interpolates instead of taking the midpoint, and the loop, its bound and
     its result are as above.  An ``s_hi`` at the load counts as unknown, so
     no interpolation divides by zero on a plateau at the load.  Block 1
-    passes them on its warm brackets only, where a solve then takes about 8
-    supply evaluations in all.  On its wide cold bracket a first midpoint
-    does better than a first interpolation: the known ends there raised
-    s1's mean from 11.8 to 13.4.
-
-    Block 1's float supply is not always nondecreasing: where a ``c == 0``
-    unit's two edges tie within rounding near its price step, the supply
-    can step down and up again across a few floats.  Then the final bracket
-    still holds ``supply(lo) <= load < supply(hi)`` on adjacent floats (or
-    ``<=`` at an ``hi`` that never moved), but which such pair is returned
-    can depend on the starting bracket.
+    always passes them: its search has priced both ends on the way out.
     """
     # s_lo and s_hi are the supply at each end, NaN until evaluated; once
     # both are known, s_hi > load >= s_lo.
@@ -386,7 +378,9 @@ def bisect_price(
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
+            mid = 0.5 * lo + 0.5 * hi  # lo + hi may have overflowed
+            if not lo < mid < hi:
+                break
         width = hi - lo
         interpolated = False
         if may_interpolate:

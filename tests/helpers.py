@@ -67,14 +67,16 @@ def reference_bisect(supply, load, lo, hi):
     """Plain price bisection, the oracle of :func:`hquc.ucmodel.bisect_price`.
 
     Halves the bracket at its midpoint, keeping ``supply(lo) <= load``, until
-    no float lies strictly inside; a NaN or infinite midpoint ends the loop.
-    For a nondecreasing ``supply`` the final bracket is unique, so the kernel
-    must return exactly this ``(lo, hi)``.
+    no float lies strictly inside; where ``lo + hi`` overflows the midpoint
+    is ``0.5 lo + 0.5 hi``.  For a nondecreasing ``supply`` the final bracket
+    is unique, so the kernel must return exactly this ``(lo, hi)``.
     """
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
-            break
+            mid = 0.5 * lo + 0.5 * hi
+            if not lo < mid < hi:
+                break
         if supply(mid) <= load:
             lo = mid
         else:
@@ -96,6 +98,27 @@ def reference_unit_response(
     Returns the minimizing ``(y, p)``; when the minimum in ``p`` is a flat
     segment (c == 0 at its price step) the low end is returned.  The oracle
     of :func:`hquc.qpblock._profile`, which must match it bit for bit.
+
+    A c == 0 unit's minimum lies on the edge ``p = e y`` that the price
+    favours, ``e = pmax`` above ``b`` and ``pmin`` at or below it, so only
+    that edge is priced.  :func:`three_edge_unit_response` compares all
+    three edges' rounded values instead, and where they tie within
+    rounding it can pick the other one, which makes the supply dip.
+    """
+    if c == 0.0:
+        edge = pmax if mu > b else pmin
+        # (b - mu) * 0 is NaN where b - mu overflows; the term is 0.
+        lin = (b - mu) * edge + g_lin if edge else g_lin
+        ye = min(max(-lin / (2.0 * (rho / 2.0)), 0.0), 1.0)
+        return ye, edge * ye
+    return three_edge_unit_response(g_lin, b, c, pmin, pmax, rho, mu)
+
+
+def three_edge_unit_response(g_lin, b, c, pmin, pmax, rho, mu):
+    """The stationary point (c > 0), else the best of the edges ``y = 1``,
+    ``p = pmin y`` and ``p = pmax y`` by their rounded values, the earliest
+    on a tie.  For c == 0 this is block 1's rule before the edge rule of
+    :func:`reference_unit_response`, kept to bound what that rule moved.
     """
     if c > 0.0:
         y0 = -g_lin / rho

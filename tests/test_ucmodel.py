@@ -485,6 +485,16 @@ class TestBisectPrice:
         assert price_past(-7.25, -1.0) == -8.25
         assert price_past(2.0**50 - 1.0, 1.0) == 2.0**50
 
+    @pytest.mark.parametrize(
+        "lo, hi, load", [(1e308, 1.7e308, 1.5e308), (-1.7e308, -1e308, -1.5e308)]
+    )
+    def test_overflowing_midpoint_ends_at_adjacent_floats(self, lo, hi, load):
+        # lo + hi overflows, so the midpoint halves each end first.
+        got = bisect_price(lambda mu: mu, load, lo, hi)
+        assert got == reference_bisect(lambda mu: mu, load, lo, hi)
+        assert got[0] <= load < got[1]
+        assert got[1] == math.nextafter(got[0], math.inf)
+
     @pytest.mark.parametrize("load", [20.0, 0.0])
     def test_ends_at_adjacent_floats(self, load):
         calls = []
