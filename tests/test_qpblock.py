@@ -361,20 +361,19 @@ class TestWarmStart:
     unique and every hint, wherever it lies, gives the cold solve's floats.
     """
 
-    def test_hints_give_the_cold_solve(self, brackets):
+    def test_hints_give_the_cold_solve_without_c_zero_units(self, brackets):
         rng = np.random.default_rng(5)
-        for zero_c in (False, True):
-            for _ in range(3000):
-                problem = _warm_problem(rng, zero_c)
-                load = problem.instance.load
-                cold = solve_block1(problem)
-                for hint in _hints(rng, cold.price):
-                    assert _hex(solve_block1(problem, hint)) == _hex(cold), (
-                        problem, hint
-                    )
-                    lo, hi, s_lo, s_hi = brackets[-1]
-                    assert hi == math.nextafter(lo, math.inf)
-                    assert s_lo <= load < s_hi
+        for _ in range(3000):
+            problem = _warm_problem(rng, zero_c=False)
+            _assert_hints_give_the_cold_solve(problem, rng, brackets)
+
+    def test_hints_stay_within_tolerance_with_c_zero_units(self, brackets):
+        # The tolerance is exactness: priced on one edge, a c = 0 unit's
+        # supply is nondecreasing, so no hint ends on another bracket.
+        rng = np.random.default_rng(7)
+        for _ in range(3000):
+            problem = _warm_problem(rng, zero_c=True)
+            _assert_hints_give_the_cold_solve(problem, rng, brackets)
 
     def test_non_monotone_supply_reproducer(self, brackets):
         # Unit 2 has c = 0.  Near its price step its y = 1 and p_max edges
@@ -452,6 +451,18 @@ class TestWarmStart:
             assert _hex(solve_block1(problem, hint)) == _hex(cold)
             assert prices[0] == hint[0]
             assert len(prices) < cold_evaluations
+
+
+def _assert_hints_give_the_cold_solve(problem, rng, brackets):
+    """Every hint gives the cold solve's floats and ends on adjacent floats
+    with ``supply(lo) <= load < supply(hi)``."""
+    load = problem.instance.load
+    cold = solve_block1(problem)
+    for hint in _hints(rng, cold.price):
+        assert _hex(solve_block1(problem, hint)) == _hex(cold), (problem, hint)
+        lo, hi, s_lo, s_hi = brackets[-1]
+        assert hi == math.nextafter(lo, math.inf)
+        assert s_lo <= load < s_hi
 
 
 def _random_unit(rng):
