@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .errors import InvariantViolation, LengthMismatch
-from .qaoa import QaoaConfig, QaoaOutcome, QaoaParams, solve_qubo_qaoa
+from .qaoa import QaoaConfig, QaoaOutcome, solve_qubo_qaoa
 from .qpblock import Block1Problem, augmented_lagrangian, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
 from .ucmodel import Commitment, UCInstance, UCSolution, polish
@@ -185,6 +185,9 @@ def _initial_vector(
 def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     """Run the three-block loop until the residual closes or the cap is hit.
 
+    Each iteration starts block 1's price search at the previous clearing
+    price, and a warm-started QAOA solve at the previous outcome's angles.
+
     The relaxed ``y`` does not satisfy the original problem, so the
     report's final solution is :func:`~hquc.ucmodel.polish` of the terminal
     binary commitment: the cheapest commitment among it and its one-flip
@@ -200,24 +203,18 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     r = _initial_vector(config.initial_r, n, "initial_r")
     lam = _initial_vector(config.initial_lambda, n, "initial_lambda")
 
-    qaoa_params: QaoaParams | None = None
     trace: list[TraceRow] = []
     diagnostics: list[QaoaOutcome] = []
-    converged = False
-    iterations = 0
-    # Block 1's (price, move) of the previous iteration, its next start.
-    hint: tuple[float, float] | None = None
+    block1 = None
     bits: tuple[int, ...] | None = None
     fixed_at = 1
 
     for it in range(1, config.max_iters + 1):
-        iterations = it
         block1 = solve_block1(
             Block1Problem(instance, z, r, lam, rho=config.rho, beta=config.beta),
-            hint,
+            None if block1 is None else block1.price,
         )
         y, p = block1.y, block1.p
-        hint = (block1.price, abs(block1.price - hint[0]) if hint else 0.0)
 
         qubo = build_qubo(y, r, lam, config.rho)
         previous = bits
@@ -225,12 +222,11 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
             bits, block2_energy = solve_qubo_perbit(qubo)
             block2_gap = 0.0
         else:
-            warm = qaoa_params if config.warm_start else None
+            warm = diagnostics[-1].params if config.warm_start and diagnostics else None
             outcome = solve_qubo_qaoa(qubo, config.qaoa, warm=warm, iteration=it)
             bits = outcome.bits
             block2_energy = qubo.energy(bits)
             block2_gap = block2_energy - solve_qubo_perbit(qubo)[1]
-            qaoa_params = outcome.params
             diagnostics.append(outcome)
         if previous is not None and bits != previous:
             fixed_at = it
@@ -250,14 +246,13 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
             )
         )
         if res <= config.epsilon:
-            converged = True
             break
 
     # max_iters >= 1, so block 2 ran and ``bits`` is set.
     terminal = Commitment(bits)
     return SolveReport(
-        converged=converged,
-        iterations=iterations,
+        converged=trace[-1].residual <= config.epsilon,
+        iterations=len(trace),
         terminal_commitment=terminal,
         commitment_fixed_at=fixed_at,
         final=polish(instance, terminal.bits),

@@ -133,9 +133,8 @@ def _load_file_overrides(path: str | None) -> dict:
     return data
 
 
-def build_admm_config(args: argparse.Namespace) -> AdmmConfig:
-    """Assemble the ADMM config: flags over config file over load presets."""
-    settings = _load_file_overrides(args.config)
+def build_admm_config(args: argparse.Namespace, settings: dict) -> AdmmConfig:
+    """Assemble the ADMM config: flags over config file settings over presets."""
     for key in _CONFIG_FILE_TYPES:
         value = getattr(args, key, None)
         if value is not None:
@@ -167,6 +166,8 @@ def trace_to_csv(report: SolveReport) -> str:
 def _run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; writes artifacts, returns the exit code."""
     instance = UCInstance(parse_generators(_read_text(args.generators)), args.load)
+    # Checked in every mode; baseline uses none of its settings.
+    settings = _load_file_overrides(args.config)
     out = Path(args.out)
 
     if args.mode == "baseline":
@@ -182,7 +183,7 @@ def _run(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
 
-    config = build_admm_config(args)
+    config = build_admm_config(args, settings)
     if config.backend == BACKEND_QAOA and args.emit_histograms:
         check_dense_size(instance.n)  # histograms read all 2**n probabilities
     try:

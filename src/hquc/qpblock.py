@@ -34,8 +34,8 @@ and the price search (``hquc.ucmodel.bisect_price``) interpolates the
 supply between the bracket ends and ends on bisection's bracket.  From the
 fleet's cold bracket a solve takes about 12 supply evaluations where plain
 bisection took 52.  Consecutive ADMM iterations pose almost the same
-problem, so ``run_admm`` passes each solve the previous clearing price and
-its last move as the start, and a solve takes about 7 (warm starting, as in
+problem, so ``run_admm`` passes each solve the previous clearing price as
+the start, and a solve takes about 7 (warm starting, as in
 Boyd et al., "Distributed optimization and statistical learning via ADMM",
 2011).  The search and the settle are the price-clearing kernel of
 ``hquc.ucmodel``, shared with the economic dispatch of a fixed commitment.
@@ -261,7 +261,7 @@ def _kkt_residual(
 
 
 def solve_block1(
-    problem: Block1Problem, hint: tuple[float, float] | None = None
+    problem: Block1Problem, start: float | None = None
 ) -> Block1Solution:
     """Solve the first block by a price search; the result carries its KKT residual.
 
@@ -270,11 +270,10 @@ def solve_block1(
     two ends are settled to close the balance exactly.
 
     The cold bracket is :func:`~hquc.ucmodel.price_past` the fleet's least
-    ``b`` and greatest marginal cost at ``p_max``.  ``hint``, when given, is
-    ``(price, move)``: the previous ADMM iteration's clearing price and how
-    far it moved from the one before (0.0 when unknown).  The search starts
-    at the hint, wherever it lies, with a step of ``4 move`` (or
-    ``1e-4 (1 + |price|)`` when the move is 0); with no hint, or at full
+    ``b`` and greatest marginal cost at ``p_max``.  ``start``, when given,
+    is a price to start from, the previous ADMM iteration's clearing price
+    in :func:`~hquc.admm.run_admm`.  The search starts there, wherever it
+    lies, with a step of ``2e-3 (1 + |start|)``; with no start, or at full
     load, it starts at the cold low end with a step of ``1 + (hi - lo)``.
     It prices the start, then steps outward, doubling the step, until the
     supply crosses the load: above it going up, or at the capacity, which no
@@ -287,8 +286,11 @@ def solve_block1(
 
     Raises InfeasibleRelaxation when the load exceeds the fleet capacity; then
     the original binary problem is infeasible as well and the caller should stop.
-    Raises InvariantViolation, naming the load, when no float price clears it.
+    Raises InvariantViolation, naming the load, when no float price clears
+    it, and naming the start when it is not finite.
     """
+    if start is not None and not math.isfinite(start):
+        raise InvariantViolation(f"block 1 start price {start} is not finite")
     inst = problem.instance
     load = inst.load
     cap = inst.total_p_max()
@@ -318,11 +320,10 @@ def solve_block1(
 
     lo = price_past(min(g.b for g in gens), -1.0)
     hi = price_past(max(g.marginal_cost(g.p_max) for g in gens), 1.0)
-    if hint is None or load == cap:
+    if start is None or load == cap:
         price, step = lo, 1.0 + (hi - lo)
     else:
-        price, move = hint
-        step = 4.0 * move if move > 0.0 else 1e-4 * (1.0 + abs(price))
+        price, step = start, 2e-3 * (1.0 + abs(start))
     near = price, supply(price)
     side = 1.0 if near[1] <= load else -1.0
     ahead = hi if side > 0.0 else lo

@@ -98,10 +98,6 @@ class GeneratorParams:
         """``a + b p_max + c p_max^2``, summed as :func:`evaluate_cost` does."""
         return self.a + self.b * self.p_max + self.c * self.p_max * self.p_max
 
-    def generation_cost(self, p: float) -> float:
-        """Variable cost of producing ``p`` MW (commitment cost excluded)."""
-        return self.b * p + self.c * p * p
-
     def marginal_cost(self, p: float) -> float:
         return self.b + 2.0 * self.c * p
 
@@ -297,21 +293,24 @@ def check_feasible(
     dispatch: Sequence[float],
     tol: float = 1e-6,
 ) -> FeasibilityReport:
-    """Check power balance and per-unit output limits within ``tol``."""
+    """Check power balance and per-unit output limits within ``tol``; a NaN
+    output fails every test, and a non-finite one misses the balance by inf."""
     _require_length(instance, commitment.bits, "commitment")
     _require_length(instance, dispatch, "dispatch")
-    if tol < 0.0:
-        raise InvariantViolation(f"tol {tol} < 0")
+    if not tol >= 0.0:
+        raise InvariantViolation(f"tol {tol} is not >= 0")
     violations: list[Violation] = []
-    balance_gap = math.fsum(dispatch) - instance.load
-    if abs(balance_gap) > tol:
-        violations.append(Violation("balance", None, abs(balance_gap)))
+    balance_gap = math.inf
+    if all(math.isfinite(p) for p in dispatch):
+        balance_gap = abs(math.fsum(dispatch) - instance.load)
+    if not balance_gap <= tol:
+        violations.append(Violation("balance", None, balance_gap))
     for g, y, p in zip(instance.generators, commitment.bits, dispatch):
         lo = g.p_min * y
         hi = g.p_max * y
-        if p < lo - tol:
+        if not p >= lo - tol:
             violations.append(Violation("p_min", g.id, lo - p))
-        if p > hi + tol:
+        if not p <= hi + tol:
             violations.append(Violation("p_max", g.id, p - hi))
     return FeasibilityReport(not violations, tuple(violations))
 

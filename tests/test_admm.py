@@ -324,6 +324,34 @@ class TestRunAdmm:
         assert report.commitment_fixed_at == changes[-1] + 1 == 5
         assert len(seen) == report.iterations > 5
 
+    def test_each_iteration_starts_from_the_previous_results(
+        self, ten_unit, four_unit, monkeypatch
+    ):
+        # Block 1 starts cold, then at the previous clearing price; a
+        # warm-started QAOA solve starts at the previous outcome's angles.
+        starts, solutions, warms = [], [], []
+        block1, qaoa = hquc.admm.solve_block1, hquc.admm.solve_qubo_qaoa
+
+        def recorded_block1(problem, start):
+            starts.append(start)
+            solutions.append(block1(problem, start))
+            return solutions[-1]
+
+        def recorded_qaoa(qubo, config, *, warm, iteration):
+            warms.append(warm)
+            return qaoa(qubo, config, warm=warm, iteration=iteration)
+
+        monkeypatch.setattr(hquc.admm, "solve_block1", recorded_block1)
+        monkeypatch.setattr(hquc.admm, "solve_qubo_qaoa", recorded_qaoa)
+        for inst, backend in ((ten_unit(800.0), "classical"), (four_unit(300.0), "qaoa")):
+            starts.clear()
+            solutions.clear()
+            report = run_admm(inst, default_config(inst.load, backend=backend))
+            assert report.iterations == len(solutions) >= 3
+            assert starts == [None] + [s.price for s in solutions[:-1]]
+        outcomes = report.qaoa_diagnostics
+        assert warms == [None] + [outcome.params for outcome in outcomes[:-1]]
+
     def test_commitment_fixed_at_is_one_when_the_bits_never_change(self, ten_unit):
         report = run_admm(ten_unit(800.0), default_config(800.0, max_iters=1))
         assert report.commitment_fixed_at == 1

@@ -182,6 +182,18 @@ class TestBaselineMode:
             tuned / "solution.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("text", [None, '{"rho": "x"}'], ids=["missing", "bad-type"])
+    def test_bad_config_file_is_an_error(self, gen_csv, tmp_path, capsys, text):
+        config = tmp_path / "cfg.json"
+        if text is not None:
+            config.write_text(text)
+        out = tmp_path / "o"
+        code = main(_args("baseline", gen_csv, 800, out, "--config", str(config)))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "cfg.json" in err
+        assert not out.exists()
+
 
 class TestAdmmModes:
     def test_s1_converged_run_artifacts(self, gen_csv, tmp_path, capsys):

@@ -262,7 +262,7 @@ class TestSolveBlock1:
         # Every supply evaluation of a block-1 solve: the start, the steps
         # out to the bracket and the search.  Plain bisection takes about 52
         # here, the interpolating search from the cold low end about 12, and
-        # from the previous iteration's price about 7 (7.24 in all).
+        # from the previous iteration's price about 7 (7.02 in all).
         solves = evaluations = 0
         solve, profile = admm.solve_block1, qpblock._profile
 
@@ -280,7 +280,7 @@ class TestSolveBlock1:
         monkeypatch.setattr(qpblock, "_profile", counted_profile)
         for load in range(200, 1501, 100):
             run_admm(ten_unit(float(load)), default_config(float(load)))
-        assert evaluations / solves <= 7.5
+        assert evaluations / solves <= 7.1
 
 
 def _warm_problem(rng, zero_c):
@@ -296,24 +296,23 @@ def _warm_problem(rng, zero_c):
     return _random_problem(rng, UCInstance(tuple(gens), load), rho=rho)
 
 
-def _hints(rng, price):
-    """Hints at the cold price, 1 ulp either side, 10**-k of it either side
-    and far either side (often outside the cold bracket), alternately with
-    no move (0.0) and with a random one."""
+def _starts(rng, problem, price):
+    """Start prices at the cold price, 1 ulp either side, 10**-k of it
+    either side, far below and far above the cold bracket, and 0.0."""
+    gens = problem.instance.generators
+    lo = price_past(min(g.b for g in gens), -1.0)
+    hi = price_past(max(g.marginal_cost(g.p_max) for g in gens), 1.0)
     k = int(rng.integers(1, 16))
-    far = 10.0 ** rng.uniform(0.0, 3.0) * (1.0 + abs(price))
-    prices = (
+    return [
         price,
         math.nextafter(price, math.inf),
         math.nextafter(price, -math.inf),
         price * (1.0 + 10.0 ** -k),
         price * (1.0 - 10.0 ** -k),
-        price + far,
-        price - far,
-    )
-    for j, hint in enumerate(prices):
-        move = 10.0 ** rng.uniform(-12.0, 0.0) * (1.0 + abs(price))
-        yield hint, (0.0 if (j + k) % 2 else float(move))
+        lo - 10.0 ** rng.uniform(0.0, 3.0) * (1.0 + abs(lo)),
+        hi + 10.0 ** rng.uniform(0.0, 3.0) * (1.0 + abs(hi)),
+        0.0,
+    ]
 
 
 def _units(problem):
@@ -355,31 +354,31 @@ def brackets(monkeypatch):
 
 
 class TestWarmStart:
-    """``solve_block1``'s hint moves only where the search starts.
+    """``solve_block1``'s start price moves only where the search starts.
 
     Block 1's supply is nondecreasing in the price, so the final bracket is
-    unique and every hint, wherever it lies, gives the cold solve's floats.
+    unique and every start, wherever it lies, gives the cold solve's floats.
     """
 
     def test_hints_give_the_cold_solve_without_c_zero_units(self, brackets):
         rng = np.random.default_rng(5)
         for _ in range(3000):
             problem = _warm_problem(rng, zero_c=False)
-            _assert_hints_give_the_cold_solve(problem, rng, brackets)
+            _assert_starts_give_the_cold_solve(problem, rng, brackets)
 
     def test_hints_stay_within_tolerance_with_c_zero_units(self, brackets):
         # The tolerance is exactness: priced on one edge, a c = 0 unit's
-        # supply is nondecreasing, so no hint ends on another bracket.
+        # supply is nondecreasing, so no start ends on another bracket.
         rng = np.random.default_rng(7)
         for _ in range(3000):
             problem = _warm_problem(rng, zero_c=True)
-            _assert_hints_give_the_cold_solve(problem, rng, brackets)
+            _assert_starts_give_the_cold_solve(problem, rng, brackets)
 
     def test_non_monotone_supply_reproducer(self, brackets):
         # Unit 2 has c = 0.  Near its price step its y = 1 and p_max edges
         # tie within rounding.  Compared by their rounded values, they gave
         # supply - load -0.061, +9.421, -0.061, -0.061, +9.421 at ...179,
-        # ...17a, ...274, ...275 and ...276, so this hint ended on ...275 and
+        # ...17a, ...274, ...275 and ...276, so this start ended on ...275 and
         # the cold search on ...179.  Priced on the p_max edge alone, the
         # supply is nondecreasing and first exceeds the load at ...0fc.
         gens = (
@@ -402,7 +401,7 @@ class TestWarmStart:
         )
         cold = solve_block1(problem)
         assert brackets[-1][0].hex() == "0x1.1fcf4e8d730fbp+5"
-        assert _hex(solve_block1(problem, (39.5738, 0.1))) == _hex(cold)
+        assert _hex(solve_block1(problem, 39.5738)) == _hex(cold)
         assert cold.kkt_residual <= 1e-12
         supply = []
         mu = float.fromhex("0x1.1fcf4e8d730fbp+5")
@@ -417,20 +416,20 @@ class TestWarmStart:
         # With y held at 1, the unit's supply equals the load exactly for
         # every price above b + 2 c p_max = 11, the cold bracket's high end
         # 12 included.  No price lifts the supply above the load, so at
-        # full load the search starts cold whatever the hint, and a step
-        # reaching the capacity counts as crossing it.
+        # full load the search starts cold wherever the start lies, below
+        # the cold low end 9, inside the bracket or above its high end, and
+        # a step reaching the capacity counts as crossing it.
         gens = (GeneratorParams(1, 0.0, 10.0, 0.01, 0.0, 50.0),)
         problem = Block1Problem(UCInstance(gens, 50.0), (1.0,), (0.0,), (0.0,), rho=1e6)
         cold = solve_block1(problem)
         assert (cold.y, cold.p) == ((1.0,), (50.0,))
-        for price in (10.5, 11.0, 11.25, 11.75, 12.5, 20.0, 1e6):
-            for move in (0.0, 0.01, 100.0):
-                assert _hex(solve_block1(problem, (price, move))) == _hex(cold)
+        for start in (-1e6, 0.0, 8.5, 10.5, 11.0, 11.25, 11.75, 12.5, 20.0, 1e6):
+            assert _hex(solve_block1(problem, start)) == _hex(cold)
 
     def test_hint_above_the_cold_end_starts_there(self, ten_unit, monkeypatch):
         # At 1500 MW block 1 clears near 64, above the cold bracket's high
         # end price_past(27.74 + 2 * 0.0079 * 85, 1) = 30.083: the cold
-        # search steps past it, a hint up there is priced first.
+        # search steps past it, a start up there is priced first.
         problem = Block1Problem(
             ten_unit(1500.0), (0.0,) * 10, (0.0,) * 10, (0.0,) * 10, rho=4000.0
         )
@@ -446,20 +445,28 @@ class TestWarmStart:
         cold_evaluations = len(prices)
         hi = price_past(27.74 + 2.0 * 0.0079 * 85.0, 1.0)
         assert prices[:2] == [price_past(16.19, -1.0), hi] and cold.price > 2.0 * hi
-        for hint in ((cold.price, 0.0), (1.01 * cold.price, 0.5), (60.0, 1.0)):
+        for start in (cold.price, 1.01 * cold.price, 60.0):
             prices.clear()
-            assert _hex(solve_block1(problem, hint)) == _hex(cold)
-            assert prices[0] == hint[0]
+            assert _hex(solve_block1(problem, start)) == _hex(cold)
+            assert prices[0] == start
             assert len(prices) < cold_evaluations
 
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_is_refused(self, ten_unit, start):
+        problem = Block1Problem(
+            ten_unit(800.0), (0.0,) * 10, (0.0,) * 10, (0.0,) * 10, rho=4000.0
+        )
+        with pytest.raises(InvariantViolation, match=f"start price {start} is not finite"):
+            solve_block1(problem, start)
 
-def _assert_hints_give_the_cold_solve(problem, rng, brackets):
-    """Every hint gives the cold solve's floats and ends on adjacent floats
+
+def _assert_starts_give_the_cold_solve(problem, rng, brackets):
+    """Every start gives the cold solve's floats and ends on adjacent floats
     with ``supply(lo) <= load < supply(hi)``."""
     load = problem.instance.load
     cold = solve_block1(problem)
-    for hint in _hints(rng, cold.price):
-        assert _hex(solve_block1(problem, hint)) == _hex(cold), (problem, hint)
+    for start in _starts(rng, problem, cold.price):
+        assert _hex(solve_block1(problem, start)) == _hex(cold), (problem, start)
         lo, hi, s_lo, s_hi = brackets[-1]
         assert hi == math.nextafter(lo, math.inf)
         assert s_lo <= load < s_hi

@@ -232,6 +232,31 @@ class TestCheckFeasible:
         assert check_feasible(inst, Commitment(bits), dispatch, tol=1e-6).feasible
         assert not check_feasible(inst, Commitment(bits), dispatch, tol=1e-9).feasible
 
+    def test_nan_outputs_violate_limits_and_balance(self, ten_unit):
+        inst = ten_unit(800.0)
+        report = check_feasible(inst, Commitment((1,) * 10), (math.nan,) * 10)
+        assert not report.feasible
+        kinds = [(v.constraint, v.unit) for v in report.violations]
+        assert kinds[0] == ("balance", None)
+        assert report.violations[0].slack == math.inf
+        for g in inst.generators:
+            assert ("p_min", g.id) in kinds and ("p_max", g.id) in kinds
+
+    def test_opposite_infinities_are_violations(self, ten_unit):
+        inst = ten_unit(800.0)
+        dispatch = (math.inf, -math.inf) + (0.0,) * 8
+        report = check_feasible(inst, Commitment((1,) * 10), dispatch)
+        kinds = [(v.constraint, v.unit, v.slack) for v in report.violations]
+        assert kinds[:3] == [
+            ("balance", None, math.inf), ("p_max", 1, math.inf), ("p_min", 2, math.inf)
+        ]
+
+    @pytest.mark.parametrize("tol", [math.nan, -1e-9])
+    def test_tolerance_must_be_nonnegative(self, ten_unit, tol):
+        inst = ten_unit(800.0)
+        with pytest.raises(InvariantViolation, match="tol"):
+            check_feasible(inst, Commitment((1,) * 10), (80.0,) * 10, tol=tol)
+
 
 class TestEconomicDispatch:
     def test_two_units_pin_expensive_at_minimum(self, ten_unit):
@@ -244,7 +269,7 @@ class TestEconomicDispatch:
         grid = np.arange(10.0, 55.0 + 1e-9, 0.01)
         p2 = 50.0 - grid
         ok = (p2 >= 10.0) & (p2 <= 55.0)
-        costs = g1.generation_cost(grid) + g2.generation_cost(p2)
+        costs = g1.b * grid + g1.c * grid**2 + g2.b * p2 + g2.c * p2**2
         costs[~ok] = np.inf
         best = grid[np.argmin(costs)]
         assert best == pytest.approx(40.0, abs=0.01)
