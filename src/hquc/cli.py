@@ -47,12 +47,16 @@ EXIT_INFEASIBLE = 2
 EXIT_NOT_CONVERGED = 3
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str, role: str) -> str:
+    """The UTF-8 text of the ``role`` file at ``path``; an unreadable file
+    raises :class:`SolverError` naming both."""
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
-        raise SolverError(f"{path}: not UTF-8 text ({exc})") from exc
+        raise SolverError(f"{role} {path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise SolverError(f"{role} {path}: {exc.strerror or exc}") from exc
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -113,7 +117,7 @@ def _load_file_overrides(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        data = json.loads(_read_text(path))
+        data = json.loads(_read_text(path, "config file"))
     except ValueError as exc:  # bad JSON, or an integer past the digit limit
         raise SolverError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -165,7 +169,8 @@ def trace_to_csv(report: SolveReport) -> str:
 
 def _run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; writes artifacts, returns the exit code."""
-    instance = UCInstance(parse_generators(_read_text(args.generators)), args.load)
+    text = _read_text(args.generators, "generators file")
+    instance = UCInstance(parse_generators(text), args.load)
     # Checked in every mode; baseline uses none of its settings.
     settings = _load_file_overrides(args.config)
     out = Path(args.out)

@@ -21,18 +21,23 @@ approximation is made (Farhi, Goldstone and Gutmann, arXiv:1411.4028).  That
 is O(n P) per circuit instead of O(n 2^n P).
 
 One kernel, :func:`_energy`, carries each qubit's four amplitude parts
-through the layers in Python floats and sums ``q_i P_i(1)``.  It does no
-arithmetic whose result is known or unused: the first cost step starts
-from the uniform state's zeros, and the last mixer builds ``a0_i`` only
-when the pair is kept.  The angle search, the in-package Nelder-Mead
-:func:`_nelder_mead`, calls it about a hundred times per QUBO for the
-expectation alone, and re-ranks its simplex by one insertion after every
-step but a shrink; :func:`run_circuit` calls it once more, at the optimum,
-and keeps each qubit's pair as a :class:`ProductState`.  The most probable
-bitstring takes each bit from its own qubit, and sample extraction draws
-each bit from its own marginal.  No solve has a size limit; the 2^n
-amplitudes are built (as a Kronecker product, in pure Python) only for the
-probability map, up to 16 qubits.  The package needs no numpy.
+through the layers in Python floats and sums ``q_i P_i(1)``, reading each
+qubit's ``(q_i, h_i)`` from a tuple built once per QUBO
+(:attr:`QuboProblem.terms`).  It does no arithmetic whose result is
+known: the first cost step starts from the uniform state's zeros, and the
+first mixer from that step's ``(amp, 0, x, y)``.  The angle search, the
+in-package Nelder-Mead :func:`_nelder_mead`, calls it about a hundred times
+per QUBO for the expectation alone.  At a few qubits the search's own
+bookkeeping costs about a third as much as the kernel, so it re-ranks its
+simplex by one insertion after every step but a shrink, tests the value
+spread before the vertex spread, and sums the centroid in one fold over
+the vertex rows.  :func:`run_circuit` calls the kernel once more, at the
+optimum, and keeps each qubit's pair as a :class:`ProductState`.  The most
+probable bitstring takes each bit from its own qubit, and sample
+extraction draws each bit from its own marginal.  No solve has a size
+limit; the 2^n amplitudes are built (as a Kronecker product, in pure
+Python) only for the probability map, up to 16 qubits.  The package needs
+no numpy.
 
 Oracle: the tests simulate the same circuit on the full 2^n statevector,
 layer by layer, and ground that simulation in the full-matrix product at
@@ -55,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from operator import add
 from random import Random
 from typing import Callable, Sequence
@@ -188,63 +192,59 @@ def _energy(
 ) -> float:
     """The expectation at the angles ``(gammas, betas)``: the QAOA kernel.
 
-    A loop over each qubit's four amplitude parts in Python floats, with the
+    A loop over :attr:`QuboProblem.terms`, each qubit's ``(q_i, h_i)``,
+    carrying the qubit's four amplitude parts in Python floats, with the
     per-layer constants built once; it returns ``sum_i q_i P_i(1)`` plus the
     constant.  Given ``pairs``, it also appends each qubit's final
     ``(a0_i, a1_i)`` there.  An angle whose phase ``pi * angle / 2`` is not
     finite prices as NaN, which the search ranks last.
 
-    The loop skips the arithmetic whose result is known or unused: the first
-    cost step acts on the uniform state ``(amp, 0, amp, 0)``, so it is two
-    products, and the last mixer builds ``a0_i`` only for ``pairs``.  Every
-    value it returns is the full 2x2 update's to the bit; an amplitude part
-    that is zero may differ in its sign, which no probability reads.
+    The first layer skips the arithmetic whose result is known: its cost
+    step acts on the uniform state ``(amp, 0, amp, 0)``, so it is two
+    products, and its mixer on ``(amp, 0, x, y)``, so it reads ``c amp`` and
+    ``s amp``, taken once per call, and drops the products with the zero
+    part.  Every value it returns is the full 2x2 update's to the bit; an
+    amplitude part that is zero may differ in its sign, which no
+    probability reads.
     """
-    # Layer k's mixer (c, s) runs with layer k + 1's cost phase t, so each
-    # pass of the inner loop below is one mixer then one cost step.  The
-    # first phase t0 and the last mixer (cl, sl) run outside it; depth 1
-    # makes no pass.
-    t0 = None
-    steps = []
+    layers = []
     for gamma, beta in zip(gammas, betas):
         t = math.pi * gamma / 2.0
         m = math.pi * beta / 2.0
         if not (math.isfinite(t) and math.isfinite(m)):
             return math.nan
-        if t0 is None:
-            t0 = t
-        else:
-            steps.append((cl, sl, t))
-        cl = math.cos(m)
-        sl = math.sin(m)
+        layers.append((t, math.cos(m), math.sin(m)))
+    # Layer 1 runs before the inner loop, which runs the others.
+    t0, c0, s0 = layers[0]
+    del layers[0]
     cos, sin = math.cos, math.sin
     amp = 2.0**-0.5
+    ca = c0 * amp
+    sa = s0 * amp
     total = 0.0
-    for q, h in zip(qubo.linear, qubo.slopes):
+    for q, h in qubo.terms:
         # Cost: |1> picks up exp(i t h), giving (x, y).  Mixer: each
         # amplitude becomes c times itself plus i s times the other one.
         th = t0 * h
         x = amp * cos(th)
         y = amp * sin(th)
-        a0r = amp
-        a0i = 0.0
-        for c, s, t in steps:
-            a1r = c * x - s * a0i
-            a1i = c * y + s * a0r
-            a0r = c * a0r - s * y
-            a0i = c * a0i + s * x
+        a1r = c0 * x
+        a1i = c0 * y + sa
+        a0r = ca - s0 * y
+        a0i = s0 * x
+        for t, c, s in layers:
             th = t * h
             er = cos(th)
             ei = sin(th)
             x = a1r * er - a1i * ei
             y = a1r * ei + a1i * er
-        a1r = cl * x - sl * a0i
-        a1i = cl * y + sl * a0r
+            a1r = c * x - s * a0i
+            a1i = c * y + s * a0r
+            a0r = c * a0r - s * y
+            a0i = c * a0i + s * x
         total += q * (a1r * a1r + a1i * a1i)
         if pairs is not None:
-            pairs.append(
-                (complex(cl * a0r - sl * y, cl * a0i + sl * x), complex(a1r, a1i))
-            )
+            pairs.append((complex(a0r, a0i), complex(a1r, a1i)))
     return total + qubo.constant
 
 
@@ -280,6 +280,14 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
     value is at most its own (it is never NaN).  Vertices are lists of
     floats, and each is built only when it is evaluated.  There is no
     evaluation limit; ``func`` ends the search early by raising.
+
+    The stopping test reads the value spread first and the vertex spread
+    only when that passes; both are pure, so the search stops at scipy's
+    step.  As the values stay ranked, ascending with NaN last, the spread
+    is ``fsim[-1] - fsim[0]``: rounding is monotone, so no ``|fsim[0] - f|``
+    exceeds it, and a NaN or an infinity fails it as it fails scipy's test.
+    The centroid folds the vertex rows into one running row from zeros,
+    which sums each column in order from +0.0 as numpy does.
     """
     n = len(x0)
     sim = [x0]
@@ -296,18 +304,22 @@ def _nelder_mead(func: Callable[[list[float]], float], x0: list[float]) -> None:
         fsim[:] = [fsim[i] for i in order]
 
     sort()
+    zeros = (0.0,) * n
     while not (
-        all(abs(v - v0) <= 1e-6 for x in sim[1:] for v, v0 in zip(x, sim[0]))
-        and all(abs(fsim[0] - f) <= 1e-10 for f in fsim[1:])
+        fsim[-1] - fsim[0] <= 1e-10
+        and all(abs(v - v0) <= 1e-6 for x in sim[1:] for v, v0 in zip(x, sim[0]))
     ):
         # Each column of the n best vertices summed in order from +0.0, as
         # numpy sums it; sum() may compensate and math.fsum rounds once.
-        xbar = [reduce(add, col, 0.0) / n for col in zip(*sim[:-1])]
+        total = zeros
+        for x in sim[:-1]:
+            total = map(add, total, x)
+        xbar = [t / n for t in total]
         worst = sim[-1]
-        xr = [2 * b - w for b, w in zip(xbar, worst)]
+        xr = [2.0 * b - w for b, w in zip(xbar, worst)]
         fxr = func(xr)
         if fxr < fsim[0]:
-            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+            xe = [3.0 * b - 2.0 * w for b, w in zip(xbar, worst)]
             fxe = func(xe)
             x, f = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
@@ -350,10 +362,13 @@ def optimize_params(
     the flat-gradient point at exactly zero.  Spends at most
     ``config.optimizer_budget`` evaluations of :func:`_energy` and returns
     the best parameters seen with their value, so the result is never worse
-    than the starting point.
-    The search is the in-package :func:`_nelder_mead`, which visits the same
-    angles as scipy's Nelder-Mead with ``maxfev`` set to the budget wherever
-    no two vertices tie.
+    than the starting point; the first of equal best values wins, and NaN
+    never does.  The search is the in-package :func:`_nelder_mead`, which
+    visits the same angles as scipy's Nelder-Mead with ``maxfev`` set to the
+    budget wherever no two vertices tie.  Each evaluation is one call of the
+    module's ``_energy(qubo, gammas, betas)``, looked up at call time, on
+    the two halves of the search's vertex: the only work the objective adds
+    is those slices, the budget count and the best-so-far.
     """
     if start is None:
         start = QaoaParams((0.1,) * config.depth, (0.1,) * config.depth)

@@ -12,7 +12,8 @@ QUBO: ``energy(z) = sum_i q_i z_i + constant`` with
     constant = sum_i (lam_i * a_i + (rho / 2) * a_i**2)
 
 The problem is pure Python, and so are the phase slopes
-(:attr:`QuboProblem.slopes`) that the QAOA kernel reads.
+(:attr:`QuboProblem.slopes`) and the ``(q_i, h_i)`` pairs
+(:attr:`QuboProblem.terms`) that the QAOA kernel reads.
 """
 
 from __future__ import annotations
@@ -55,6 +56,12 @@ class QuboProblem:
         problem about a hundred times."""
         scale = phase_scale(self)
         return tuple(q / scale for q in self.linear)
+
+    @cached_property
+    def terms(self) -> tuple[tuple[float, float], ...]:
+        """Each qubit's ``(linear[i], slopes[i])``, the pairs the QAOA
+        kernel loops over, built once per problem."""
+        return tuple(zip(self.linear, self.slopes))
 
 
 def phase_scale(qubo: QuboProblem) -> float:

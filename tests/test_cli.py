@@ -364,6 +364,35 @@ class TestInputErrors:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [
+            ("missing", "No such file or directory"),
+            ("directory", "Is a directory"),
+            ("non-utf8", "not UTF-8 text"),
+        ],
+    )
+    @pytest.mark.parametrize("role", ["generators", "config"])
+    def test_unreadable_file_is_named(
+        self, gen_csv, tmp_path, capsys, mode, kind, reason, role
+    ):
+        bad = tmp_path / f"bad-{role}"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "non-utf8":
+            bad.write_bytes(b"\xb5\xe9\n")
+        if role == "config":
+            argv = _args(mode, gen_csv, 300, tmp_path / "o", "--config", str(bad))
+        else:
+            argv = _args(mode, bad, 300, tmp_path / "o")
+        code = main(argv)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {role} file {bad}: {reason}")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("id,a,b,c,p_min,p_max\n1,660,25.92,0.00413,10\n")

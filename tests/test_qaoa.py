@@ -22,6 +22,7 @@ from helpers import (
     reference_run_circuit,
 )
 
+import hquc.admm
 import hquc.qaoa
 import hquc.qubo
 from hquc import (
@@ -32,9 +33,12 @@ from hquc import (
     QaoaParams,
     QuboProblem,
     TooManyQubits,
+    UCInstance,
+    default_config,
     extract_solution,
     optimize_params,
     phase_scale,
+    run_admm,
     run_circuit,
     solve_qubo_qaoa,
 )
@@ -439,6 +443,15 @@ class TestOptimizeParams:
         assert params == start
         assert value == hquc.qaoa._energy(qubo, start.gammas, start.betas)
 
+    @pytest.mark.parametrize("budget", [2, 9, 60])
+    def test_first_of_equal_best_values_wins(self, budget):
+        # A zero objective prices every angle at the constant, so the start,
+        # seen first, is the best.
+        qubo = QuboProblem((0.0, -0.0, 0.0), 2.5)
+        start = QaoaParams((0.3, 0.2), (0.1, 0.4))
+        params, value = optimize_params(qubo, QaoaConfig(optimizer_budget=budget), start)
+        assert params == start and value == 2.5
+
     def test_single_qubit_concentrates_on_minimizer(self):
         qubo = QuboProblem((-1.0,))
         config = QaoaConfig(depth=1, optimizer_budget=100)
@@ -680,6 +693,93 @@ class TestSeams:
         calls.update(_energy=0, run_circuit=0)
         solve_qubo_qaoa(qubo, config)
         assert calls == {"_energy": budget + 1, "run_circuit": 1}
+
+
+class TestSearchOnS2Qubos:
+    """The whole angle search on the QUBOs and warm starts that s2 runs
+    solve, on the s2 pin's set (the first 4, 7 and 10 ten-unit rows at 20%,
+    50% and 80% of their capacity): every trial point, its value, and the
+    returned angles and expectation equal, by ``float.hex()``, those of the
+    full-sort Nelder-Mead oracle over the full-update kernel oracle with the
+    same budget stop.  The s2 pin hashes only what follows from the bits."""
+
+    @staticmethod
+    def _record_s2_solves(monkeypatch, generators_table):
+        """Every ``(qubo, config, warm, trials, outcome)`` that ``run_admm``
+        solves; ``trials`` holds the search's ``(point, value)`` pairs."""
+        solves = []
+        energy = hquc.qaoa._energy
+        solve = hquc.admm.solve_qubo_qaoa
+
+        def recorded_energy(qubo, gammas, betas, pairs=None):
+            value = energy(qubo, gammas, betas, pairs)
+            if pairs is None:  # run_circuit's pass at the optimum keeps pairs
+                solves[-1][3].append((tuple(gammas) + tuple(betas), value))
+            return value
+
+        def recorded_solve(qubo, config, warm=None, iteration=0):
+            solves.append([qubo, config, warm, []])
+            outcome = solve(qubo, config, warm, iteration)
+            solves[-1].append(outcome)
+            return outcome
+
+        with monkeypatch.context() as patch:
+            patch.setattr(hquc.qaoa, "_energy", recorded_energy)
+            patch.setattr(hquc.admm, "solve_qubo_qaoa", recorded_solve)
+            for k in (4, 7, 10):
+                generators = generators_table[:k]
+                capacity = sum(g.p_max for g in generators)
+                for fraction in (0.2, 0.5, 0.8):
+                    load = fraction * capacity
+                    config = default_config(load, backend="qaoa")
+                    run_admm(UCInstance(generators, load), config)
+        return solves
+
+    @staticmethod
+    def _oracle_search(qubo, config, warm):
+        """The oracles' trials and their best ``(value, point)``, the first
+        best seen winning, with the package's start and budget stop."""
+        start = warm or QaoaParams((0.1,) * config.depth, (0.1,) * config.depth)
+        depth = start.depth
+        x0 = list(start.gammas + start.betas)
+        trials = []
+        best = [math.inf, x0]
+
+        class Stop(Exception):
+            pass
+
+        def func(x):
+            if len(trials) == config.optimizer_budget:
+                raise Stop
+            value = reference_energy(qubo, x[:depth], x[depth:])
+            trials.append((tuple(x), value))
+            if value < best[0]:
+                best[:] = [value, x]
+            return value
+
+        try:
+            reference_nelder_mead(func, x0)
+        except Stop:
+            pass
+        return trials, best
+
+    def test_matches_the_oracles(self, monkeypatch, ten_unit_generators):
+        def hexed(values):
+            return [v.hex() for v in values]
+
+        solves = self._record_s2_solves(monkeypatch, ten_unit_generators)
+        # One cold start per run, then each iteration starts from the last.
+        assert len(solves) >= 300
+        assert sum(warm is None for _, _, warm, _, _ in solves) == 9
+        for qubo, config, warm, trials, outcome in solves:
+            want, (value, point) = self._oracle_search(qubo, config, warm)
+            assert len(trials) == len(want)
+            for (x, f), (x_want, f_want) in zip(trials, want):
+                assert hexed(x) == hexed(x_want)
+                assert f.hex() == f_want.hex()
+            params = outcome.params
+            assert hexed(params.gammas + params.betas) == hexed(point)
+            assert outcome.expectation.hex() == value.hex()
 
 
 class TestExtractSolution:

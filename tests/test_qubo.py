@@ -134,3 +134,13 @@ class TestPhaseSlopes:
 
     def test_all_zero_objective_keeps_zero_slopes(self):
         assert QuboProblem((0.0, -0.0, 0.0)).slopes == (0.0, -0.0, 0.0)
+
+    def test_terms_pair_each_coefficient_with_its_slope(self):
+        # The QAOA kernel's loop: built on first read, and never by the
+        # per-bit path, so s1 does not pay for it.
+        qubo = build_qubo((0.2, 0.9, 0.0), (0.1, -0.3, 0.0), (5.0, -2.0, 0.0), 40.0)
+        solve_qubo_perbit(qubo)
+        assert "terms" not in vars(qubo) and "slopes" not in vars(qubo)
+        assert type(qubo.terms) is tuple
+        assert qubo.terms == tuple(zip(qubo.linear, qubo.slopes))
+        assert qubo.terms is qubo.terms
