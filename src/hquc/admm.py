@@ -3,16 +3,23 @@
 Each iteration solves, in order:
 
 1. the convex QP over the relaxed commitments and outputs (``qpblock``),
-2. the diagonal QUBO over the auxiliary bits ``z`` (classical per-bit solve
-   or a QAOA solve simulated as a product state, optionally warm started
-   with the previous iteration's angles),
+2. the diagonal QUBO over the auxiliary bits ``z``: the per-bit solve
+   always runs, since it gives the QUBO's minimum, and the qaoa backend
+   replaces its bits by those of a QAOA solve simulated as a product state,
+   optionally warm started with the previous iteration's angles,
 3. the unconstrained quadratic over the slack ``r``, which has the closed
    form ``r = -(lam + rho (y - z)) / (beta + rho)``,
 
-then takes the dual step ``lam += (rho / 2) (y - z + r)`` and stops once the
-L1 consensus residual ``sum_i |y_i - z_i + r_i|`` falls below the tolerance.
-The same L1 quantity drives both the stopping rule and the reported trace so
-the two can never disagree.
+then takes the dual step ``lam += (rho / 2) (y - z + r)``.
+
+:func:`admm_steps` runs this iteration without end and yields one
+:class:`AdmmStep` per iteration: its :class:`TraceRow`, its block-2 bits
+and the qaoa backend's outcome.  :func:`run_admm` is its consumer: it stops
+once the L1 consensus residual ``sum_i |y_i - z_i + r_i|`` falls below the
+tolerance (the residual test of Boyd et al., 2011, section 3.3.1) or at
+``max_iters``, and builds the report from the steps.  The same L1 quantity
+drives both the stopping rule and the reported trace so the two can never
+disagree.
 
 Convergence of this splitting is heuristic (the middle block is binary); the
 penalties must satisfy ``rho > beta > 0`` and are load-dependent in practice,
@@ -23,9 +30,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from itertools import count, islice
+from typing import Iterator, Sequence
 
-from .errors import InvariantViolation, LengthMismatch
+from .errors import InvariantViolation, LengthMismatch, require_integer
 from .qaoa import QaoaConfig, QaoaOutcome, solve_qubo_qaoa
 from .qpblock import Block1Problem, augmented_lagrangian, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
@@ -62,6 +70,7 @@ class AdmmConfig:
     initial_lambda: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        require_integer("max_iters", self.max_iters)
         for name in ("rho", "beta", "epsilon"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -125,6 +134,16 @@ class SolveReport:
     qaoa_diagnostics: tuple[QaoaOutcome, ...]
 
 
+@dataclass(frozen=True)
+class AdmmStep:
+    """One iteration of :func:`admm_steps`: its trace row, its block-2 bits,
+    and the qaoa backend's outcome (``None`` for the classical backend)."""
+
+    row: TraceRow
+    bits: tuple[int, ...]
+    outcome: QaoaOutcome | None
+
+
 def update_r(
     y: Sequence[float],
     z: Sequence[float],
@@ -182,19 +201,12 @@ def _initial_vector(
     return tuple(float(v) for v in value)
 
 
-def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
-    """Run the three-block loop until the residual closes or the cap is hit.
+def admm_steps(instance: UCInstance, config: AdmmConfig) -> Iterator[AdmmStep]:
+    """The three-block iteration, without end: one :class:`AdmmStep` each.
 
-    Each iteration starts block 1's price search at the previous clearing
-    price, and a warm-started QAOA solve at the previous outcome's angles.
-
-    The relaxed ``y`` does not satisfy the original problem, so the
-    report's final solution is :func:`~hquc.ucmodel.polish` of the terminal
-    binary commitment: the cheapest commitment among it and its one-flip
-    neighbours that can serve the load, with its exact dispatch, else
-    ``None``.  This runs after the loop: the trace and the iteration count
-    are those of the loop, and the report's ``terminal_commitment`` is the
-    loop's last block-2 answer.
+    Each iteration starts block 1's price search at the previous clearing price,
+    and a warm-started QAOA solve at the previous outcome's angles.  There
+    is no stop test here; :func:`run_admm` applies one.
     InfeasibleRelaxation from the first block propagates, since it proves
     the original problem infeasible.
     """
@@ -202,34 +214,22 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     z = _initial_vector(config.initial_z, n, "initial_z")
     r = _initial_vector(config.initial_r, n, "initial_r")
     lam = _initial_vector(config.initial_lambda, n, "initial_lambda")
+    price = warm = None
 
-    trace: list[TraceRow] = []
-    diagnostics: list[QaoaOutcome] = []
-    block1 = None
-    bits: tuple[int, ...] | None = None
-    fixed_at = 1
-
-    for it in range(1, config.max_iters + 1):
+    for it in count(1):
         block1 = solve_block1(
-            Block1Problem(instance, z, r, lam, rho=config.rho, beta=config.beta),
-            None if block1 is None else block1.price,
+            Block1Problem(instance, z, r, lam, rho=config.rho, beta=config.beta), price
         )
-        y, p = block1.y, block1.p
+        y, p, price = block1.y, block1.p, block1.price
 
         qubo = build_qubo(y, r, lam, config.rho)
-        previous = bits
-        if config.backend == BACKEND_CLASSICAL:
-            bits, block2_energy = solve_qubo_perbit(qubo)
-            block2_gap = 0.0
-        else:
-            warm = diagnostics[-1].params if config.warm_start and diagnostics else None
+        bits, least = solve_qubo_perbit(qubo)
+        energy, outcome = least, None
+        if config.backend == BACKEND_QAOA:
             outcome = solve_qubo_qaoa(qubo, config.qaoa, warm=warm, iteration=it)
-            bits = outcome.bits
-            block2_energy = qubo.energy(bits)
-            block2_gap = block2_energy - solve_qubo_perbit(qubo)[1]
-            diagnostics.append(outcome)
-        if previous is not None and bits != previous:
-            fixed_at = it
+            bits, energy = outcome.bits, qubo.energy(outcome.bits)
+            if config.warm_start:
+                warm = outcome.params
         z = tuple(float(b) for b in bits)
 
         r = update_r(y, z, lam, config.rho, config.beta)
@@ -238,25 +238,42 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
             instance.generators, y, p, z, r, lam, config.rho, config.beta
         )
         lam = update_dual(lam, y, z, r, config.rho)
-        trace.append(
-            TraceRow(
-                it, res, objective,
-                block1.objective, block1.kkt_residual, block2_energy,
-                block2_gap,
-            )
+        row = TraceRow(
+            it, res, objective, block1.objective, block1.kkt_residual,
+            energy, energy - least,
         )
-        if res <= config.epsilon:
+        yield AdmmStep(row, bits, outcome)
+
+
+def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
+    """Take :func:`admm_steps` until the residual is at most ``epsilon`` or
+    ``max_iters`` steps are taken; their errors, InfeasibleRelaxation among
+    them, propagate.
+
+    The relaxed ``y`` does not satisfy the original problem, so the
+    report's final solution is :func:`~hquc.ucmodel.polish` of the terminal
+    binary commitment: the cheapest commitment among it and its one-flip
+    neighbours that can serve the load, with its exact dispatch, else
+    ``None``.  This runs after the last step: the trace and the iteration
+    count are those of the steps, and the report's ``terminal_commitment``
+    is the last step's block-2 answer.
+    """
+    steps: list[AdmmStep] = []
+    for step in islice(admm_steps(instance, config), config.max_iters):
+        steps.append(step)
+        if step.row.residual <= config.epsilon:
             break
 
-    # max_iters >= 1, so block 2 ran and ``bits`` is set.
-    terminal = Commitment(bits)
+    terminal = Commitment(steps[-1].bits)
     return SolveReport(
-        converged=trace[-1].residual <= config.epsilon,
-        iterations=len(trace),
+        converged=steps[-1].row.residual <= config.epsilon,
+        iterations=len(steps),
         terminal_commitment=terminal,
-        commitment_fixed_at=fixed_at,
+        commitment_fixed_at=max(
+            (b.row.iter for a, b in zip(steps, steps[1:]) if a.bits != b.bits),
+            default=1,
+        ),
         final=polish(instance, terminal.bits),
-        trace=tuple(trace),
-        qaoa_diagnostics=tuple(diagnostics),
+        trace=tuple(step.row for step in steps),
+        qaoa_diagnostics=tuple(s.outcome for s in steps if s.outcome is not None),
     )
-

@@ -1,4 +1,7 @@
-"""Exception hierarchy for the solver package."""
+"""Exception hierarchy for the solver package, and the integer check that
+raises one of its errors."""
+
+import operator
 
 
 class SolverError(Exception):
@@ -40,3 +43,11 @@ class InfeasibleRelaxation(SolverError):
 class TooManyQubits(SolverError):
     """A 2**n amplitude table would exceed its size guard."""
 
+
+def require_integer(name: str, value: object) -> None:
+    """Raise InvariantViolation naming ``name`` unless ``value`` is an
+    integer, that is, unless :func:`operator.index` accepts it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InvariantViolation(f"{name}={value!r} is not an integer") from None

@@ -64,7 +64,7 @@ from operator import add
 from random import Random
 from typing import Callable, Sequence
 
-from .errors import InvariantViolation, TooManyQubits
+from .errors import InvariantViolation, TooManyQubits, require_integer
 from .qubo import QuboProblem
 
 #: Guard on 2**n amplitude tables (histograms): 2**16 amplitudes.
@@ -157,6 +157,8 @@ class QaoaConfig:
     sample_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("depth", "optimizer_budget", "sample_seed"):
+            require_integer(name, getattr(self, name))
         if self.depth < 1:
             raise InvariantViolation(f"depth {self.depth} < 1")
         if self.optimizer_budget < 1:

@@ -184,17 +184,10 @@ class Commitment:
         if any(b not in (0, 1) for b in self.bits):
             raise InvariantViolation(f"commitment bits must be 0/1, got {self.bits}")
 
-    def __len__(self) -> int:
-        return len(self.bits)
-
     @property
     def bitstring(self) -> str:
         """Most-significant-unit-first rendering, e.g. units (1,1,0,1) -> '1011'."""
         return "".join(str(b) for b in reversed(self.bits))
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "Commitment":
-        return cls(tuple(int(ch) for ch in reversed(s)))
 
     def on_units(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, b in enumerate(self.bits) if b)
@@ -293,8 +286,13 @@ def check_feasible(
     dispatch: Sequence[float],
     tol: float = 1e-6,
 ) -> FeasibilityReport:
-    """Check power balance and per-unit output limits within ``tol``; a NaN
-    output fails every test, and a non-finite one misses the balance by inf."""
+    """Check per-unit output limits within ``tol``, and power balance within
+    ``tol`` or four ulps of the load, whichever is more: at loads of 1e10 MW
+    and up, the rounded sum of an exact dispatch can miss the load by an ulp,
+    which exceeds the default ``tol``; with that default the floor changes
+    nothing below 2**31 MW.
+    A NaN output fails every test, and a non-finite one misses the balance
+    by inf."""
     _require_length(instance, commitment.bits, "commitment")
     _require_length(instance, dispatch, "dispatch")
     if not tol >= 0.0:
@@ -303,7 +301,7 @@ def check_feasible(
     balance_gap = math.inf
     if all(math.isfinite(p) for p in dispatch):
         balance_gap = abs(math.fsum(dispatch) - instance.load)
-    if not balance_gap <= tol:
+    if not balance_gap <= max(tol, 4.0 * math.ulp(instance.load)):
         violations.append(Violation("balance", None, balance_gap))
     for g, y, p in zip(instance.generators, commitment.bits, dispatch):
         lo = g.p_min * y

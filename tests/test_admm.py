@@ -1,4 +1,7 @@
 import math
+import re
+from dataclasses import fields, replace
+from itertools import islice
 from random import Random
 
 import numpy as np
@@ -9,6 +12,7 @@ from helpers import dense_energy, dense_run_circuit, random_instance
 
 import hquc.admm
 import hquc.qaoa
+from hquc.admm import admm_steps
 from hquc import (
     AdmmConfig,
     Commitment,
@@ -52,6 +56,19 @@ class TestConfig:
             AdmmConfig(rho=500.0, beta=1000.0)
         with pytest.raises(InvariantViolation):
             AdmmConfig(rho=1.0, beta=0.0)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("epsilon", 0.0, "epsilon 0.0 <= 0"),
+            ("max_iters", 0, "max_iters 0 < 1"),
+            ("backend", "x", "unknown backend 'x'"),
+            ("max_iters", 2.5, "max_iters=2.5 is not an integer"),
+        ],
+    )
+    def test_rejects_bad_settings(self, name, value, message):
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            AdmmConfig(rho=4000.0, beta=1000.0, **{name: value})
 
     def test_presets_by_load(self):
         assert preset_penalties(50.0) == (1_000_001.0, 1_000_000.0)
@@ -378,6 +395,56 @@ class TestRunAdmm:
                 ).feasible
             )
         assert seen > 0
+
+
+def _hex_row(row):
+    return [row.iter] + [
+        getattr(row, f.name).hex() for f in fields(row) if f.name != "iter"
+    ]
+
+
+class TestAdmmSteps:
+    """``admm_steps`` is the iteration without a stop test, and ``run_admm``
+    is its residual-test consumer."""
+
+    def test_steps_run_past_convergence(self, ten_unit):
+        inst, config = ten_unit(800.0), default_config(800.0)
+        report = run_admm(inst, config)
+        assert report.converged
+        k = report.iterations + 3
+        steps = list(islice(admm_steps(inst, config), k))
+        assert [step.row.iter for step in steps] == list(range(1, k + 1))
+        assert all(step.outcome is None for step in steps)
+
+    @pytest.mark.parametrize(
+        "load, initial_lambda, backend",
+        [(800.0, None, "classical"), (150.0, (1000.0,) * 10, "classical"),
+         (300.0, None, "qaoa")],
+        ids=["converging", "bits-change", "qaoa"],
+    )
+    def test_steps_are_the_capped_run(
+        self, ten_unit, four_unit, load, initial_lambda, backend
+    ):
+        # From lambda = 1000 at 150 MW the bits last change at iteration 5.
+        inst = ten_unit(load) if backend == "classical" else four_unit(load)
+        config = default_config(load, backend=backend)
+        if initial_lambda is not None:
+            config = replace(config, initial_lambda=initial_lambda)
+        steps = list(islice(admm_steps(inst, config), 8))
+        for k in range(1, 9):
+            report = run_admm(inst, replace(config, max_iters=k))
+            taken = steps[: report.iterations]
+            assert report.iterations == k or report.converged
+            assert [_hex_row(row) for row in report.trace] == [
+                _hex_row(step.row) for step in taken
+            ]
+            assert report.terminal_commitment.bits == taken[-1].bits
+            changes = [b.row.iter for a, b in zip(taken, taken[1:]) if a.bits != b.bits]
+            assert report.commitment_fixed_at == max(changes, default=1)
+            outcomes = tuple(step.outcome for step in taken if backend == "qaoa")
+            assert report.qaoa_diagnostics == outcomes
+        if initial_lambda is not None:
+            assert report.commitment_fixed_at == 5
 
 
 def _polish_oracle(inst, terminal):

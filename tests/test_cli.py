@@ -182,8 +182,16 @@ class TestBaselineMode:
             tuned / "solution.csv"
         ).read_bytes()
 
-    @pytest.mark.parametrize("text", [None, '{"rho": "x"}'], ids=["missing", "bad-type"])
-    def test_bad_config_file_is_an_error(self, gen_csv, tmp_path, capsys, text):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "No such file"),
+            ('{"rho": "x"}', "rho must be"),
+            ("[1, 2]", "expected a JSON object"),
+        ],
+        ids=["missing", "bad-type", "not-an-object"],
+    )
+    def test_bad_config_file_is_an_error(self, gen_csv, tmp_path, capsys, text, message):
         config = tmp_path / "cfg.json"
         if text is not None:
             config.write_text(text)
@@ -192,6 +200,7 @@ class TestBaselineMode:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "cfg.json" in err
+        assert message in err
         assert not out.exists()
 
 

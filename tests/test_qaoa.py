@@ -1,4 +1,5 @@
 import math
+import re
 from random import Random
 
 import numpy as np
@@ -889,6 +890,25 @@ class TestSolveQuboQaoa:
     def test_negative_sample_seed_rejected(self):
         with pytest.raises(InvariantViolation):
             QaoaConfig(extraction="sample", sample_seed=-1)
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("depth", 0, "depth 0 < 1"),
+            ("optimizer_budget", 0, "budget 0 < 1"),
+            ("depth", 1.5, "depth=1.5 is not an integer"),
+            ("optimizer_budget", 10.5, "optimizer_budget=10.5 is not an integer"),
+            ("sample_seed", 0.5, "sample_seed=0.5 is not an integer"),
+            ("depth", "2", "depth='2' is not an integer"),
+        ],
+    )
+    def test_config_settings_must_be_positive_integers(self, name, value, message):
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            QaoaConfig(**{name: value})
+
+    def test_angle_lists_must_match_in_length(self):
+        with pytest.raises(InvariantViolation, match="1 gammas and 0 betas"):
+            QaoaParams((0.1,), ())
 
     def test_size_guard(self):
         # No solve builds the 2**n table, so neither extraction mode has a

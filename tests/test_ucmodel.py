@@ -1,5 +1,6 @@
 import io
 import math
+from random import Random
 
 import numpy as np
 import pytest
@@ -77,6 +78,10 @@ class TestParseGenerators:
         with pytest.raises(InvariantViolation):
             parse_generators("id,a,b,c,p_min,p_max\n")
 
+    def test_empty_text(self):
+        with pytest.raises(MalformedRow, match="line 1: missing header row"):
+            parse_generators("")
+
     def test_missing_header(self):
         with pytest.raises(MalformedRow, match="line 1"):
             parse_generators("1,660,25.92,0.00413,10,55\n")
@@ -125,12 +130,15 @@ class TestDomainTypes:
     def test_commitment_bitstring_renders_most_significant_first(self):
         c = Commitment((1, 1, 0, 1))
         assert c.bitstring == "1011"
-        assert Commitment.from_bitstring("1011") == c
         assert c.on_units() == (1, 2, 4)
 
     def test_instance_requires_nonnegative_load(self, ten_unit_generators):
         with pytest.raises(InvariantViolation):
             UCInstance(ten_unit_generators, -1.0)
+
+    def test_instance_ids_must_start_at_one(self, ten_unit_generators):
+        with pytest.raises(InvariantViolation, match="1..N without gaps"):
+            UCInstance(ten_unit_generators[1:], 100.0)
 
     def test_instance_requires_units(self):
         with pytest.raises(InvariantViolation):
@@ -256,6 +264,34 @@ class TestCheckFeasible:
         inst = ten_unit(800.0)
         with pytest.raises(InvariantViolation, match="tol"):
             check_feasible(inst, Commitment((1,) * 10), (80.0,) * 10, tol=tol)
+
+    #: Three units of about 1e12 MW, where one ulp of the load is 1.2e-4 MW
+    #: or more, far above the default ``tol``.
+    HUGE_FLEET = (
+        GeneratorParams(1, 660.0, 25.92, 0.00413, 1e9, 7e11),
+        GeneratorParams(2, 670.0, 27.79, 0.00173, 1e9, 9e11),
+        GeneratorParams(3, 700.0, 16.6, 0.002, 2e9, 1.3e12),
+    )
+
+    def test_exact_dispatch_at_huge_loads_is_feasible(self):
+        # Before the balance tolerance was floored at four ulps of the load,
+        # 8 of these 200 exact dispatches missed the load by one ulp and failed.
+        rng = Random(0)
+        for _ in range(200):
+            inst = UCInstance(self.HUGE_FLEET, rng.uniform(3e9, 2.8e12))
+            solution = solve_uc_exact(inst)
+            report = check_feasible(inst, solution.commitment, solution.dispatch)
+            assert report.feasible, (inst.load, report)
+
+    def test_dispatch_ten_ulps_short_of_a_huge_load_fails(self):
+        load = 2.0e12
+        inst = UCInstance(self.HUGE_FLEET, load)
+        short = load - 10 * math.ulp(load)
+        dispatch = (5e11, 5e11, short - 1e12)
+        assert math.fsum(dispatch) == short
+        report = check_feasible(inst, Commitment((1, 1, 1)), dispatch)
+        assert [v.constraint for v in report.violations] == ["balance"]
+        assert report.violations[0].slack == 10 * math.ulp(load)
 
 
 class TestEconomicDispatch:
@@ -848,10 +884,17 @@ class TestSolutionCsv:
             ("1,2,20.0\n# cost=100.0\n", "line 2: committed must be 0 or 1, got 2"),
             ("1,1,20.0\n# cost=100.0\n2,0,0.0\n", "line 4: unit row after the '# cost=' line"),
             ("1,0,50.0\n# cost=0.0\n", "line 2: off unit has output 50.0"),
+            ("1,1,20.0\n# note\n# cost=100.0\n", "line 3: expected '# cost=<value>'"),
+            ("1,1\n# cost=100.0\n", "line 2: expected 3 columns, got 2"),
+            ("x,1,20.0\n# cost=100.0\n", "line 2: invalid literal for int"),
+            ("2,1,20.0\n# cost=100.0\n", "line 2: units out of order"),
+            ("1,1,20.0\n", "missing trailing '# cost=<value>' line"),
         ],
         ids=[
             "unparsable-cost", "nan-cost", "inf-dispatch", "second-cost", "no-units",
             "committed-not-binary", "row-after-cost", "off-unit-output",
+            "note-line", "two-columns", "non-integer-unit", "units-out-of-order",
+            "no-cost-line",
         ],
     )
     def test_rejects_bad_values(self, body, message):
