@@ -63,6 +63,26 @@ def random_instance(rng, n=None, allow_zero_c=False, load_frac=None):
     return UCInstance(gens, frac * cap)
 
 
+def sweep_instance(rng, n):
+    """A random fleet in which some units copy, or nearly copy, another.
+
+    An exact copy makes two commitments cost the same float, which only the
+    tie rule can order.  A copy whose commitment cost differs by 1e-7 makes
+    a near tie that a bound pruning without its margin, or an over-estimated
+    bound, would get wrong.
+    """
+    gens = list(random_generators(rng, n, allow_zero_c=True))
+    for i in range(1, n):
+        if rng.random() < 0.25:
+            src = gens[int(rng.integers(0, i))]
+            nudge = float(rng.choice((0.0, -1e-7, 1e-7)))
+            gens[i] = GeneratorParams(
+                i + 1, src.a + nudge, src.b, src.c, src.p_min, src.p_max
+            )
+    cap = sum(g.p_max for g in gens)
+    return UCInstance(tuple(gens), float(rng.uniform(0.0, 1.05)) * cap)
+
+
 def reference_bisect(supply, load, lo, hi):
     """Plain price bisection, the oracle of :func:`hquc.ucmodel.bisect_price`.
 

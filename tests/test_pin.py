@@ -16,16 +16,20 @@ tie.
 """
 
 import hashlib
+import math
 
 import numpy as np
 
-from helpers import random_instance
+from helpers import random_generators, random_instance, sweep_instance
 
 from hquc import (
     AdmmConfig,
     Infeasible,
+    Commitment,
+    InfeasibleCommitment,
     UCInstance,
     default_config,
+    economic_dispatch,
     run_admm,
     solve_uc_exact,
 )
@@ -44,6 +48,12 @@ BASELINE_DIGEST = "35db172a1b1831dfe17bc7a241e8095455c343acdd4f9d5e7101277f722d6
 #: sha256 over the Lagrangian bound's (mu, bound) on the same 20 fleets, at
 #: the root and at three (on, free) prefixes per fleet.
 DUAL_BOUND_DIGEST = "36166514ffd17272346e325cde793c90316a044b6b9d94cdbcebfab29645f558"
+#: sha256 over the exact baseline on 48 seeded fleets of 10-60 units, with
+#: c = 0 units and copied or nearly copied units.
+BASELINE_LARGE_DIGEST = "bd455930b26c3da0d11f237cb72925195acc9bdb819ce2c837ab5f7822aefb00"
+#: sha256 over the economic dispatch of seeded commitments at loads spread
+#: over their capacity range, at both ends of it and at c = 0 price steps.
+DISPATCH_DIGEST = "33bd5d104680b67b96846066aa6925c266fa2761f50885e2cac7ff6ecda4dac3"
 
 
 def _digest(rows):
@@ -138,3 +148,65 @@ def test_dual_bound_is_pinned():
             on = [g for g in gens[:k] if rng.random() < 0.5]
             rows.append((seed, k, *(g.id for g in on), *_dual_bound(on, gens[k:], load)))
     assert _digest(rows) == DUAL_BOUND_DIGEST
+
+
+def test_exact_baseline_on_larger_fleets_is_pinned():
+    # Past enumeration's reach, with the ties and near ties that only the
+    # tie rule and the prune margin keep right.
+    rows = []
+    for seed in range(48):
+        rng = np.random.default_rng(1000 + seed)
+        instance = sweep_instance(rng, int(rng.integers(10, 61)))
+        try:
+            solution = solve_uc_exact(instance)
+        except Infeasible:
+            solution = None
+        rows.append(_solution_row(seed, solution))
+    assert _digest(rows) == BASELINE_LARGE_DIGEST
+
+
+def _step_loads(on, rng):
+    """Loads at which the clearing price sits on a c = 0 unit's step: the
+    other units' outputs at its ``b``, plus a point of its own range."""
+    for j in on:
+        if j.c == 0.0:
+            others = 0.0
+            for g in on:
+                if g is j:
+                    continue
+                if g.c > 0.0:
+                    others += min(max((j.b - g.b) / (2.0 * g.c), g.p_min), g.p_max)
+                else:
+                    others += g.p_max if j.b > g.b else g.p_min
+            yield others + j.p_min + float(rng.uniform(0.0, 1.0)) * (j.p_max - j.p_min)
+
+
+def test_economic_dispatch_is_pinned():
+    rows = []
+    for seed in range(60):
+        rng = np.random.default_rng(2000 + seed)
+        gens = random_generators(rng, int(rng.integers(1, 31)), allow_zero_c=True)
+        if seed % 3 == 0:
+            # Copies share a c = 0 unit's step, so the settle splits a flat
+            # segment among several units.
+            gens = tuple(
+                g if g.c > 0.0 or i == 0 else
+                type(g)(g.id, g.a, gens[0].b, 0.0, g.p_min, g.p_max)
+                for i, g in enumerate(gens)
+            )
+        bits = tuple(int(rng.random() < 0.6) for _ in gens)
+        on = [g for g, y in zip(gens, bits) if y]
+        # The range ends summed as the dispatch sums them.
+        p_min_sum = math.fsum(g.p_min for g in on)
+        p_max_sum = math.fsum(g.p_max for g in on)
+        loads = [p_min_sum, p_max_sum, *_step_loads(on, rng)]
+        loads += [p_min_sum + f * (p_max_sum - p_min_sum) for f in rng.uniform(0.0, 1.0, 4)]
+        loads += [math.nextafter(p_min_sum, math.inf), math.nextafter(p_max_sum, 0.0)]
+        for load in loads:
+            instance = UCInstance(gens, max(float(load), 0.0))
+            try:
+                dispatch = economic_dispatch(instance, Commitment(bits))
+            except InfeasibleCommitment:
+                dispatch = None
+            rows.append((seed, instance.load, *bits, dispatch is None, *(dispatch or ())))
+    assert _digest(rows) == DISPATCH_DIGEST

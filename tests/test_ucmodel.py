@@ -13,6 +13,7 @@ from helpers import (
     random_generators,
     random_instance,
     reference_bisect,
+    sweep_instance as _sweep_instance,
 )
 
 from hquc import (
@@ -482,26 +483,6 @@ class TestEnumerate:
         for bit, p in zip(sol.commitment.bits, sol.dispatch):
             if bit == 0:
                 assert p == 0.0
-
-
-def _sweep_instance(rng, n):
-    """A random fleet in which some units copy, or nearly copy, another.
-
-    An exact copy makes two commitments cost the same float, which only the
-    tie rule can order.  A copy whose commitment cost differs by 1e-7 makes
-    a near tie that a bound pruning without its margin, or an over-estimated
-    bound, would get wrong.
-    """
-    gens = list(random_generators(rng, n, allow_zero_c=True))
-    for i in range(1, n):
-        if rng.random() < 0.25:
-            src = gens[int(rng.integers(0, i))]
-            nudge = float(rng.choice((0.0, -1e-7, 1e-7)))
-            gens[i] = GeneratorParams(
-                i + 1, src.a + nudge, src.b, src.c, src.p_min, src.p_max
-            )
-    cap = sum(g.p_max for g in gens)
-    return UCInstance(tuple(gens), float(rng.uniform(0.0, 1.05)) * cap)
 
 
 def _seed(instance):
