@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from .errors import InvariantViolation, LengthMismatch, require_integer
+from .errors import InvariantViolation, LengthMismatch, require_integer, require_real
 from .qaoa import QaoaConfig, QaoaOutcome, solve_qubo_qaoa
 from .qpblock import Block1Problem, augmented_lagrangian, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
@@ -73,11 +73,16 @@ class AdmmConfig:
         require_integer("max_iters", self.max_iters)
         for name in ("rho", "beta", "epsilon"):
             value = getattr(self, name)
+            require_real(name, value)
             if not math.isfinite(value):
                 raise InvariantViolation(f"{name}={value} is not finite")
         for name in ("initial_z", "initial_r", "initial_lambda"):
             value = getattr(self, name)
-            if value is not None and not all(math.isfinite(v) for v in value):
+            if value is None:
+                continue
+            for i, v in enumerate(value):
+                require_real(f"{name}[{i}]", v)
+            if not all(math.isfinite(v) for v in value):
                 raise InvariantViolation(f"{name}={value} has a non-finite entry")
         if not (self.rho > self.beta > 0.0):
             raise InvariantViolation(

@@ -1,6 +1,7 @@
-"""Exception hierarchy for the solver package, and the integer check that
-raises one of its errors."""
+"""Exception hierarchy for the solver package, and the integer and real
+number checks that raise one of its errors."""
 
+import math
 import operator
 
 
@@ -51,3 +52,12 @@ def require_integer(name: str, value: object) -> None:
         operator.index(value)
     except TypeError:
         raise InvariantViolation(f"{name}={value!r} is not an integer") from None
+
+
+def require_real(name: str, value: object) -> None:
+    """Raise InvariantViolation naming ``name`` unless ``value`` is a real
+    number, that is, unless :func:`math.isfinite` accepts it."""
+    try:
+        math.isfinite(value)
+    except TypeError:
+        raise InvariantViolation(f"{name}={value!r} is not a real number") from None

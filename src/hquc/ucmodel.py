@@ -8,34 +8,43 @@ balance ``sum_i p_i = load`` and box limits ``p_min_i y_i <= p_i <= p_max_i y_i`
 
 Dispatch clears a marginal price: for a trial price ``mu`` each committed
 unit produces ``clamp((mu - b) / (2 c), p_min, p_max)``, and the price bracket
-is narrowed until no float lies inside it.  The search (:func:`bisect_price`)
-interpolates the piecewise-affine supply between the bracket ends, with
-midpoint safeguards, and ends on plain bisection's bracket.  Units with
-``c == 0`` respond with a step at ``mu == b`` and are settled by a final
-greedy allocation inside the last bracket, which keeps the kernel exact for
-them too.  Each unit's constants for this (``a``, ``b``, ``c``, ``2 c``,
-``p_min``, ``p_max`` and its least average cost) are built once per unit
+is narrowed until no float lies inside it.  The supply is affine between
+known prices, its breakpoints: ``b + 2 c p_min`` and ``b + 2 c p_max`` of a
+unit with ``c > 0``, where it leaves ``p_min`` and reaches ``p_max``, and
+``b`` of a ``c == 0`` unit, whose output steps there.
+:func:`clear_on_breakpoints` finds the load's piece by binary search over
+the sorted breakpoints, and :func:`bisect_price` clears the price inside it:
+it interpolates the supply between the bracket ends, with midpoint
+safeguards, and ends on plain bisection's bracket, which is unique, so the
+floats are those of a bisection over the whole price range.  A ``c == 0``
+unit at its step is settled by a final greedy allocation inside the last
+bracket (:func:`settle_bracket`), which keeps the kernel exact for it too.
+Each unit's constants for this (``a``, ``b``, ``c``, ``2 c``, ``p_min``,
+``p_max`` and its least average cost) are built once per unit
 (:attr:`GeneratorParams.price_constants`), and the dispatch's supply, the
 Lagrangian dual's supply and the dual's terms are flat loops over those
-tuples, with no call per unit.  The search and the settle
-(:func:`settle_bracket`) are the one price-clearing kernel of the package:
-the first ADMM block (``hquc.qpblock``) clears its price with them too, over
-its own per-unit response.  Every bracket end is :func:`price_past` a price
-read from the fleet's costs.
+tuples, with no call per unit.  The breakpoint search, the price search and
+the settle are the one price-clearing kernel of the package: the dispatch
+and the dual clear their prices with :func:`clear_on_breakpoints`, and the
+first ADMM block (``hquc.qpblock``) clears its own per-unit response with
+:func:`bisect_price` and :func:`settle_bracket`.  Every bracket end is a
+breakpoint, or :func:`price_past` a price read from the fleet's costs.
 
 :func:`solve_uc_exact` searches the commitments depth first and prunes with
-the Lagrangian dual of the balance constraint.  Its first incumbent is the
+the Lagrangian dual of the balance constraint (Muckstadt and Koenig,
+Operations Research 25(3), 1977), whose supply jumps only at known prices
+and is cleared by the same kernel.  It takes the bound with every unit free
+once, for its first incumbent and for its root.  The first incumbent is the
 :func:`polish` of the classic Lagrangian-relaxation commitment
-(:func:`lagrangian_commitment`).  The dual's supply jumps only at known
-prices, so its price is located among those breakpoints by binary search
-and cleared inside one continuous piece by the same kernel.  It prices
-leaves as :func:`enumerate_uc` does and returns the same answer, tie rule
-and cost float included, without the 2**N walk.
+(:func:`lagrangian_commitment`), and the polish dispatches its candidates
+in order of their Lagrangian value at the root's price, stopping at the
+first that cannot win.  Nodes on the incumbent's path take no bound of
+their own.  It prices leaves as :func:`enumerate_uc` does and returns the
+same answer, tie rule and cost float included, without the 2**N walk.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import io
 import math
@@ -51,6 +60,7 @@ from .errors import (
     LengthMismatch,
     MalformedRow,
     TooLarge,
+    require_real,
 )
 
 GENERATOR_CSV_HEADER = ("id", "a", "b", "c", "p_min", "p_max")
@@ -77,10 +87,15 @@ class GeneratorParams:
     p_max: float
 
     def __post_init__(self) -> None:
-        for name in ("a", "b", "c", "p_min", "p_max"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InvariantViolation(f"unit {self.id}: {name}={value} is not finite")
+        try:
+            for name in ("a", "b", "c", "p_min", "p_max"):
+                value = getattr(self, name)
+                require_real(name, value)
+                if not math.isfinite(value):
+                    raise InvariantViolation(f"{name}={value} is not finite")
+        except InvariantViolation as exc:
+            # Named here, not in each message: parsing builds many units.
+            raise InvariantViolation(f"unit {self.id}: {exc}") from None
         if not (0.0 <= self.p_min <= self.p_max):
             raise InvariantViolation(
                 f"unit {self.id}: need 0 <= p_min <= p_max, "
@@ -152,6 +167,7 @@ class UCInstance:
         object.__setattr__(self, "generators", tuple(self.generators))
         if len(self.generators) < 1:
             raise InvariantViolation("instance needs at least one generator")
+        require_real("load", self.load)
         if not math.isfinite(self.load):
             raise InvariantViolation(f"load {self.load} is not finite")
         if self.load < 0.0:
@@ -333,8 +349,8 @@ def bisect_price(
     """Narrow a clearing-price bracket until no float lies strictly inside.
 
     ``supply(mu)`` must be nondecreasing in ``mu`` and the caller's bracket
-    must hold ``supply(lo) <= load <= supply(hi)``, with ends :func:`price_past`
-    the extreme prices of :func:`_dispatch` and :func:`_dual_bound`, or
+    must hold ``supply(lo) <= load <= supply(hi)``, with ends breakpoints or
+    :func:`price_past` the extreme prices (:func:`clear_on_breakpoints`), or
     stepped out to by :func:`hquc.qpblock.solve_block1`; the invariant is
     kept, with ``supply(hi) > load`` once ``hi`` has moved.  For such a
     supply the final bracket is unique: the largest float ``lo`` in
@@ -363,7 +379,9 @@ def bisect_price(
     interpolates instead of taking the midpoint, and the loop, its bound and
     its result are as above.  An ``s_hi`` at the load counts as unknown, so
     no interpolation divides by zero on a plateau at the load.  Block 1
-    always passes them: its search has priced both ends on the way out.
+    always passes them, since its search has priced both ends on the way
+    out, and :func:`clear_on_breakpoints` passes them for a piece between
+    two breakpoints.
     """
     # s_lo and s_hi are the supply at each end, NaN until evaluated; once
     # both are known, s_hi > load >= s_lo.
@@ -423,6 +441,57 @@ def settle_bracket(
     return out
 
 
+def clear_on_breakpoints(
+    supply: Callable[[float], float],
+    load: float,
+    breakpoints: Iterable[float],
+    below: Callable[[], float],
+    above: Callable[[], float],
+) -> tuple[float, float]:
+    """The final bracket of :func:`bisect_price` for a nondecreasing
+    ``supply`` that is continuous between its ``breakpoints``, found by
+    locating the load's piece first.
+
+    The finite breakpoints are sorted, with -0.0 read as 0.0 so that no
+    trial price is -0.0.  A binary search over them finds the piece that
+    holds the load: the breakpoints before it have supply at most ``load``
+    and the rest more.  If the supply already exceeds the load one float
+    above the piece's low breakpoint, the load falls inside that
+    breakpoint's jump and the bracket is that float pair.  Otherwise
+    :func:`bisect_price` clears the price inside the piece, given both end
+    supplies.  ``below()`` and ``above()`` are the price range's ends,
+    outside every breakpoint, read only when the load's piece reaches them.
+
+    For a nondecreasing supply the final bracket on the whole range is
+    unique (see :func:`bisect_price`), and every breakpoint lies inside the
+    range, so this is the bracket that a search over the whole range ends
+    on.  :func:`_dispatch` and :func:`_dual_bound` clear their prices here.
+    """
+    breaks = sorted({x + 0.0 for x in breakpoints if math.isfinite(x)})
+    # Binary search for i, the first breakpoint whose supply exceeds the
+    # load, keeping that supply.
+    i, j = 0, len(breaks)
+    s_lo = s_hi = math.nan
+    while i < j:
+        mid = (i + j) // 2
+        s = supply(breaks[mid])
+        if s > load:
+            j, s_hi = mid, s
+        else:
+            i = mid + 1
+    if i == 0:
+        lo = below()
+    else:
+        lo = breaks[i - 1]
+        up = math.nextafter(lo, math.inf)
+        s_lo = supply(up)
+        if s_lo > load:
+            return lo, up
+        lo = up
+    hi = breaks[i] if i < len(breaks) else above()
+    return bisect_price(supply, load, lo, hi, s_lo, s_hi)
+
+
 def _outputs(units: Sequence[tuple[float, ...]], mu: float) -> list[float]:
     """Each unit's output at price ``mu``, the argmin of ``b p + c p^2 - mu p``
     over ``[p_min, p_max]``, for units given by their
@@ -449,7 +518,15 @@ def _dispatch(instance: UCInstance, bits: Sequence[int]) -> list[float] | None:
     """Exact dispatch of the load over the units ``bits`` commits.
 
     Returns ``None`` when the load falls outside the committed capacity
-    range ``[sum p_min, sum p_max]``.
+    range ``[sum p_min, sum p_max]``.  Inside it, the price is cleared by
+    :func:`clear_on_breakpoints` over the committed units' breakpoints: a
+    unit with ``c > 0`` leaves ``p_min`` at ``b + 2 c p_min`` and reaches
+    ``p_max`` at ``b + 2 c p_max``, and a ``c == 0`` unit steps at ``b``.
+    Between them the supply is affine, so the price search is handed one
+    affine piece with both end supplies known, and its first interpolation
+    lands within ulps of the price.  The floats are those of
+    :func:`bisect_price` on the whole price range, since that search's
+    final bracket is unique.
     """
     on = [g for g, y in zip(instance.generators, bits) if y]
     load = instance.load
@@ -473,13 +550,22 @@ def _dispatch(instance: UCInstance, bits: Sequence[int]) -> list[float] | None:
                 profiles[mu] = _outputs(units, mu)
             return profiles[mu]
 
-        # Every unit sits at p_min at lo and at p_max at hi: past each end's
-        # marginal cost b + 2c p.
-        lo, hi = bisect_price(
+        # Below the range every unit sits at p_min and above it at p_max:
+        # past each end's marginal cost b + 2c p.
+        lo, hi = clear_on_breakpoints(
             lambda mu: math.fsum(profile(mu)),
             load,
-            price_past(min(b + c2 * p_min for _, b, _, c2, p_min, _, _ in units), -1.0),
-            price_past(max(b + c2 * p_max for _, b, _, c2, _, p_max, _ in units), 1.0),
+            (
+                x
+                for _, b, c, c2, p_min, p_max, _ in units
+                for x in ((b + c2 * p_min, b + c2 * p_max) if c > 0.0 else (b,))
+            ),
+            lambda: price_past(
+                min(b + c2 * p_min for _, b, _, c2, p_min, _, _ in units), -1.0
+            ),
+            lambda: price_past(
+                max(b + c2 * p_max for _, b, _, c2, _, p_max, _ in units), 1.0
+            ),
         )
         on_p = settle_bracket(profile(lo), profile(hi), load)
     dispatch = [0.0] * instance.n
@@ -532,8 +618,11 @@ def cheapest_servable(
 
 def one_flips(bits: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """The bits tuples one bit flip away from ``bits``, unit 1's flip first."""
-    for i in range(len(bits)):
-        yield bits[:i] + (1 - bits[i],) + bits[i + 1 :]
+    return (_flip(bits, i) for i in range(len(bits)))
+
+
+def _flip(bits: tuple[int, ...], i: int) -> tuple[int, ...]:
+    return bits[:i] + (1 - bits[i],) + bits[i + 1 :]
 
 
 def polish(instance: UCInstance, bits: tuple[int, ...]) -> UCSolution | None:
@@ -542,9 +631,40 @@ def polish(instance: UCInstance, bits: tuple[int, ...]) -> UCSolution | None:
 
     The polish step of relax-round-polish (Takapoui, Moehle, Boyd and
     Bemporad, arXiv:1509.08416), with its search limited to the one-flip
-    neighbourhood.
+    neighbourhood.  It dispatches only the candidates that might win.  At
+    any price ``mu`` a commitment's Lagrangian value
+    ``mu * load + sum_on phi_i(mu)`` (see :func:`_phis`) is a lower bound on
+    its cost, and a one-flip neighbour's value is ``bits``'s plus
+    ``phi_j`` when it turns unit ``j`` on and minus ``phi_j`` when it turns
+    it off.  The candidates are dispatched in order of value, and the
+    search stops at the first whose value exceeds the cheapest cost found
+    by more than the prune margin (:func:`_beaten`), as every later one
+    does too.  The result of :func:`cheapest_servable` does not depend on
+    the order of its candidates, so it is the answer of dispatching all
+    ``n + 1``.  The price is that of the balance's dual with every unit
+    free (:func:`_dual_bound`); :func:`solve_uc_exact` passes the one its
+    root has taken.
     """
-    return cheapest_servable(instance, (bits, *one_flips(bits)))
+    mu, _ = _dual_bound((), instance.generators, instance.load)
+    return _polish_at(instance, bits, mu)
+
+
+def _polish_at(
+    instance: UCInstance, bits: tuple[int, ...], mu: float
+) -> UCSolution | None:
+    """:func:`polish`, screened at the price ``mu``."""
+    phis = _phis([g.price_constants for g in instance.generators], mu)
+    seed = _bound_sum([mu * instance.load, *(phi for phi, y in zip(phis, bits) if y)])
+    flips = (seed - phi if y else seed + phi for phi, y in zip(phis, bits))
+    # A value past the float range bounds nothing; -inf never screens.
+    values = [v if math.isfinite(v) else -math.inf for v in (seed, *flips)]
+    best = None
+    for j in sorted(range(len(values)), key=values.__getitem__):
+        if _beaten(values[j], best):
+            break
+        candidate = bits if j == 0 else _flip(bits, j - 1)
+        best = cheapest_servable(instance, (candidate,), best)
+    return best
 
 
 def enumerate_uc(instance: UCInstance) -> UCSolution:
@@ -624,12 +744,11 @@ def _dual_bound(
     ``phi_i < 0``, and a ``c == 0`` unit's ``b``.  Both steps are taken for
     ``mu`` strictly above the breakpoint, so the supply reads the free
     units' sign change from the breakpoint itself and its jumps sit exactly
-    on the sorted breakpoints.  A binary search over them finds the piece
-    that holds the load; the price is the breakpoint when the load falls
-    inside its jump, and is otherwise cleared inside the piece by
-    :func:`bisect_price`, whose interpolation is exact on the continuous
-    piecewise-affine supply there.  The bound is taken at the bracket's low
-    end.
+    on the breakpoints.  :func:`clear_on_breakpoints` finds the piece that
+    holds the load and clears the price there, at a breakpoint when the
+    load falls inside its jump; :func:`bisect_price`'s interpolation is
+    exact on the continuous piecewise-affine supply inside a piece.  The
+    bound is taken at the bracket's low end.
     """
     on_units = [g.price_constants for g in on]
     free_units = [g.price_constants for g in free]
@@ -637,46 +756,40 @@ def _dual_bound(
     def supply(mu: float) -> float:
         return _dual_supply(on_units, free_units, mu)
 
-    def value(mu: float) -> float:
-        terms = [mu * load, *_phis(on_units, mu)]
-        terms.extend(min(0.0, phi) for phi in _phis(free_units, mu))
-        try:
-            bound = math.fsum(terms)
-        except (OverflowError, ValueError):  # a partial sum overflows, or inf - inf
-            return -math.inf
-        # A term past the float range bounds nothing; -inf is valid and never
-        # prunes.
-        return bound if math.isfinite(bound) else -math.inf
-
     units = (*on, *free)
-    breaks = sorted(
-        x
-        for x in {*(g.min_average_cost for g in free), *(g.b for g in units if g.c == 0.0)}
-        if math.isfinite(x)
-    )
-    # The supply is nondecreasing, so breaks[:i] have supply <= load and the
-    # rest more.
-    i = bisect.bisect_right(breaks, load, key=supply)
-    if i == 0:
+    mu, _ = clear_on_breakpoints(
+        supply,
+        load,
+        (*(g.min_average_cost for g in free), *(g.b for g in units if g.c == 0.0)),
         # Below every b each unit sits at p_min and, for a >= 0, phi_i >= 0.
-        lo = price_past(min(g.b for g in units), -1.0)
-    else:
-        lo = breaks[i - 1]
-        above = math.nextafter(lo, math.inf)
-        if supply(above) > load:
-            return lo, value(lo)
-        lo = above
-    if i < len(breaks):
-        hi = breaks[i]
-    else:
+        lambda: price_past(min(g.b for g in units), -1.0),
         # Above every marginal and average cost at p_max each unit sits at
         # p_max and has phi_i < 0.
-        hi = price_past(max(
+        lambda: price_past(max(
             max(b + c2 * p_max, a / p_max + b + c * p_max) if p_max > 0.0 else b
             for a, b, c, c2, _, p_max, _ in (*on_units, *free_units)
-        ), 1.0)
-    lo, hi = bisect_price(supply, load, lo, hi)
-    return lo, value(lo)
+        ), 1.0),
+    )
+    terms = [mu * load, *_phis(on_units, mu)]
+    terms.extend(min(0.0, phi) for phi in _phis(free_units, mu))
+    return mu, _bound_sum(terms)
+
+
+def _bound_sum(terms: Iterable[float]) -> float:
+    """``fsum(terms)`` as a lower bound: ``-inf``, which is valid and never
+    prunes, where a partial sum overflows, the terms hold ``inf - inf`` or
+    the sum is not finite, since a term past the float range bounds
+    nothing."""
+    try:
+        bound = math.fsum(terms)
+    except (OverflowError, ValueError):
+        return -math.inf
+    return bound if math.isfinite(bound) else -math.inf
+
+
+def _paying_units(generators: Sequence[GeneratorParams], mu: float) -> tuple[int, ...]:
+    """The bits of the units that pay for themselves at price ``mu``."""
+    return tuple(int(mu > g.min_average_cost) for g in generators)
 
 
 def lagrangian_commitment(
@@ -693,47 +806,80 @@ def lagrangian_commitment(
     :func:`solve_uc_exact`'s first incumbent.
     """
     mu, _ = _dual_bound((), generators, load)
-    return Commitment(tuple(int(mu > g.min_average_cost) for g in generators))
+    return Commitment(_paying_units(generators, mu))
 
 
-#: Relative margin by which a node's bound must exceed the incumbent's cost
-#: before the node is pruned; it absorbs the rounding of bound and leaf costs.
+#: Relative margin by which a lower bound must exceed the incumbent's cost
+#: before it rules a commitment out (:func:`_beaten`).  It absorbs the
+#: rounding of bounds and leaf costs.  Two bounds add one rounding each to a
+#: Lagrangian sum: a polish candidate's value, the seed's value plus or
+#: minus ``phi_j``, and a floor carried down the incumbent's path, one
+#: addition per level.  Each addition is off by at most half an ulp of its
+#: result, 2**-53 relative.  A polish value that could rule a candidate out
+#: lies near the incumbent's cost, so its error is about 1e-16 of that cost.
+#: A carried floor only grows from the root's bound toward the incumbent's
+#: Lagrangian value at the same price, which is at most its cost, and for
+#: fleets with ``a, b >= 0`` the root's bound is at least the value 0 of the
+#: price 0.  So after ``d`` levels its error is at most ``d * 2**-53`` of
+#: the incumbent's cost, under the margin for ``d`` below about 9e6 units.
 _PRUNE_RTOL = 1e-9
+
+
+def _beaten(bound: float, best: UCSolution | None) -> bool:
+    """Whether a lower ``bound`` on a commitment's cost exceeds the cost of
+    ``best`` by more than the relative margin :data:`_PRUNE_RTOL`, so that
+    the commitment cannot beat ``best``, not even on the tie rule."""
+    return best is not None and bound > best.cost + _PRUNE_RTOL * abs(best.cost)
 
 
 def solve_uc_exact(instance: UCInstance) -> UCSolution:
     """Exact solve by depth-first branch and bound: the answer of
     :func:`enumerate_uc`, without its size limit.
 
-    The first incumbent is the :func:`polish` of
-    :func:`lagrangian_commitment`, when there is one, so the bound prunes
-    from the root on.  The search branches on the units in id order, the
-    off branch first.  Each leaf goes through :func:`cheapest_servable` with
-    the incumbent, which keeps :func:`enumerate_uc`'s tie rule and cost
-    float whatever the seed.  A node is pruned when its committed capacity
-    range cannot hold the load, or when a Lagrangian bound on its leaves
-    (:func:`_dual_bound`) exceeds the incumbent's cost by more than a
-    relative ``1e-9``, so a leaf that ties the incumbent is never pruned.  A
-    node's bound at its parent's price is tried first, since it costs one
-    unit's term.  Raises Infeasible when no commitment can serve the load.
+    The search branches on the units in id order, the off branch first.
+    Each leaf goes through :func:`cheapest_servable` with the incumbent,
+    which keeps :func:`enumerate_uc`'s tie rule and cost float whatever the
+    incumbent was.  A node is pruned when its committed capacity range
+    cannot hold the load, or when a Lagrangian bound on its leaves
+    (:func:`_dual_bound`) is :func:`_beaten` by the incumbent, so a leaf
+    that ties the incumbent is never pruned.  A node's floor, its parent's
+    bound with the unit it fixes priced at the parent's price, is tried
+    first, since it costs one unit's term.
+
+    Three cuts skip work that cannot change the answer:
+
+    - *Root reuse.*  The bound with every unit free is taken once.  Its
+      price gives the first incumbent, the :func:`polish` of the units that
+      pay for themselves there (:func:`lagrangian_commitment`), and its
+      ``(price, bound)`` is the root's.
+    - *Screened polish.*  That polish dispatches its candidates in order of
+      their Lagrangian value at the root's price and stops at the first one
+      that cannot win (see :func:`polish`).
+    - *Incumbent path.*  A node whose bits are a prefix of the incumbent's
+      has a leaf as cheap as the incumbent, so no valid bound prunes it and
+      its own bound would only tighten its children's floors.  It takes no
+      bound: its children's floors are taken at the price of its own floor.
+      The incumbent's own leaf is not dispatched again.
+
+    Raises Infeasible when no commitment can serve the load.
     """
     gens = instance.generators
     load = instance.load
-    best = polish(instance, lagrangian_commitment(gens, load).bits)
+    mu, bound = _dual_bound((), gens, load)
+    best = _polish_at(instance, _paying_units(gens, mu), mu)
 
-    def pruned(bound: float) -> bool:
-        return best is not None and bound > best.cost + _PRUNE_RTOL * abs(best.cost)
-
-    # Each entry is the bits of units 1..k with a lower bound on its leaves.
-    # The off child is pushed last, so it is searched first.
-    stack: list[tuple[tuple[int, ...], float]] = [((), -math.inf)]
+    # Each entry is the bits of units 1..k, a lower bound on its leaves and
+    # the price the bound was taken at.  The off child is pushed last, so it
+    # is searched first.
+    stack: list[tuple[tuple[int, ...], float, float]] = [((), bound, mu)]
     while stack:
-        bits, floor = stack.pop()
-        if pruned(floor):
+        bits, floor, mu = stack.pop()
+        if _beaten(floor, best):
             continue
         k = len(bits)
         if k == instance.n:
-            best = cheapest_servable(instance, (bits,), best)
+            if best is None or bits != best.commitment.bits:
+                best = cheapest_servable(instance, (bits,), best)
             continue
         on = [g for g, y in zip(gens, bits) if y]
         free = gens[k:]
@@ -743,18 +889,17 @@ def solve_uc_exact(instance: UCInstance) -> UCSolution:
             continue
         if math.fsum(g.p_max for g in (*on, *free)) < load:
             continue
-        floor_off = floor_on = -math.inf
-        if best is not None:
-            mu, bound = _dual_bound(on, free, load)
-            if pruned(bound):
+        if best is None:
+            floor = -math.inf
+        elif bits != best.commitment.bits[:k]:
+            mu, floor = _dual_bound(on, free, load)
+            if _beaten(floor, best):
                 continue
-            # At the same mu, fixing unit k off drops min(0, phi_k) from the
-            # bound and fixing it on adds max(0, phi_k).
-            (phi,) = _phis((gens[k].price_constants,), mu)
-            floor_off = bound - min(0.0, phi)
-            floor_on = bound + max(0.0, phi)
-        stack.append((bits + (1,), floor_on))
-        stack.append((bits + (0,), floor_off))
+        # At the same mu, fixing unit k off drops min(0, phi_k) from the
+        # bound and fixing it on adds max(0, phi_k).
+        (phi,) = _phis((gens[k].price_constants,), mu)
+        stack.append((bits + (1,), floor + max(0.0, phi), mu))
+        stack.append((bits + (0,), floor - min(0.0, phi), mu))
     if best is None:
         raise Infeasible(f"no commitment can serve load {instance.load}")
     return best

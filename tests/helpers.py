@@ -10,15 +10,30 @@ import numpy as np
 from scipy.linalg import expm
 
 from hquc import (
+    Commitment,
     GeneratorParams,
+    Infeasible,
     InvariantViolation,
     ProductState,
     QaoaParams,
     QuboProblem,
     UCInstance,
+    UCSolution,
+    evaluate_cost,
     phase_scale,
 )
 from hquc.qaoa import check_dense_size
+from hquc.ucmodel import (
+    _PRUNE_RTOL,
+    _dual_bound,
+    _outputs,
+    _phis,
+    bisect_price,
+    lagrangian_commitment,
+    one_flips,
+    price_past,
+    settle_bracket,
+)
 
 
 def _step_output(b: float, c: float, lo: float, hi: float, mu: float) -> float:
@@ -102,6 +117,95 @@ def reference_bisect(supply, load, lo, hi):
         else:
             hi = mid
     return lo, hi
+
+
+def reference_dispatch(instance, bits):
+    """The exact dispatch by :func:`hquc.ucmodel.bisect_price` over the
+    whole price range, with no breakpoint search: the oracle of
+    :func:`hquc.ucmodel._dispatch`, which must match it bit for bit.
+    ``None`` when the load is outside the committed capacity range."""
+    on = [g for g, y in zip(instance.generators, bits) if y]
+    load = instance.load
+    p_min_sum = math.fsum(g.p_min for g in on)
+    p_max_sum = math.fsum(g.p_max for g in on)
+    if not (p_min_sum <= load <= p_max_sum):
+        return None
+    if load == p_min_sum:
+        on_p = [g.p_min for g in on]
+    elif load == p_max_sum:
+        on_p = [g.p_max for g in on]
+    else:
+        units = [g.price_constants for g in on]
+        lo, hi = bisect_price(
+            lambda mu: math.fsum(_outputs(units, mu)),
+            load,
+            price_past(min(g.b + 2.0 * g.c * g.p_min for g in on), -1.0),
+            price_past(max(g.b + 2.0 * g.c * g.p_max for g in on), 1.0),
+        )
+        on_p = settle_bracket(_outputs(units, lo), _outputs(units, hi), load)
+    dispatch = [0.0] * instance.n
+    for g, p in zip(on, on_p):
+        dispatch[g.id - 1] = p
+    return dispatch
+
+
+def reference_cheapest(instance, candidates, best=None):
+    """:func:`hquc.ucmodel.cheapest_servable` over :func:`reference_dispatch`."""
+    for bits in candidates:
+        dispatch = reference_dispatch(instance, bits)
+        if dispatch is None:
+            continue
+        cost = evaluate_cost(instance, Commitment(bits), dispatch)
+        if best is None or (cost, bits) < (best.cost, best.commitment.bits):
+            best = UCSolution(Commitment(bits), tuple(dispatch), cost)
+    return best
+
+
+def reference_solve_uc_exact(instance):
+    """The branch and bound without its cuts: the oracle of
+    :func:`hquc.ucmodel.solve_uc_exact`, which must match it bit for bit.
+
+    Its first incumbent is the cheapest of the Lagrangian commitment and
+    all of its one-flip neighbours, and every node that survives its floor
+    and capacity tests takes its own :func:`hquc.ucmodel._dual_bound`.
+    Leaves are priced by :func:`reference_dispatch`.
+    """
+    gens = instance.generators
+    load = instance.load
+    seed = lagrangian_commitment(gens, load).bits
+    best = reference_cheapest(instance, (seed, *one_flips(seed)))
+
+    def pruned(bound):
+        return best is not None and bound > best.cost + _PRUNE_RTOL * abs(best.cost)
+
+    stack = [((), -math.inf)]
+    while stack:
+        bits, floor = stack.pop()
+        if pruned(floor):
+            continue
+        k = len(bits)
+        if k == instance.n:
+            best = reference_cheapest(instance, (bits,), best)
+            continue
+        on = [g for g, y in zip(gens, bits) if y]
+        free = gens[k:]
+        if math.fsum(g.p_min for g in on) > load:
+            continue
+        if math.fsum(g.p_max for g in (*on, *free)) < load:
+            continue
+        floor_off = floor_on = -math.inf
+        if best is not None:
+            mu, bound = _dual_bound(on, free, load)
+            if pruned(bound):
+                continue
+            (phi,) = _phis((gens[k].price_constants,), mu)
+            floor_off = bound - min(0.0, phi)
+            floor_on = bound + max(0.0, phi)
+        stack.append((bits + (1,), floor_on))
+        stack.append((bits + (0,), floor_off))
+    if best is None:
+        raise Infeasible(f"no commitment can serve load {load}")
+    return best
 
 
 def reference_unit_response(

@@ -70,6 +70,23 @@ class TestConfig:
         with pytest.raises(InvariantViolation, match=re.escape(message)):
             AdmmConfig(rho=4000.0, beta=1000.0, **{name: value})
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"rho": "x", "beta": 1.0}, "rho='x' is not a real number"),
+            ({"rho": 4.0, "beta": None}, "beta=None is not a real number"),
+            ({"rho": 4.0, "beta": 1.0, "epsilon": 1j}, "epsilon=1j is not a real number"),
+            ({"rho": 4.0, "beta": 1.0, "initial_z": (1, "a")},
+             "initial_z[1]='a' is not a real number"),
+            ({"rho": 4.0, "beta": 1.0, "initial_lambda": ("0",)},
+             "initial_lambda[0]='0' is not a real number"),
+        ],
+    )
+    def test_rejects_non_numeric_settings(self, settings, message):
+        # They used to end in math.isfinite's TypeError.
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            AdmmConfig(**settings)
+
     def test_presets_by_load(self):
         assert preset_penalties(50.0) == (1_000_001.0, 1_000_000.0)
         assert preset_penalties(100.0) == (1001.0, 1000.0)

@@ -13,6 +13,9 @@ from helpers import (
     random_generators,
     random_instance,
     reference_bisect,
+    reference_cheapest,
+    reference_dispatch,
+    reference_solve_uc_exact,
     sweep_instance as _sweep_instance,
 )
 
@@ -40,6 +43,7 @@ from hquc import (
 from hquc import ucmodel
 from hquc.ucmodel import (
     bisect_price,
+    clear_on_breakpoints,
     lagrangian_commitment,
     one_flips,
     polish,
@@ -56,6 +60,17 @@ def _answer(solve, instance):
     except Infeasible:
         return "infeasible"
     return solution.commitment.bits, solution.cost, solution.dispatch
+
+
+def _hex(solution):
+    """Bits, dispatch and cost of a solution, the floats by their hex digits."""
+    if solution is None:
+        return None
+    return (
+        solution.commitment.bits,
+        [p.hex() for p in solution.dispatch],
+        solution.cost.hex(),
+    )
 
 
 class TestParseGenerators:
@@ -144,6 +159,18 @@ class TestDomainTypes:
     def test_instance_requires_units(self):
         with pytest.raises(InvariantViolation):
             UCInstance((), 10.0)
+
+    @pytest.mark.parametrize("field", range(1, 6))
+    def test_non_numeric_unit_data_is_named(self, field):
+        values = [1, 1.0, 2.0, 0.1, 0.0, 10.0]
+        values[field] = "x"
+        name = ("a", "b", "c", "p_min", "p_max")[field - 1]
+        with pytest.raises(InvariantViolation, match=f"unit 1: {name}='x' is not a real number"):
+            GeneratorParams(*values)
+
+    def test_non_numeric_load_is_named(self, ten_unit_generators):
+        with pytest.raises(InvariantViolation, match="load='5' is not a real number"):
+            UCInstance(ten_unit_generators, "5")
 
     def test_fleet_cost_at_full_output_must_be_finite(self):
         # Each unit costs about 1e308 at full output, the pair overflows.
@@ -410,6 +437,43 @@ class TestEconomicDispatch:
         assert dispatch == (50.0, 20.0)
 
 
+    def test_matches_the_whole_range_search(self):
+        # The breakpoint search must end on the bracket that bisect_price
+        # ends on over the whole price range: same floats, by hex digits.
+        rng = np.random.default_rng(41)
+        kinds = dict.fromkeys(("inside", "at a step", "range end", "outside"), 0)
+        for _ in range(150):
+            gens = list(random_generators(rng, int(rng.integers(1, 25)), allow_zero_c=True))
+            for i in range(1, len(gens)):
+                if gens[i].c == 0.0 and rng.random() < 0.5:  # share a step
+                    src = gens[int(rng.integers(0, i))]
+                    gens[i] = GeneratorParams(i + 1, 1.0, src.b, 0.0, 1.0, 30.0)
+            bits = tuple(int(rng.random() < 0.7) for _ in gens)
+            on = [g for g, y in zip(gens, bits) if y]
+            lo = math.fsum(g.p_min for g in on)
+            hi = math.fsum(g.p_max for g in on)
+            loads = {"inside": lo + float(rng.uniform()) * (hi - lo), "range end": lo}
+            steps = [g for g in on if g.c == 0.0]
+            if steps:
+                # The other units' outputs at a c = 0 unit's b, plus part of
+                # its own range: the price sits on its step.
+                j = steps[int(rng.integers(len(steps)))]
+                loads["at a step"] = math.fsum(
+                    _step_output(g.b, g.c, g.p_min, g.p_max, j.b) for g in on if g is not j
+                ) + j.p_min + float(rng.uniform()) * (j.p_max - j.p_min)
+            loads["outside"] = hi + 1.0
+            for kind, load in loads.items():
+                instance = UCInstance(tuple(gens), max(load, 0.0))
+                want = reference_dispatch(instance, bits)
+                got = ucmodel._dispatch(instance, bits)
+                kinds[kind] += want is not None or kind == "outside"
+                if want is None:
+                    assert got is None
+                else:
+                    assert [p.hex() for p in got] == [p.hex() for p in want], (gens, bits, load)
+        assert min(kinds.values()) >= 50, kinds
+
+
 class TestEnumerate:
     def test_enumeration_guard(self):
         gens = tuple(
@@ -612,6 +676,68 @@ class TestBisectPrice:
         want, halvings = _evaluations(reference_bisect, supply, fraction, lo, hi)
         assert got == want
         assert evaluations <= 2 * halvings + 2
+
+
+class TestClearOnBreakpoints:
+    @pytest.mark.parametrize("shape", ["affine", "steps", "both"])
+    def test_ends_on_the_whole_range_bracket(self, shape):
+        # Loads below the first breakpoint, above the last, inside a jump
+        # and inside a piece; the bracket is the one plain bisection ends on
+        # over [below, above], found with far fewer supply evaluations.
+        rng = np.random.default_rng(len(shape))
+        evaluations = searches = 0
+        for _ in range(300):
+            breaks = sorted(float(x) for x in rng.uniform(-10.0, 10.0, int(rng.integers(1, 8))))
+
+            def supply(mu, breaks=breaks):
+                steps = sum(3.0 for x in breaks if mu > x)
+                return {"affine": mu, "steps": steps, "both": mu + steps}[shape]
+
+            load = float(rng.uniform(-15.0, 40.0))
+            counted = []
+
+            def counting(mu):
+                counted.append(mu)
+                return supply(mu)
+
+            got = clear_on_breakpoints(counting, load, breaks, lambda: -20.0, lambda: 50.0)
+            assert got == reference_bisect(supply, load, -20.0, 50.0)
+            if breaks[0] <= got[0] < breaks[-1]:  # between two breakpoints
+                evaluations += len(counted)
+                searches += 1
+        # Plain bisection takes about 60 evaluations there.
+        assert evaluations / searches <= {"affine": 7, "steps": 4, "both": 7}[shape]
+
+    def test_reads_only_finite_breakpoints_and_never_minus_zero(self):
+        trials = []
+
+        def supply(mu):
+            trials.append(mu)
+            return 2.0 if mu > 0.0 else 1.0
+
+        got = clear_on_breakpoints(
+            supply, 1.5, [math.nan, -0.0, math.inf, -0.0, 0.0, -math.inf],
+            lambda: -1.0, lambda: 1.0,
+        )
+        assert got == (0.0, 5e-324)
+        assert all(math.copysign(1.0, mu) > 0.0 for mu in trials if mu == 0.0)
+
+    def test_reads_the_range_ends_only_when_needed(self):
+        ends = []
+
+        def end(value):
+            return lambda: ends.append(value) or value
+
+        def supply(mu):
+            return mu
+
+        assert clear_on_breakpoints(supply, 0.5, [0.0, 1.0], end(-5.0), end(5.0)) == (
+            reference_bisect(supply, 0.5, 0.0, 1.0)
+        )
+        assert ends == []
+        clear_on_breakpoints(supply, -2.0, [0.0, 1.0], end(-5.0), end(5.0))
+        clear_on_breakpoints(supply, 2.0, [0.0, 1.0], end(-5.0), end(5.0))
+        assert ends == [-5.0, 5.0]
 
 
 def _price_unit(rng, uid):
@@ -834,6 +960,92 @@ class TestSolveUcExact:
         sol = solve_uc_exact(UCInstance(gens, 100.0))
         assert sol.commitment.bits == (0,) * 23 + (1, 1)
         assert sol.dispatch[-2:] == (50.0, 50.0)
+
+
+    def test_matches_the_search_without_its_cuts(self):
+        # Bits, dispatch and cost equal by hex digits to the branch and bound
+        # without root reuse, screened polish or incumbent path, and with the
+        # whole-range dispatch.  Enumeration stops at 24 units; this reaches
+        # 200.  Small fleets copy units, for ties and near ties.
+        rng = np.random.default_rng(23)
+        instances = [_sweep_instance(rng, int(rng.integers(1, 41))) for _ in range(150)]
+        instances += [
+            random_instance(rng, int(rng.integers(40, 201)), allow_zero_c=True)
+            for _ in range(50)
+        ]
+        infeasible = 0
+        for instance in instances:
+            try:
+                want = _hex(reference_solve_uc_exact(instance))
+            except Infeasible:
+                want = None
+                infeasible += 1
+            try:
+                got = _hex(solve_uc_exact(instance))
+            except Infeasible:
+                got = None
+            assert got == want, instance
+        assert 0 < infeasible < 50
+
+    def test_polish_matches_the_unscreened_polish(self):
+        # Every candidate dispatched, and in unit order.
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            instance = _sweep_instance(rng, int(rng.integers(1, 30)))
+            bits = tuple(int(rng.random() < rng.uniform()) for _ in range(instance.n))
+            want = reference_cheapest(instance, (bits, *one_flips(bits)))
+            assert _hex(polish(instance, bits)) == _hex(want), (instance, bits)
+
+    def test_cuts_keep_the_work_down(self, monkeypatch):
+        # Per solve on these fleets, without the cuts: 29.3 bounds and 22.2
+        # dispatches, at 8.6 supply evaluations each.  With them: about 11.3
+        # bounds, 3.8 dispatches and 3.7 evaluations.
+        counts = dict.fromkeys(("bounds", "root bounds", "dispatches", "evaluations"), 0)
+        dispatched = []
+        inside = []
+        bound, dispatch, outputs = ucmodel._dual_bound, ucmodel._dispatch, ucmodel._outputs
+
+        def counting_bound(on, free, load):
+            counts["bounds"] += 1
+            counts["root bounds"] += not on and len(free) == len(instance.generators)
+            return bound(on, free, load)
+
+        def counting_dispatch(instance, bits):
+            counts["dispatches"] += 1
+            dispatched.append(tuple(bits))
+            inside.append(bits)
+            try:
+                return dispatch(instance, bits)
+            finally:
+                inside.pop()
+
+        def counting_outputs(units, mu):
+            # The bound's phi terms call _outputs too, but not from inside
+            # a dispatch.
+            counts["evaluations"] += bool(inside)
+            return outputs(units, mu)
+
+        monkeypatch.setattr(ucmodel, "_dual_bound", counting_bound)
+        monkeypatch.setattr(ucmodel, "_dispatch", counting_dispatch)
+        monkeypatch.setattr(ucmodel, "_outputs", counting_outputs)
+        rng = np.random.default_rng(7)
+        solves = 100
+        for _ in range(solves):
+            n = int(rng.integers(11, 31))
+            instance = random_instance(
+                rng, n, allow_zero_c=True, load_frac=float(rng.uniform(0.2, 0.8))
+            )
+            counts["root bounds"] = 0
+            dispatched.clear()
+            solution = solve_uc_exact(instance)
+            # The bound with every unit free is taken once, and the answer,
+            # from the polish or from a leaf, is dispatched once.
+            assert counts["root bounds"] == 1
+            assert dispatched.count(solution.commitment.bits) == 1
+        assert counts["bounds"] / solves <= 14
+        assert counts["dispatches"] / solves <= 5
+        # A dispatch that stopped calling the module's _outputs would count 0.
+        assert 0 < counts["evaluations"] / counts["dispatches"] <= 4.5
 
 
 class TestSolutionCsv:
