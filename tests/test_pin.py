@@ -20,12 +20,13 @@ import math
 
 import numpy as np
 
-from helpers import random_generators, random_instance, sweep_instance
+from helpers import _step_output, random_generators, random_instance, sweep_instance
 
 from hquc import (
     AdmmConfig,
     Infeasible,
     Commitment,
+    GeneratorParams,
     InfeasibleCommitment,
     UCInstance,
     default_config,
@@ -172,12 +173,8 @@ def _step_loads(on, rng):
         if j.c == 0.0:
             others = 0.0
             for g in on:
-                if g is j:
-                    continue
-                if g.c > 0.0:
-                    others += min(max((j.b - g.b) / (2.0 * g.c), g.p_min), g.p_max)
-                else:
-                    others += g.p_max if j.b > g.b else g.p_min
+                if g is not j:
+                    others += _step_output(g.b, g.c, g.p_min, g.p_max, j.b)
             yield others + j.p_min + float(rng.uniform(0.0, 1.0)) * (j.p_max - j.p_min)
 
 
@@ -187,11 +184,11 @@ def test_economic_dispatch_is_pinned():
         rng = np.random.default_rng(2000 + seed)
         gens = random_generators(rng, int(rng.integers(1, 31)), allow_zero_c=True)
         if seed % 3 == 0:
-            # Copies share a c = 0 unit's step, so the settle splits a flat
-            # segment among several units.
+            # Every c = 0 unit but the first takes unit 1's b, so several
+            # share one step and the settle splits a flat segment among them.
             gens = tuple(
                 g if g.c > 0.0 or i == 0 else
-                type(g)(g.id, g.a, gens[0].b, 0.0, g.p_min, g.p_max)
+                GeneratorParams(g.id, g.a, gens[0].b, 0.0, g.p_min, g.p_max)
                 for i, g in enumerate(gens)
             )
         bits = tuple(int(rng.random() < 0.6) for _ in gens)
