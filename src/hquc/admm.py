@@ -33,7 +33,9 @@ from dataclasses import dataclass, field, replace
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from .errors import InvariantViolation, LengthMismatch, require_integer, require_real
+from .errors import (
+    InvariantViolation, LengthMismatch, require_finite, require_integer, require_length
+)
 from .qaoa import QaoaConfig, QaoaOutcome, solve_qubo_qaoa
 from .qpblock import Block1Problem, augmented_lagrangian, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
@@ -72,18 +74,11 @@ class AdmmConfig:
     def __post_init__(self) -> None:
         require_integer("max_iters", self.max_iters)
         for name in ("rho", "beta", "epsilon"):
-            value = getattr(self, name)
-            require_real(name, value)
-            if not math.isfinite(value):
-                raise InvariantViolation(f"{name}={value} is not finite")
+            require_finite(name, getattr(self, name))
         for name in ("initial_z", "initial_r", "initial_lambda"):
             value = getattr(self, name)
-            if value is None:
-                continue
-            for i, v in enumerate(value):
-                require_real(f"{name}[{i}]", v)
-            if not all(math.isfinite(v) for v in value):
-                raise InvariantViolation(f"{name}={value} has a non-finite entry")
+            for i, v in enumerate(() if value is None else value):
+                require_finite(f"{name}[{i}]", v)
         if not (self.rho > self.beta > 0.0):
             raise InvariantViolation(
                 f"need rho > beta > 0, got rho={self.rho}, beta={self.beta}"
@@ -201,8 +196,7 @@ def _initial_vector(
 ) -> tuple[float, ...]:
     if value is None:
         return (0.0,) * n
-    if len(value) != n:
-        raise LengthMismatch(f"{name} has length {len(value)}, expected {n}")
+    require_length(name, value, n)
     return tuple(float(v) for v in value)
 
 

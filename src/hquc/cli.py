@@ -176,11 +176,7 @@ def _run(args: argparse.Namespace) -> int:
     out = Path(args.out)
 
     if args.mode == "baseline":
-        try:
-            solution = solve_uc_exact(instance)
-        except Infeasible as exc:
-            print(f"infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
+        solution = solve_uc_exact(instance)
         _atomic_write(out / "solution.csv", solution_to_csv(solution))
         print(
             f"baseline commitment |{solution.commitment.bitstring}> "
@@ -191,11 +187,7 @@ def _run(args: argparse.Namespace) -> int:
     config = build_admm_config(args, settings)
     if config.backend == BACKEND_QAOA and args.emit_histograms:
         check_dense_size(instance.n)  # histograms read all 2**n probabilities
-    try:
-        report = run_admm(instance, config)
-    except InfeasibleRelaxation as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    report = run_admm(instance, config)
     _atomic_write(out / "trace.csv", trace_to_csv(report))
     if args.emit_histograms and report.qaoa_diagnostics:
         for k, outcome in enumerate(report.qaoa_diagnostics, start=1):
@@ -269,6 +261,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return _run(args)
+    # Neither is raised once an output file is written.
+    except (Infeasible, InfeasibleRelaxation) as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (OSError, SolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

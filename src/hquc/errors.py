@@ -1,8 +1,11 @@
-"""Exception hierarchy for the solver package, and the integer and real
-number checks that raise one of its errors."""
+"""Exception hierarchy for the solver package, and the input rules that
+raise one of its errors: :func:`require_integer`, :func:`require_finite`
+and :func:`require_length`.  Each rule is written here once, and every
+public constructor and entry point calls it rather than its own copy."""
 
 import math
 import operator
+from typing import Sized
 
 
 class SolverError(Exception):
@@ -54,10 +57,21 @@ def require_integer(name: str, value: object) -> None:
         raise InvariantViolation(f"{name}={value!r} is not an integer") from None
 
 
-def require_real(name: str, value: object) -> None:
-    """Raise InvariantViolation naming ``name`` unless ``value`` is a real
-    number, that is, unless :func:`math.isfinite` accepts it."""
+def require_finite(name: str, value: object) -> None:
+    """Raise InvariantViolation naming ``name`` unless ``value`` is a finite
+    real number: one that :func:`math.isfinite` accepts and finds finite.
+    An ``int`` past the float range is refused without printing its digits."""
     try:
-        math.isfinite(value)
+        if math.isfinite(value):
+            return
     except TypeError:
         raise InvariantViolation(f"{name}={value!r} is not a real number") from None
+    except OverflowError:
+        raise InvariantViolation(f"{name} is past the float range") from None
+    raise InvariantViolation(f"{name}={value} is not finite")
+
+
+def require_length(name: str, seq: Sized, n: int) -> None:
+    """Raise LengthMismatch naming ``name`` unless ``seq`` has length ``n``."""
+    if len(seq) != n:
+        raise LengthMismatch(f"{name} has length {len(seq)}, expected {n}")

@@ -54,7 +54,9 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .errors import InfeasibleRelaxation, InvariantViolation, LengthMismatch
+from .errors import (
+    InfeasibleRelaxation, InvariantViolation, LengthMismatch, require_length
+)
 from .ucmodel import (
     GeneratorParams,
     UCInstance,
@@ -76,10 +78,8 @@ class Block1Problem:
     beta: float = 0.0
 
     def __post_init__(self) -> None:
-        n = self.instance.n
-        for name, seq in (("z", self.z), ("r", self.r), ("lam", self.lam)):
-            if len(seq) != n:
-                raise LengthMismatch(f"{name} has length {len(seq)}, expected {n}")
+        for name in ("z", "r", "lam"):
+            require_length(name, getattr(self, name), self.instance.n)
         if self.rho <= 0.0:
             raise InvariantViolation(f"rho {self.rho} <= 0")
 

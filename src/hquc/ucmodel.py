@@ -57,10 +57,10 @@ from .errors import (
     Infeasible,
     InfeasibleCommitment,
     InvariantViolation,
-    LengthMismatch,
     MalformedRow,
     TooLarge,
-    require_real,
+    require_finite,
+    require_length,
 )
 
 GENERATOR_CSV_HEADER = ("id", "a", "b", "c", "p_min", "p_max")
@@ -89,10 +89,7 @@ class GeneratorParams:
     def __post_init__(self) -> None:
         try:
             for name in ("a", "b", "c", "p_min", "p_max"):
-                value = getattr(self, name)
-                require_real(name, value)
-                if not math.isfinite(value):
-                    raise InvariantViolation(f"{name}={value} is not finite")
+                require_finite(name, getattr(self, name))
         except InvariantViolation as exc:
             # Named here, not in each message: parsing builds many units.
             raise InvariantViolation(f"unit {self.id}: {exc}") from None
@@ -167,9 +164,7 @@ class UCInstance:
         object.__setattr__(self, "generators", tuple(self.generators))
         if len(self.generators) < 1:
             raise InvariantViolation("instance needs at least one generator")
-        require_real("load", self.load)
-        if not math.isfinite(self.load):
-            raise InvariantViolation(f"load {self.load} is not finite")
+        require_finite("load", self.load)
         if self.load < 0.0:
             raise InvariantViolation(f"load {self.load} < 0")
         ids = [g.id for g in self.generators]
@@ -279,17 +274,12 @@ def parse_generators(source: str | TextIO) -> tuple[GeneratorParams, ...]:
     return tuple(ordered)
 
 
-def _require_length(instance: UCInstance, seq: Sequence, what: str) -> None:
-    if len(seq) != instance.n:
-        raise LengthMismatch(f"{what} has length {len(seq)}, expected {instance.n}")
-
-
 def evaluate_cost(
     instance: UCInstance, commitment: Commitment, dispatch: Sequence[float]
 ) -> float:
     """Total cost ``sum_i (a_i y_i + b_i p_i + c_i p_i^2)``."""
-    _require_length(instance, commitment.bits, "commitment")
-    _require_length(instance, dispatch, "dispatch")
+    require_length("commitment", commitment.bits, instance.n)
+    require_length("dispatch", dispatch, instance.n)
     return math.fsum(
         g.a * y + g.b * p + g.c * p * p
         for g, y, p in zip(instance.generators, commitment.bits, dispatch)
@@ -309,8 +299,8 @@ def check_feasible(
     nothing below 2**31 MW.
     A NaN output fails every test, and a non-finite one misses the balance
     by inf."""
-    _require_length(instance, commitment.bits, "commitment")
-    _require_length(instance, dispatch, "dispatch")
+    require_length("commitment", commitment.bits, instance.n)
+    require_length("dispatch", dispatch, instance.n)
     if not tol >= 0.0:
         raise InvariantViolation(f"tol {tol} is not >= 0")
     violations: list[Violation] = []
@@ -582,7 +572,7 @@ def economic_dispatch(
     Raises InfeasibleCommitment when the load falls outside the committed
     capacity range ``[sum p_min, sum p_max]``.
     """
-    _require_length(instance, commitment.bits, "commitment")
+    require_length("commitment", commitment.bits, instance.n)
     dispatch = _dispatch(instance, commitment.bits)
     if dispatch is None:
         on = [g for g, y in zip(instance.generators, commitment.bits) if y]

@@ -231,6 +231,17 @@ class TestAdmmModes:
         assert code == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_infeasible_load_exits_2_before_any_output(
+        self, gen_csv, tmp_path, capsys, mode
+    ):
+        # Infeasible (baseline) and InfeasibleRelaxation (s1, s2) share one
+        # mapping in main, and neither comes after a write.
+        out = tmp_path / "o"
+        assert main(_args(mode, gen_csv, 5000, out)) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith("infeasible: ")
+        assert not out.exists()
+
     def test_not_converged_exit_code(self, gen_csv, tmp_path, capsys):
         out = tmp_path / "o"
         code = main(_args("s1", gen_csv, 800, out, "--max-iters", "3"))
