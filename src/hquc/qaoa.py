@@ -64,7 +64,7 @@ from operator import add
 from random import Random
 from typing import Callable, Sequence
 
-from .errors import InvariantViolation, TooManyQubits, require_integer
+from .errors import InvariantViolation, TooManyQubits, require_finite, require_integer
 from .qubo import QuboProblem
 
 #: Guard on 2**n amplitude tables (histograms): 2**16 amplitudes.
@@ -129,19 +129,18 @@ class QaoaParams:
     betas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gammas", tuple(map(float, self.gammas)))
-        object.__setattr__(self, "betas", tuple(map(float, self.betas)))
+        for name in ("gammas", "betas"):
+            angles = tuple(getattr(self, name))
+            for i, angle in enumerate(angles):
+                require_finite(f"{name}[{i}]", angle)
+                # The kernel's phase, past the float range for a finite
+                # angle above about 5.7e307.
+                require_finite(f"pi * {name}[{i}] / 2", math.pi * float(angle) / 2.0)
+            object.__setattr__(self, name, tuple(map(float, angles)))
         if len(self.gammas) != len(self.betas) or not self.gammas:
             raise InvariantViolation(
                 f"need equal-length nonempty angle lists, got "
                 f"{len(self.gammas)} gammas and {len(self.betas)} betas"
-            )
-        # The kernel's phase pi * angle / 2: it is not finite for a NaN or
-        # infinite angle, nor for a finite one above about 5.7e307.
-        if not all(math.isfinite(math.pi * a / 2.0) for a in self.gammas + self.betas):
-            raise InvariantViolation(
-                f"angles and their phases pi * angle / 2 must be finite, got "
-                f"gammas {self.gammas} and betas {self.betas}"
             )
 
     @property

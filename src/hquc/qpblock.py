@@ -55,7 +55,8 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import (
-    InfeasibleRelaxation, InvariantViolation, LengthMismatch, require_length
+    InfeasibleRelaxation, InvariantViolation, LengthMismatch, require_finite,
+    require_length,
 )
 from .ucmodel import (
     GeneratorParams,
@@ -68,7 +69,12 @@ from .ucmodel import (
 
 @dataclass(frozen=True)
 class Block1Problem:
-    """Frozen data for one first-block solve."""
+    """Frozen data for one first-block solve.
+
+    ``rho`` and ``beta`` must be finite, and ``z``, ``r`` and ``lam`` of the
+    instance's length.  Their entries are not checked here: a problem is
+    built at every ADMM iteration, from iterates that are checked already.
+    """
 
     instance: UCInstance
     z: tuple[float, ...]
@@ -80,6 +86,8 @@ class Block1Problem:
     def __post_init__(self) -> None:
         for name in ("z", "r", "lam"):
             require_length(name, getattr(self, name), self.instance.n)
+        for name in ("rho", "beta"):
+            require_finite(name, getattr(self, name))
         if self.rho <= 0.0:
             raise InvariantViolation(f"rho {self.rho} <= 0")
 

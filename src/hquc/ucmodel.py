@@ -76,7 +76,9 @@ class GeneratorParams:
     Committing unit ``i`` costs ``a`` per period; generation costs
     ``b * p + c * p**2`` for output ``p`` in MW.  Output must stay in
     ``[p_min, p_max]`` while the unit is on and is zero otherwise.  The cost
-    at full output, ``a + b p_max + c p_max^2``, must be finite.
+    at full output, ``a + b p_max + c p_max^2``, must be finite, and so must
+    the marginal cost there, ``b + 2 c p_max``, which prices the unit's
+    output in every dispatch.
     """
 
     id: int
@@ -103,6 +105,10 @@ class GeneratorParams:
         if not math.isfinite(self.full_output_cost):
             raise InvariantViolation(
                 f"unit {self.id}: cost a + b*p_max + c*p_max^2 overflows"
+            )
+        if not math.isfinite(self.marginal_cost(self.p_max)):
+            raise InvariantViolation(
+                f"unit {self.id}: marginal cost b + 2*c*p_max overflows"
             )
 
     @property
@@ -191,9 +197,11 @@ class Commitment:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if any(b not in (0, 1) for b in self.bits):
-            raise InvariantViolation(f"commitment bits must be 0/1, got {self.bits}")
+        bits = tuple(self.bits)
+        # Tested before int(), which would truncate 0.5 to 0.
+        if any(b not in (0, 1) for b in bits):
+            raise InvariantViolation(f"commitment bits must be 0/1, got {bits}")
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @property
     def bitstring(self) -> str:
@@ -301,8 +309,9 @@ def check_feasible(
     by inf."""
     require_length("commitment", commitment.bits, instance.n)
     require_length("dispatch", dispatch, instance.n)
-    if not tol >= 0.0:
-        raise InvariantViolation(f"tol {tol} is not >= 0")
+    require_finite("tol", tol)
+    if tol < 0.0:
+        raise InvariantViolation(f"tol {tol} < 0")
     violations: list[Violation] = []
     balance_gap = math.inf
     if all(math.isfinite(p) for p in dispatch):
@@ -635,6 +644,7 @@ def polish(instance: UCInstance, bits: tuple[int, ...]) -> UCSolution | None:
     free (:func:`_dual_bound`); :func:`solve_uc_exact` passes the one its
     root has taken.
     """
+    require_length("bits", bits, instance.n)
     mu, _ = _dual_bound((), instance.generators, instance.load)
     return _polish_at(instance, bits, mu)
 

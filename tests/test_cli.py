@@ -575,11 +575,13 @@ class TestInputErrors:
         [
             [(1e308, 10.0, 0.01, 10.0, 100.0), (1e308, 12.0, 0.02, 10.0, 100.0)],
             [(100.0, 10.0, 0.01, 10.0, 100.0), (100.0, 12.0, 1e308, 10.0, 100.0)],
+            [(0.0, 1.0, 1e308, 0.0, 1.0), (0.0, 1.0, 0.01, 0.0, 10.0)],
         ],
-        ids=["fleet-sum", "one-unit"],
+        ids=["fleet-sum", "one-unit", "marginal"],
     )
     def test_overflowing_cost(self, tmp_path, capsys, mode, load, rows):
-        # Finite data whose cost at full output overflows is bad input.
+        # Finite data whose cost or marginal cost at full output overflows
+        # is bad input.
         path = _write_fleet(tmp_path / "g.csv", rows)
         assert main(_args(mode, path, load, tmp_path / "o")) == 1
         err = capsys.readouterr().err

@@ -10,10 +10,13 @@ from conftest import TEN_UNIT_CSV
 from hquc import (
     AdmmConfig,
     Block1Problem,
+    Commitment,
     GeneratorParams,
     InvariantViolation,
     LengthMismatch,
+    QaoaParams,
     UCInstance,
+    check_feasible,
     default_config,
     parse_generators,
     run_admm,
@@ -22,35 +25,38 @@ from hquc import (
 TEN = parse_generators(TEN_UNIT_CSV.read_text())
 INSTANCE = UCInstance(TEN, 800.0)
 ZEROS = (0.0,) * 10
+ONES = Commitment((1,) * 10)
+FULL = (80.0,) * 10
 
 
-def _unit(field):
-    def build(value):
-        values = dict(a=1.0, b=2.0, c=0.1, p_min=0.0, p_max=10.0)
-        values[field] = value
-        GeneratorParams(1, **values)
-
-    return build
+def _call(make, field, **defaults):
+    """A call of ``make`` with ``defaults``, passing the value as ``field``."""
+    return lambda value: make(**{**defaults, field: value})
 
 
-def _admm(field):
-    def build(value):
-        settings = dict(rho=4.0, beta=1.0)
-        if field.startswith("initial_"):
-            settings[field] = (0.0, value)
-        else:
-            settings[field] = value
-        AdmmConfig(**settings)
+UNIT = dict(id=1, a=1.0, b=2.0, c=0.1, p_min=0.0, p_max=10.0)
+PENALTIES = dict(rho=4.0, beta=1.0)
+BLOCK1 = dict(instance=INSTANCE, z=ZEROS, r=ZEROS, lam=ZEROS, rho=1.0)
 
-    return build
-
-
-#: (the field as the message names it, a call that passes it the value)
+#: (entry point, the field as its message names it, a call passing it the value)
 SITES = [
-    *((f"unit 1: {f}", _unit(f)) for f in ("a", "b", "c", "p_min", "p_max")),
-    ("load", lambda v: UCInstance(TEN, v)),
-    *((f, _admm(f)) for f in ("rho", "beta", "epsilon")),
-    *((f"{f}[1]", _admm(f)) for f in ("initial_z", "initial_r", "initial_lambda")),
+    *(
+        ("GeneratorParams", f"unit 1: {f}", _call(GeneratorParams, f, **UNIT))
+        for f in ("a", "b", "c", "p_min", "p_max")
+    ),
+    ("UCInstance", "load", lambda v: UCInstance(TEN, v)),
+    *(
+        ("AdmmConfig", f, _call(AdmmConfig, f, **PENALTIES))
+        for f in ("rho", "beta", "epsilon")
+    ),
+    *(
+        ("AdmmConfig", f"{f}[1]", lambda v, f=f: AdmmConfig(4.0, 1.0, **{f: (0.0, v)}))
+        for f in ("initial_z", "initial_r", "initial_lambda")
+    ),
+    *(("Block1Problem", f, _call(Block1Problem, f, **BLOCK1)) for f in ("rho", "beta")),
+    ("QaoaParams", "gammas[0]", lambda v: QaoaParams((v,), (0.1,))),
+    ("QaoaParams", "betas[1]", lambda v: QaoaParams((0.1, 0.2), (0.3, v))),
+    ("check_feasible", "tol", lambda v: check_feasible(INSTANCE, ONES, FULL, v)),
 ]
 
 #: (the bad value, how the message renders it after the field)
@@ -64,8 +70,10 @@ VALUES = [
 
 
 @pytest.mark.parametrize("value, rendered", VALUES, ids=repr)
-@pytest.mark.parametrize("field, build", SITES, ids=[f for f, _ in SITES])
-def test_finite_rule_names_the_field(field, build, value, rendered):
+@pytest.mark.parametrize(
+    "site, field, build", SITES, ids=[f"{site}-{field}" for site, field, _ in SITES]
+)
+def test_finite_rule_names_the_field(site, field, build, value, rendered):
     with pytest.raises(InvariantViolation) as info:
         build(value)
     assert f"{field}{rendered}" in str(info.value)

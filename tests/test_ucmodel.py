@@ -137,11 +137,38 @@ class TestParseGenerators:
         with pytest.raises(InvariantViolation, match="line 2: unit 1: cost"):
             parse_generators("id,a,b,c,p_min,p_max\n" + row + "\n")
 
+    @pytest.mark.parametrize(
+        "row",
+        ["1,0,1,1e308,0,1", "1,-1e308,1e308,5e307,0,1", "1,0,1,1e308,0,0"],
+        ids=["2c", "b-plus-2c", "2c-times-zero"],
+    )
+    def test_unit_marginal_cost_at_full_output_must_be_finite(self, row):
+        # Each costs a finite amount at full output, but 2c or b + 2c p_max
+        # overflows: dispatch priced the first at NaN, and enumeration
+        # returned that NaN as the optimum's cost.
+        with pytest.raises(
+            InvariantViolation,
+            match=r"line 2: unit 1: marginal cost b \+ 2\*c\*p_max overflows",
+        ):
+            parse_generators("id,a,b,c,p_min,p_max\n" + row + "\n")
+
 
 class TestDomainTypes:
     def test_commitment_rejects_non_binary(self):
         with pytest.raises(InvariantViolation):
             Commitment((0, 2, 1))
+
+    @pytest.mark.parametrize("bits", [(0.5, 1), (1.5,), ("a",), (math.nan, 0)])
+    def test_commitment_tests_bits_before_converting_them(self, bits):
+        # int() would truncate 0.5 to 0 and 1.5 to 1, and refuse "a" with a
+        # ValueError.
+        with pytest.raises(InvariantViolation, match="bits must be 0/1"):
+            Commitment(bits)
+
+    def test_commitment_keeps_exact_bits_as_ints(self):
+        bits = Commitment((1.0, True, 0, np.int64(1), False)).bits
+        assert bits == (1, 1, 0, 1, 0)
+        assert all(type(b) is int for b in bits)
 
     def test_commitment_bitstring_renders_most_significant_first(self):
         c = Commitment((1, 1, 0, 1))
@@ -986,6 +1013,43 @@ class TestSolveUcExact:
                 got = None
             assert got == want, instance
         assert 0 < infeasible < 50
+
+    @pytest.mark.parametrize("load", [800.0, 100.0])
+    def test_polish_checks_the_bits_length_first(self, ten_unit, load):
+        # Once None at 800 MW and LengthMismatch at 100 MW, by whether a
+        # short candidate happened to be dispatched.
+        with pytest.raises(LengthMismatch, match="bits has length 3, expected 10"):
+            polish(ten_unit(load), (1, 1, 1))
+
+    def test_costs_stay_finite_on_fleets_of_extreme_magnitudes(self):
+        # Each accepted unit has a finite cost and marginal cost at full
+        # output, so neither solve may answer with a NaN or infinite cost.
+        rng = Random("extreme-fleets")
+        scales = (0.0, 1e-300, 1e-3, 1.0, 1e3, 1e150, 1e300, 1e308)
+        solved = 0
+        while solved < 300:
+            units, n = [], rng.randint(1, 4)
+            while len(units) < n:
+                a, b = (rng.choice(scales) * rng.uniform(-1.0, 1.0) for _ in "ab")
+                c, p_min, width = (rng.choice(scales) * rng.random() for _ in "cpw")
+                try:
+                    units.append(
+                        GeneratorParams(len(units) + 1, a, b, c, p_min, p_min + width)
+                    )
+                except InvariantViolation:
+                    pass
+            load = rng.uniform(0.0, 1.05) * sum(g.p_max for g in units)
+            try:
+                inst = UCInstance(units, load)
+            except InvariantViolation:
+                continue
+            for solve in (enumerate_uc, solve_uc_exact):
+                try:
+                    cost = solve(inst).cost
+                except Infeasible:
+                    continue
+                assert math.isfinite(cost), (solve.__name__, inst)
+                solved += 1
 
     def test_polish_matches_the_unscreened_polish(self):
         # Every candidate dispatched, and in unit order.
