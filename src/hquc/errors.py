@@ -1,7 +1,8 @@
 """Exception hierarchy for the solver package, and the input rules that
 raise one of its errors: :func:`require_integer`, :func:`require_finite`
-and :func:`require_length`.  Each rule is written here once, and every
-public constructor and entry point calls it rather than its own copy."""
+and :func:`require_length`.  Each rule is written here once; the
+constructors and entry points that check their inputs call it rather than
+a copy of their own."""
 
 import math
 import operator
