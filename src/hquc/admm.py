@@ -33,9 +33,7 @@ from dataclasses import dataclass, field, replace
 from itertools import count, islice
 from typing import Iterator, Sequence
 
-from .errors import (
-    InvariantViolation, LengthMismatch, require_finite, require_integer, require_length
-)
+from .errors import InvariantViolation, require_finite, require_integer, require_length
 from .qaoa import QaoaConfig, QaoaOutcome, solve_qubo_qaoa
 from .qpblock import Block1Problem, augmented_lagrangian, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
@@ -157,8 +155,8 @@ def update_r(
     """
     if rho + beta <= 0.0:
         raise InvariantViolation(f"rho + beta = {rho + beta} <= 0")
-    if not (len(y) == len(z) == len(lam)):
-        raise LengthMismatch("y, z, lam lengths differ")
+    require_length("z", z, len(y))
+    require_length("lam", lam, len(y))
     return tuple(
         -(li + rho * (yi - zi)) / (beta + rho) for yi, zi, li in zip(y, z, lam)
     )
@@ -175,8 +173,8 @@ def update_dual(
 
     Returns a tuple of floats.
     """
-    if not (len(lam) == len(y) == len(z) == len(r)):
-        raise LengthMismatch("lam, y, z, r lengths differ")
+    for name, seq in (("y", y), ("z", z), ("r", r)):
+        require_length(name, seq, len(lam))
     return tuple(
         li + (rho / 2.0) * (yi - zi + ri) for li, yi, zi, ri in zip(lam, y, z, r)
     )
@@ -186,8 +184,8 @@ def residual(
     y: Sequence[float], z: Sequence[float], r: Sequence[float]
 ) -> float:
     """L1 consensus gap ``sum_i |y_i - z_i + r_i|``."""
-    if not (len(y) == len(z) == len(r)):
-        raise LengthMismatch("y, z, r lengths differ")
+    require_length("z", z, len(y))
+    require_length("r", r, len(y))
     return math.fsum(abs(yi - zi + ri) for yi, zi, ri in zip(y, z, r))
 
 

@@ -35,7 +35,9 @@ from .admm import (
     default_config,
     run_admm,
 )
-from .errors import Infeasible, InfeasibleRelaxation, InvariantViolation, SolverError
+from .errors import (
+    Infeasible, InfeasibleRelaxation, InvariantViolation, SolverError, require_finite
+)
 from .qaoa import QaoaConfig, check_dense_size, probabilities_to_csv
 from .ucmodel import UCInstance, parse_generators, solution_to_csv, solve_uc_exact
 
@@ -75,10 +77,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _is_real(value: object) -> bool:
-    # A JSON integer may lie past the float range.
-    return isinstance(value, float) or (
-        _is_int(value) and abs(value) <= sys.float_info.max
-    )
+    return isinstance(value, float) or _is_int(value)
 
 
 def _is_int(value: object) -> bool:
@@ -90,19 +89,20 @@ def _is_real_list(value: object) -> bool:
 
 
 #: Config-file keys with the JSON type each must have.  Each key is also the
-#: name of the CLI flag that overrides it, where there is one.
+#: name of the CLI flag that overrides it, where there is one.  Every number
+#: must also pass :func:`~hquc.errors.require_finite`.
 _CONFIG_FILE_TYPES = {
-    "rho": (_is_real, "a number in float range"),
-    "beta": (_is_real, "a number in float range"),
-    "epsilon": (_is_real, "a number in float range"),
+    "rho": (_is_real, "a number"),
+    "beta": (_is_real, "a number"),
+    "epsilon": (_is_real, "a number"),
     "max_iters": (_is_int, "an integer"),
     "qaoa_depth": (_is_int, "an integer"),
     "qaoa_budget": (_is_int, "an integer"),
     "warm_start": (lambda v: isinstance(v, bool), "true or false"),
     "extract": (lambda v: isinstance(v, str), "a string"),
-    "initial_z": (_is_real_list, "a list of numbers in float range"),
-    "initial_r": (_is_real_list, "a list of numbers in float range"),
-    "initial_lambda": (_is_real_list, "a list of numbers in float range"),
+    "initial_z": (_is_real_list, "a list of numbers"),
+    "initial_r": (_is_real_list, "a list of numbers"),
+    "initial_lambda": (_is_real_list, "a list of numbers"),
 }
 
 #: Settings that are :class:`QaoaConfig` fields, by field name.
@@ -125,15 +125,20 @@ def _load_file_overrides(path: str | None) -> dict:
     unknown = set(data) - set(_CONFIG_FILE_TYPES)
     if unknown:
         raise SolverError(f"config file {path}: unknown keys {sorted(unknown)}")
-    for key, value in data.items():
-        check, expected = _CONFIG_FILE_TYPES[key]
-        if not check(value):
-            raise SolverError(
-                f"config file {path}: {key} must be {expected}, got {value!r}"
-            )
-    for key in ("initial_z", "initial_r", "initial_lambda"):
-        if key in data:
-            data[key] = tuple(data[key])
+    try:
+        for key, value in data.items():
+            check, expected = _CONFIG_FILE_TYPES[key]
+            if not check(value):
+                raise InvariantViolation(f"{key} must be {expected}, got {value!r}")
+            if isinstance(value, list):
+                for i, v in enumerate(value):
+                    require_finite(f"{key}[{i}]", v)
+                data[key] = tuple(value)
+            elif _is_real(value):
+                require_finite(key, value)
+    except InvariantViolation as exc:
+        # Named here, not in each message.
+        raise InvariantViolation(f"config file {path}: {exc}") from None
     return data
 
 

@@ -55,8 +55,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .errors import (
-    InfeasibleRelaxation, InvariantViolation, LengthMismatch, require_finite,
-    require_length,
+    InfeasibleRelaxation, InvariantViolation, require_finite, require_length
 )
 from .ucmodel import (
     GeneratorParams,
@@ -133,9 +132,8 @@ def block1_objective(
     problem: Block1Problem, y: Sequence[float], p: Sequence[float]
 ) -> float:
     """Full augmented Lagrangian value at ``(y, p)`` with the frozen iterates."""
-    n = problem.instance.n
-    if len(y) != n or len(p) != n:
-        raise LengthMismatch(f"y/p lengths {len(y)}/{len(p)}, expected {n}")
+    require_length("y", y, problem.instance.n)
+    require_length("p", p, problem.instance.n)
     return augmented_lagrangian(
         problem.instance.generators, y, p,
         problem.z, problem.r, problem.lam, problem.rho, problem.beta,

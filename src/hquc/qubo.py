@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvariantViolation, LengthMismatch
+from .errors import InvariantViolation, require_length
 
 
 @dataclass(frozen=True)
@@ -41,8 +41,7 @@ class QuboProblem:
         return len(self.linear)
 
     def energy(self, bits: Sequence[int]) -> float:
-        if len(bits) != self.n:
-            raise LengthMismatch(f"got {len(bits)} bits, expected {self.n}")
+        require_length("bits", bits, self.n)
         e = 0.0
         for q, z in zip(self.linear, bits):
             if z:
@@ -79,10 +78,8 @@ def build_qubo(
     rho: float,
 ) -> QuboProblem:
     """Assemble the second-block QUBO from the frozen iterates."""
-    if not (len(y) == len(r) == len(lam)):
-        raise LengthMismatch(
-            f"y, r, lam lengths differ: {len(y)}, {len(r)}, {len(lam)}"
-        )
+    require_length("r", r, len(y))
+    require_length("lam", lam, len(y))
     if rho <= 0.0:
         raise InvariantViolation(f"rho {rho} <= 0")
     a = [yi + ri for yi, ri in zip(y, r)]

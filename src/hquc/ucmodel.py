@@ -159,6 +159,12 @@ class GeneratorParams:
         )
 
 
+def _require_unit_ids(ids: list[int]) -> None:
+    """Raise InvariantViolation unless the unit ids, in fleet order, are 1..N."""
+    if ids != list(range(1, len(ids) + 1)):
+        raise InvariantViolation(f"unit ids must be 1..N without gaps, got {ids}")
+
+
 @dataclass(frozen=True)
 class UCInstance:
     """An immutable unit commitment instance: generator fleet plus load."""
@@ -173,9 +179,7 @@ class UCInstance:
         require_finite("load", self.load)
         if self.load < 0.0:
             raise InvariantViolation(f"load {self.load} < 0")
-        ids = [g.id for g in self.generators]
-        if ids != list(range(1, len(ids) + 1)):
-            raise InvariantViolation(f"unit ids must be 1..N without gaps, got {ids}")
+        _require_unit_ids([g.id for g in self.generators])
         # Magnitudes, so that the outcome does not depend on the unit order.
         if not math.isfinite(sum(abs(g.full_output_cost) for g in self.generators)):
             raise InvariantViolation(
@@ -275,10 +279,7 @@ def parse_generators(source: str | TextIO) -> tuple[GeneratorParams, ...]:
     if not units:
         raise InvariantViolation("no generator rows: an instance needs N >= 1 units")
     ordered = [units[k] for k in sorted(units)]
-    if [g.id for g in ordered] != list(range(1, len(ordered) + 1)):
-        raise InvariantViolation(
-            f"unit ids must be 1..N without gaps, got {sorted(units)}"
-        )
+    _require_unit_ids([g.id for g in ordered])
     return tuple(ordered)
 
 
