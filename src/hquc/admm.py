@@ -153,6 +153,8 @@ def update_r(
 
     Returns a tuple of floats.
     """
+    require_finite("rho", rho)
+    require_finite("beta", beta)
     if rho + beta <= 0.0:
         raise InvariantViolation(f"rho + beta = {rho + beta} <= 0")
     require_length("z", z, len(y))
@@ -175,6 +177,7 @@ def update_dual(
     """
     for name, seq in (("y", y), ("z", z), ("r", r)):
         require_length(name, seq, len(lam))
+    require_finite("rho", rho)
     return tuple(
         li + (rho / 2.0) * (yi - zi + ri) for li, yi, zi, ri in zip(lam, y, z, r)
     )

@@ -35,9 +35,7 @@ from .admm import (
     default_config,
     run_admm,
 )
-from .errors import (
-    Infeasible, InfeasibleRelaxation, InvariantViolation, SolverError, require_finite
-)
+from .errors import Infeasible, InvariantViolation, SolverError, require_finite
 from .qaoa import QaoaConfig, check_dense_size, probabilities_to_csv
 from .ucmodel import UCInstance, parse_generators, solution_to_csv, solve_uc_exact
 
@@ -266,8 +264,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return _run(args)
-    # Neither is raised once an output file is written.
-    except (Infeasible, InfeasibleRelaxation) as exc:
+    # Never raised once an output file is written.
+    except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (OSError, SolverError) as exc:

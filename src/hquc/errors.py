@@ -41,7 +41,7 @@ class TooLarge(SolverError):
     """Problem exceeds the exhaustive-enumeration guard."""
 
 
-class InfeasibleRelaxation(SolverError):
+class InfeasibleRelaxation(Infeasible):
     """The relaxed first block is infeasible, hence so is the full problem."""
 
 

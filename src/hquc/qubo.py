@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvariantViolation, require_length
+from .errors import InvariantViolation, require_finite, require_length
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ def build_qubo(
     """Assemble the second-block QUBO from the frozen iterates."""
     require_length("r", r, len(y))
     require_length("lam", lam, len(y))
+    require_finite("rho", rho)
     if rho <= 0.0:
         raise InvariantViolation(f"rho {rho} <= 0")
     a = [yi + ri for yi, ri in zip(y, r)]

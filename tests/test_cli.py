@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -105,6 +106,30 @@ def _args(mode, gen_path, load, out, *extra):
     ]
 
 
+def _assert_config_file_error(code, err, out, text):
+    """Exit 1 with one ``error: config file …cfg.json: …`` line holding
+    ``text``, no output directory, and no integer printed digit by digit."""
+    assert code == 1
+    assert not out.exists()
+    (line,) = err.splitlines()
+    assert line.startswith("error: config file ") and "cfg.json: " in line
+    assert text in line
+    assert re.search(r"\d{400}", line) is None
+
+
+class _JsonText(str):
+    """A config value given as the JSON text that spells it, such as ``1e999``."""
+
+
+#: Config values that no mode accepts, as (id, key, JSON text, message).
+_NON_FINITE_CONFIG = [
+    ("NaN", "rho", "NaN", "rho=nan is not finite"),
+    ("Infinity", "initial_z", "[Infinity]", "initial_z[0]=inf is not finite"),
+    ("1e999", "rho", "1e999", "rho=inf is not finite"),
+    ("10**400", "rho", "1" + "0" * 400, "rho is past the float range"),
+]
+
+
 def _check_baseline_on_random_fleet(tmp_path, n):
     """``--mode baseline`` on a seeded n-unit fleet at 40% of capacity exits
     0 with a feasible solution that no servable one-flip neighbour beats."""
@@ -185,11 +210,14 @@ class TestBaselineMode:
     @pytest.mark.parametrize(
         "text, message",
         [
-            (None, "No such file"),
-            ('{"rho": "x"}', "rho must be"),
-            ("[1, 2]", "expected a JSON object"),
+            pytest.param(None, "No such file", id="missing"),
+            pytest.param('{"rho": "x"}', "rho must be", id="bad-type"),
+            pytest.param("[1, 2]", "expected a JSON object", id="not-an-object"),
+            *(
+                pytest.param(f'{{"{key}": {text}}}', message, id=name)
+                for name, key, text, message in _NON_FINITE_CONFIG
+            ),
         ],
-        ids=["missing", "bad-type", "not-an-object"],
     )
     def test_bad_config_file_is_an_error(self, gen_csv, tmp_path, capsys, text, message):
         config = tmp_path / "cfg.json"
@@ -197,11 +225,7 @@ class TestBaselineMode:
             config.write_text(text)
         out = tmp_path / "o"
         code = main(_args("baseline", gen_csv, 800, out, "--config", str(config)))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "cfg.json" in err
-        assert message in err
-        assert not out.exists()
+        _assert_config_file_error(code, capsys.readouterr().err, out, message)
 
 
 class TestAdmmModes:
@@ -235,8 +259,8 @@ class TestAdmmModes:
     def test_infeasible_load_exits_2_before_any_output(
         self, gen_csv, tmp_path, capsys, mode
     ):
-        # Infeasible (baseline) and InfeasibleRelaxation (s1, s2) share one
-        # mapping in main, and neither comes after a write.
+        # Infeasible (baseline) and its subclass InfeasibleRelaxation (s1,
+        # s2) share one mapping in main, and neither comes after a write.
         out = tmp_path / "o"
         assert main(_args(mode, gen_csv, 5000, out)) == EXIT_INFEASIBLE
         assert capsys.readouterr().err.startswith("infeasible: ")
@@ -452,16 +476,19 @@ class TestInputErrors:
             pytest.param(
                 "initial_z", [0.0] * 9 + [10**400], id="initial_z-past-float-range"
             ),
+            *(
+                pytest.param(key, _JsonText(text), id=name)
+                for name, key, text, _ in _NON_FINITE_CONFIG
+            ),
         ],
     )
     def test_config_value_of_wrong_type(self, gen_csv, tmp_path, capsys, key, value):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({key: value}))
-        code = main(_args("s2", gen_csv, 800, tmp_path / "o", "--config", str(config)))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "error:" in err
-        assert key in err
+        text = value if isinstance(value, _JsonText) else json.dumps(value)
+        config.write_text(f'{{"{key}": {text}}}')
+        out = tmp_path / "o"
+        code = main(_args("s2", gen_csv, 800, out, "--config", str(config)))
+        _assert_config_file_error(code, capsys.readouterr().err, out, key)
 
     @pytest.mark.parametrize(
         "argv",

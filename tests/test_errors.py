@@ -1,12 +1,15 @@
 """The input rules of ``hquc.errors``, through the public entry points that
 call them: each refuses a bad value with the typed error naming the field."""
 
+import ast
 import math
+import pathlib
 
 import pytest
 
 from conftest import TEN_UNIT_CSV
 
+import hquc
 from hquc import (
     AdmmConfig,
     Block1Problem,
@@ -15,11 +18,17 @@ from hquc import (
     InvariantViolation,
     LengthMismatch,
     QaoaParams,
+    QuboProblem,
     UCInstance,
+    block1_objective,
+    build_qubo,
     check_feasible,
     default_config,
     parse_generators,
+    residual,
     run_admm,
+    update_dual,
+    update_r,
 )
 
 TEN = parse_generators(TEN_UNIT_CSV.read_text())
@@ -37,6 +46,7 @@ def _call(make, field, **defaults):
 UNIT = dict(id=1, a=1.0, b=2.0, c=0.1, p_min=0.0, p_max=10.0)
 PENALTIES = dict(rho=4.0, beta=1.0)
 BLOCK1 = dict(instance=INSTANCE, z=ZEROS, r=ZEROS, lam=ZEROS, rho=1.0)
+SLACK = dict(y=(0.5,), z=(1.0,), lam=(0.0,), **PENALTIES)
 
 #: (entry point, the field as its message names it, a call passing it the value)
 SITES = [
@@ -57,6 +67,9 @@ SITES = [
     ("QaoaParams", "gammas[0]", lambda v: QaoaParams((v,), (0.1,))),
     ("QaoaParams", "betas[1]", lambda v: QaoaParams((0.1, 0.2), (0.3, v))),
     ("check_feasible", "tol", lambda v: check_feasible(INSTANCE, ONES, FULL, v)),
+    ("build_qubo", "rho", _call(build_qubo, "rho", y=(0.5,), r=(0.0,), lam=(0.0,))),
+    *(("update_r", f, _call(update_r, f, **SLACK)) for f in ("rho", "beta")),
+    ("update_dual", "rho", lambda v: update_dual((0.0,), (0.5,), (1.0,), (0.0,), v)),
 ]
 
 #: (the bad value, how the message renders it after the field)
@@ -92,9 +105,48 @@ def test_finite_rule_names_the_field(site, field, build, value, rendered):
             ),
             "initial_lambda has length 3, expected 10",
         ),
+        (lambda: QuboProblem((1.0,)).energy((0, 1)), "bits has length 2, expected 1"),
+        (
+            lambda: build_qubo((0.5,), (0.0,), (0.0, 0.0), 1.0),
+            "lam has length 2, expected 1",
+        ),
+        (
+            lambda: update_r((0.5,), (1.0, 0.0), (0.0,), 4.0, 1.0),
+            "z has length 2, expected 1",
+        ),
+        (
+            lambda: update_dual((0.0,), (0.5,), (1.0,), (0.0, 0.0), 4.0),
+            "r has length 2, expected 1",
+        ),
+        (lambda: residual((0.5,), (1.0,), (0.0, 0.0)), "r has length 2, expected 1"),
+        (
+            lambda: block1_objective(Block1Problem(**BLOCK1), ZEROS, (0.0,) * 3),
+            "p has length 3, expected 10",
+        ),
     ],
-    ids=["block1", "initial-vector"],
+    ids=[
+        "block1", "initial-vector", "energy", "build_qubo", "update_r",
+        "update_dual", "residual", "block1_objective",
+    ],
 )
 def test_length_rule_names_the_sequence(call, message):
     with pytest.raises(LengthMismatch, match=message):
         call()
+
+
+def test_length_rule_has_one_implementation():
+    # Outside errors.py the package checks lengths with require_length,
+    # never by raising LengthMismatch itself.
+    package = pathlib.Path(hquc.__file__).parent
+    raises = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        if path.name != "errors.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and "LengthMismatch" in (
+            getattr(node.exc.func, "id", None), getattr(node.exc.func, "attr", None)
+        )
+    ]
+    assert raises == []
