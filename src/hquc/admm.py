@@ -153,12 +153,12 @@ def update_r(
 
     Returns a tuple of floats.
     """
+    require_length("z", z, len(y))
+    require_length("lam", lam, len(y))
     require_finite("rho", rho)
     require_finite("beta", beta)
     if rho + beta <= 0.0:
         raise InvariantViolation(f"rho + beta = {rho + beta} <= 0")
-    require_length("z", z, len(y))
-    require_length("lam", lam, len(y))
     return tuple(
         -(li + rho * (yi - zi)) / (beta + rho) for yi, zi, li in zip(y, z, lam)
     )

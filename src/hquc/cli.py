@@ -264,7 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
     try:
         return _run(args)
-    # Never raised once an output file is written.
+    # InfeasibleRelaxation included; never raised once an output file is written.
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
