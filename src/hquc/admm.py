@@ -175,8 +175,9 @@ def update_dual(
 
     Returns a tuple of floats.
     """
-    for name, seq in (("y", y), ("z", z), ("r", r)):
-        require_length(name, seq, len(lam))
+    require_length("y", y, len(lam))
+    require_length("z", z, len(lam))
+    require_length("r", r, len(lam))
     require_finite("rho", rho)
     return tuple(
         li + (rho / 2.0) * (yi - zi + ri) for li, yi, zi, ri in zip(lam, y, z, r)

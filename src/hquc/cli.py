@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import os
+import reprlib
 import secrets
 import sys
 from dataclasses import fields
@@ -127,7 +128,9 @@ def _load_file_overrides(path: str | None) -> dict:
         for key, value in data.items():
             check, expected = _CONFIG_FILE_TYPES[key]
             if not check(value):
-                raise InvariantViolation(f"{key} must be {expected}, got {value!r}")
+                # reprlib shortens a long list or an integer of many digits.
+                got = reprlib.repr(value)
+                raise InvariantViolation(f"{key} must be {expected}, got {got}")
             if isinstance(value, list):
                 for i, v in enumerate(value):
                     require_finite(f"{key}[{i}]", v)

@@ -476,6 +476,7 @@ class TestInputErrors:
             pytest.param(
                 "initial_z", [0.0] * 9 + [10**400], id="initial_z-past-float-range"
             ),
+            pytest.param("initial_z", [10**400, "a"], id="initial_z-huge-and-text"),
             *(
                 pytest.param(key, _JsonText(text), id=name)
                 for name, key, text, _ in _NON_FINITE_CONFIG
