@@ -87,28 +87,31 @@ def _is_real_list(value: object) -> bool:
     return isinstance(value, list) and all(_is_real(v) for v in value)
 
 
-#: Config-file keys with the JSON type each must have.  Each key is also the
-#: name of the CLI flag that overrides it, where there is one.  Every number
-#: must also pass :func:`~hquc.errors.require_finite`.
-_CONFIG_FILE_TYPES = {
-    "rho": (_is_real, "a number"),
-    "beta": (_is_real, "a number"),
-    "epsilon": (_is_real, "a number"),
-    "max_iters": (_is_int, "an integer"),
-    "qaoa_depth": (_is_int, "an integer"),
-    "qaoa_budget": (_is_int, "an integer"),
-    "warm_start": (lambda v: isinstance(v, bool), "true or false"),
-    "extract": (lambda v: isinstance(v, str), "a string"),
-    "initial_z": (_is_real_list, "a list of numbers"),
-    "initial_r": (_is_real_list, "a list of numbers"),
-    "initial_lambda": (_is_real_list, "a list of numbers"),
-}
-
-#: Settings that are :class:`QaoaConfig` fields, by field name.
-_QAOA_FIELDS = {
-    "qaoa_depth": "depth",
-    "qaoa_budget": "optimizer_budget",
-    "extract": "extraction",
+#: Every solver setting, by config-file key: the test its JSON value must
+#: pass, the kind that test accepts, the :class:`QaoaConfig` field it sets
+#: (``None`` for the :class:`AdmmConfig` field of the same name) and the
+#: ``add_argument`` keywords of its flag, the key with dashes (``None`` for a
+#: file-only key).  Every number in a config file must also pass
+#: :func:`~hquc.errors.require_finite`.
+_SETTINGS = {
+    "rho": (_is_real, "a number", None, {"type": float}),
+    "beta": (_is_real, "a number", None, {"type": float}),
+    "epsilon": (_is_real, "a number", None, {"type": float, "help": "default 1e-6"}),
+    "max_iters": (_is_int, "an integer", None, {"type": int, "help": "default 1000"}),
+    "qaoa_depth": (_is_int, "an integer", "depth", {"type": int, "help": "default 2"}),
+    "qaoa_budget": (
+        _is_int, "an integer", "optimizer_budget", {"type": int, "help": "default 100"}
+    ),
+    "warm_start": (lambda v: isinstance(v, bool), "true or false", None, {
+        "action": argparse.BooleanOptionalAction,
+        "help": "warm start QAOA angles across iterations (default on)",
+    }),
+    "extract": (lambda v: isinstance(v, str), "a string", "extraction", {
+        "choices": ("argmax", "sample"),
+    }),
+    "initial_z": (_is_real_list, "a list of numbers", None, None),
+    "initial_r": (_is_real_list, "a list of numbers", None, None),
+    "initial_lambda": (_is_real_list, "a list of numbers", None, None),
 }
 
 
@@ -121,12 +124,12 @@ def _load_file_overrides(path: str | None) -> dict:
         raise SolverError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise SolverError(f"config file {path}: expected a JSON object")
-    unknown = set(data) - set(_CONFIG_FILE_TYPES)
+    unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise SolverError(f"config file {path}: unknown keys {sorted(unknown)}")
     try:
         for key, value in data.items():
-            check, expected = _CONFIG_FILE_TYPES[key]
+            check, expected, _, _ = _SETTINGS[key]
             if not check(value):
                 # reprlib shortens a long list or an integer of many digits.
                 got = reprlib.repr(value)
@@ -144,24 +147,26 @@ def _load_file_overrides(path: str | None) -> dict:
 
 
 def build_admm_config(args: argparse.Namespace, settings: dict) -> AdmmConfig:
-    """Assemble the ADMM config: flags over config file settings over presets."""
-    for key in _CONFIG_FILE_TYPES:
+    """Assemble the ADMM config: flags over config file settings over presets.
+
+    Each setting is read once and checked by the config class it belongs to.
+    """
+    admm, qaoa_fields = {}, {"sample_seed": args.seed}
+    for key, (_, _, qaoa_field, _) in _SETTINGS.items():
         value = getattr(args, key, None)
+        value = settings.get(key) if value is None else value
         if value is not None:
-            settings[key] = value
-    qaoa_fields = {
-        name: settings.pop(key) for key, name in _QAOA_FIELDS.items() if key in settings
-    }
-    qaoa = QaoaConfig(sample_seed=args.seed, **qaoa_fields)
+            (admm if qaoa_field is None else qaoa_fields)[qaoa_field or key] = value
+    qaoa = QaoaConfig(**qaoa_fields)
     # The angle search evaluates its 2 * depth + 1 simplex vertices first;
-    # s1 never runs it, so only s2 needs a budget that covers them.
+    # baseline and s1 never run it, so only s2 needs a budget that covers them.
     if args.mode == "s2" and 2 * qaoa.depth + 1 > qaoa.optimizer_budget:
         raise InvariantViolation(
             f"qaoa_depth {qaoa.depth} needs qaoa_budget >= {2 * qaoa.depth + 1} "
             f"to evaluate its initial simplex, got {qaoa.optimizer_budget}"
         )
     backend = BACKEND_QAOA if args.mode == "s2" else BACKEND_CLASSICAL
-    return default_config(args.load, backend=backend, qaoa=qaoa, **settings)
+    return default_config(args.load, backend=backend, qaoa=qaoa, **admm)
 
 
 def trace_to_csv(report: SolveReport) -> str:
@@ -177,8 +182,8 @@ def _run(args: argparse.Namespace) -> int:
     """Execute one parsed command line; writes artifacts, returns the exit code."""
     text = _read_text(args.generators, "generators file")
     instance = UCInstance(parse_generators(text), args.load)
-    # Checked in every mode; baseline uses none of its settings.
-    settings = _load_file_overrides(args.config)
+    # Built in every mode, so every setting is checked; baseline uses none.
+    config = build_admm_config(args, _load_file_overrides(args.config))
     out = Path(args.out)
 
     if args.mode == "baseline":
@@ -190,7 +195,6 @@ def _run(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
 
-    config = build_admm_config(args, settings)
     if config.backend == BACKEND_QAOA and args.emit_histograms:
         check_dense_size(instance.n)  # histograms read all 2**n probabilities
     report = run_admm(instance, config)
@@ -237,19 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", choices=MODES, required=True)
     parser.add_argument("--generators", required=True, help="generator CSV path")
     parser.add_argument("--load", type=float, required=True, help="system load (MW)")
-    parser.add_argument("--rho", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--epsilon", type=float, default=None, help="default 1e-6")
-    parser.add_argument("--max-iters", type=int, default=None, help="default 1000")
-    parser.add_argument("--qaoa-depth", type=int, default=None, help="default 2")
-    parser.add_argument("--qaoa-budget", type=int, default=None, help="default 100")
-    parser.add_argument(
-        "--warm-start",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="warm start QAOA angles across iterations (default on)",
-    )
-    parser.add_argument("--extract", choices=("argmax", "sample"), default=None)
+    for key, (_, _, _, flag) in _SETTINGS.items():
+        if flag is not None:
+            parser.add_argument("--" + key.replace("_", "-"), default=None, **flag)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--emit-histograms", action="store_true")
     parser.add_argument("--config", default=None, help="JSON config file")
