@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import count, islice
+from itertools import count
 from typing import Iterator, Sequence
 
 from .errors import InvariantViolation, require_finite, require_integer, require_length
@@ -260,9 +260,9 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     is the last step's block-2 answer.
     """
     steps: list[AdmmStep] = []
-    for step in islice(admm_steps(instance, config), config.max_iters):
+    for step in admm_steps(instance, config):
         steps.append(step)
-        if step.row.residual <= config.epsilon:
+        if step.row.residual <= config.epsilon or len(steps) == config.max_iters:
             break
 
     terminal = Commitment(steps[-1].bits)

@@ -1,6 +1,6 @@
 """Exception hierarchy for the solver package, and the input rules that
-raise one of its errors: :func:`require_integer`, :func:`require_finite`
-and :func:`require_length`.  Each rule is written here once; the
+raise one of its errors: :func:`require_integer`, :func:`require_finite`,
+:func:`require_float` and :func:`require_length`.  Each rule is written here once; the
 constructors and entry points that check their inputs call it rather than
 a copy of their own."""
 
@@ -70,6 +70,17 @@ def require_finite(name: str, value: object) -> None:
     except OverflowError:
         raise InvariantViolation(f"{name} is past the float range") from None
     raise InvariantViolation(f"{name}={value} is not finite")
+
+
+def require_float(name: str, value: object) -> float:
+    """``float(value)``, raising InvariantViolation naming ``name`` where
+    :func:`float` refuses ``value``.  NaN and infinities pass."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise InvariantViolation(f"{name}={value!r} is not a real number") from None
+    except OverflowError:
+        raise InvariantViolation(f"{name} is past the float range") from None
 
 
 def require_length(name: str, seq: Sized, n: int) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvariantViolation, require_finite, require_length
+from .errors import InvariantViolation, require_finite, require_float, require_length
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,9 @@ class QuboProblem:
     constant: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "linear", tuple(float(q) for q in self.linear))
+        linear = tuple(require_float(f"linear[{i}]", q) for i, q in enumerate(self.linear))
+        object.__setattr__(self, "linear", linear)
+        object.__setattr__(self, "constant", require_float("constant", self.constant))
 
     @property
     def n(self) -> int:

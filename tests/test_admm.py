@@ -161,6 +161,11 @@ class TestUpdateR:
         with pytest.raises(LengthMismatch):
             update_r(y, z, lam, rho=4000.0, beta=1000.0)
 
+    def test_rejects_nonpositive_penalty_sum(self):
+        # beta + rho is the divisor of the closed form.
+        with pytest.raises(InvariantViolation, match=re.escape("rho + beta = -1.0 <= 0")):
+            update_r((0.5,), (1.0,), (0.0,), rho=-2.0, beta=1.0)
+
 
 class TestUpdateDual:
     def test_zero_slack_leaves_dual(self):

@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -16,9 +18,11 @@ from conftest import TEN_UNIT_CSV
 from helpers import random_generators
 
 from hquc import (
+    AdmmConfig,
     Commitment,
     Infeasible,
     InfeasibleCommitment,
+    QaoaConfig,
     UCInstance,
     check_feasible,
     default_config,
@@ -37,6 +41,7 @@ from hquc.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     MODES,
+    _SETTINGS,
     _build_parser,
     main,
 )
@@ -382,6 +387,21 @@ class TestAdmmModes:
             sol = solution_from_csv((out / "solution.csv").read_text())
             assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_max_iters_past_sys_maxsize(self, gen_csv, tmp_path, source):
+        # run_admm counts its steps itself, so any integer cap runs, and a
+        # cap the run never reaches leaves the default run's files.
+        huge = 10**19
+        if source == "flag":
+            extra = ["--max-iters", str(huge)]
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({"max_iters": huge}))
+            extra = ["--config", str(config)]
+        assert main(_args("s1", gen_csv, 800, tmp_path / "plain")) == EXIT_OK
+        assert main(_args("s1", gen_csv, 800, tmp_path / "huge", *extra)) == EXIT_OK
+        assert _files(tmp_path / "huge") == _files(tmp_path / "plain")
+
     def test_config_file_and_flag_precedence(self, gen_csv, tmp_path):
         # Config file overrides presets; flags override the config file.
         config = tmp_path / "cfg.json"
@@ -436,6 +456,20 @@ class TestInputErrors:
         assert err.startswith(f"error: {role} file {bad}: {reason}")
         assert err.count("\n") == 1
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_failed_rename_leaves_no_temporary_file(
+        self, gen_csv, tmp_path, capsys, monkeypatch, mode
+    ):
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr("hquc.cli.os.replace", refuse)
+        out = tmp_path / "o"
+        assert main(_args(mode, gen_csv, 800, out)) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == f"error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}"
+        assert list(out.iterdir()) == []
 
     def test_malformed_row_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -776,6 +810,64 @@ _OUT_OF_RANGE_FLEET = [
 
 def _files(out):
     return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+#: One invalid value for each setting flag and for ``--seed``.
+_INVALID_FLAGS = {
+    "rho": ["--rho", "nan"],
+    "beta": ["--beta", "-1"],
+    "epsilon": ["--epsilon", "-1"],
+    "max_iters": ["--max-iters", "0"],
+    "qaoa_depth": ["--qaoa-depth", "0"],
+    "qaoa_budget": ["--qaoa-budget", "0"],
+    "warm_start": ["--warm-start=no"],
+    "extract": ["--extract", "neither"],
+    "seed": ["--seed", "-1"],
+}
+_FLAGGED = {key for key, (_, _, _, flag) in _SETTINGS.items() if flag is not None}
+
+
+class TestSettingsTable:
+    """``_SETTINGS`` is the one description of the solver settings: it makes
+    the flags, checks the config file, and every mode builds the config
+    from it."""
+
+    def test_every_flag_has_an_invalid_value_here(self):
+        assert set(_INVALID_FLAGS) == _FLAGGED | {"seed"}
+
+    @pytest.mark.parametrize("key", sorted(_INVALID_FLAGS))
+    def test_invalid_flag_is_the_same_error_in_every_mode(
+        self, gen_csv, tmp_path, capsys, key
+    ):
+        errors = {}
+        for mode in MODES:
+            out = tmp_path / mode
+            code = main(_args(mode, gen_csv, 800, out, *_INVALID_FLAGS[key]))
+            err = capsys.readouterr().err
+            assert code == 1, (mode, err)
+            assert not out.exists()
+            # A usage error prints the usage first; the error is the last line.
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                err.splitlines()[-1]
+            ]
+            errors[mode] = err
+        assert errors["baseline"] == errors["s1"] == errors["s2"]
+
+    def test_every_setting_is_a_config_field(self):
+        admm = {f.name for f in dataclasses.fields(AdmmConfig)}
+        qaoa = {f.name for f in dataclasses.fields(QaoaConfig)}
+        for key, (_, _, qaoa_field, _) in _SETTINGS.items():
+            assert key in admm if qaoa_field is None else qaoa_field in qaoa, key
+
+    def test_parser_options_are_the_table_flags_and_the_run_options(self):
+        actions = {a.dest: a for a in _build_parser()._actions}
+        run_options = {
+            "help", "mode", "generators", "load", "seed", "emit_histograms",
+            "config", "out",
+        }
+        assert set(actions) == _FLAGGED | run_options
+        for key in _FLAGGED:
+            assert actions[key].option_strings[0] == "--" + key.replace("_", "-")
 
 
 class TestParserReuse:

@@ -92,6 +92,29 @@ def test_finite_rule_names_the_field(site, field, build, value, rendered):
     assert f"{field}{rendered}" in str(info.value)
 
 
+@pytest.mark.parametrize("value, rendered", VALUES[2:], ids=repr)
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("linear[1]", lambda v: QuboProblem((0.5, v))),
+        ("constant", lambda v: QuboProblem((0.5,), v)),
+    ],
+    ids=["linear", "constant"],
+)
+def test_qubo_entries_are_floats(field, build, value, rendered):
+    with pytest.raises(InvariantViolation) as info:
+        build(value)
+    assert f"{field}{rendered}" in str(info.value)
+
+
+def test_qubo_keeps_non_finite_entries():
+    # At extreme penalties build_qubo overflows to them, and the per-bit
+    # rule still resolves each bit.
+    qubo = QuboProblem((math.nan, math.inf, -math.inf), -math.inf)
+    assert math.isnan(qubo.linear[0]) and qubo.linear[1:] == (math.inf, -math.inf)
+    assert qubo.constant == -math.inf
+
+
 @pytest.mark.parametrize(
     "call, message",
     [

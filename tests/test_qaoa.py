@@ -153,6 +153,11 @@ class TestMixerLayer:
 
 
 class TestRunCircuit:
+    def test_needs_a_qubit(self):
+        params = QaoaParams((0.1,), (0.2,))
+        with pytest.raises(InvariantViolation, match="need at least one qubit, got 0"):
+            run_circuit(QuboProblem(()), params)
+
     def test_zero_angles_leave_uniform_state(self):
         qubo = QuboProblem((3.0, -1.0))
         params = QaoaParams((0.0, 0.0), (0.0, 0.0))

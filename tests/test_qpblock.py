@@ -100,6 +100,12 @@ class TestObjective:
         with pytest.raises(LengthMismatch):
             block1_objective(prob, (0.0,) * 9, (0.0,) * 10)
 
+    @pytest.mark.parametrize("rho", [0.0, -1.0])
+    def test_rejects_nonpositive_rho(self, ten_unit, rho):
+        zeros = (0.0,) * 10
+        with pytest.raises(InvariantViolation, match=f"rho {rho} <= 0"):
+            Block1Problem(ten_unit(10.0), zeros, zeros, zeros, rho=rho)
+
 
 class TestSolveBlock1:
     def test_load_above_capacity_is_infeasible(self, ten_unit):

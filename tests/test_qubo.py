@@ -135,6 +135,9 @@ class TestPhaseSlopes:
     def test_all_zero_objective_keeps_zero_slopes(self):
         assert QuboProblem((0.0, -0.0, 0.0)).slopes == (0.0, -0.0, 0.0)
 
+    def test_empty_objective_has_unit_scale(self):
+        assert phase_scale(QuboProblem(())) == 1.0
+
     def test_terms_pair_each_coefficient_with_its_slope(self):
         # The QAOA kernel's loop: built on first read, and never by the
         # per-bit path, so s1 does not pay for it.
