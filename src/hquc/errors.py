@@ -1,8 +1,8 @@
 """Exception hierarchy for the solver package, and the input rules that
 raise one of its errors: :func:`require_integer`, :func:`require_finite`,
-:func:`require_float` and :func:`require_length`.  Each rule is written here once; the
-constructors and entry points that check their inputs call it rather than
-a copy of their own."""
+:func:`require_float` and :func:`require_length`.  Each rule is written
+here once; the constructors and entry points that check their inputs call
+it rather than a copy of their own."""
 
 import math
 import operator

@@ -566,8 +566,8 @@ class TestInputErrors:
     @pytest.mark.parametrize("source", ["flags", "config"])
     def test_depth_beyond_budget(self, gen_csv, tmp_path, capsys, settings, source):
         # The angle search first evaluates the 2 * depth + 1 vertices of its
-        # initial simplex, so s2 rejects a budget below that up front.  s1
-        # never runs the search and accepts the same settings.
+        # initial simplex, so s2 rejects a budget below that up front.
+        # Baseline and s1 never run the search and accept the same settings.
         if source == "flags":
             extra = []
             for key, value in settings.items():
@@ -582,9 +582,10 @@ class TestInputErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"qaoa_depth {settings['qaoa_depth']}" in err
 
-        code = main(_args("s1", gen_csv, 50, tmp_path / "s1", *extra))
-        assert code == EXIT_OK
-        assert capsys.readouterr().err == ""
+        for mode in ("baseline", "s1"):
+            code = main(_args(mode, gen_csv, 50, tmp_path / mode, *extra))
+            assert code == EXIT_OK
+            assert capsys.readouterr().err == ""
 
     def test_non_utf8_files(self, gen_csv, tmp_path, capsys):
         bad_csv = tmp_path / "latin1.csv"
