@@ -9,10 +9,7 @@ from .admm import (
     TraceRow,
     default_config,
     preset_penalties,
-    residual,
     run_admm,
-    update_dual,
-    update_r,
 )
 from .errors import (
     DuplicateId,
@@ -37,13 +34,7 @@ from .qaoa import (
     run_circuit,
     solve_qubo_qaoa,
 )
-from .qpblock import Block1Problem, Block1Solution, block1_objective, solve_block1
-from .qubo import (
-    QuboProblem,
-    build_qubo,
-    phase_scale,
-    solve_qubo_perbit,
-)
+from .qubo import QuboProblem, phase_scale, solve_qubo_perbit
 from .ucmodel import (
     Commitment,
     FeasibilityReport,

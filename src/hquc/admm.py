@@ -153,12 +153,6 @@ def update_r(
 
     Returns a tuple of floats.
     """
-    require_length("z", z, len(y))
-    require_length("lam", lam, len(y))
-    require_finite("rho", rho)
-    require_finite("beta", beta)
-    if rho + beta <= 0.0:
-        raise InvariantViolation(f"rho + beta = {rho + beta} <= 0")
     return tuple(
         -(li + rho * (yi - zi)) / (beta + rho) for yi, zi, li in zip(y, z, lam)
     )
@@ -175,10 +169,6 @@ def update_dual(
 
     Returns a tuple of floats.
     """
-    require_length("y", y, len(lam))
-    require_length("z", z, len(lam))
-    require_length("r", r, len(lam))
-    require_finite("rho", rho)
     return tuple(
         li + (rho / 2.0) * (yi - zi + ri) for li, yi, zi, ri in zip(lam, y, z, r)
     )
@@ -188,8 +178,6 @@ def residual(
     y: Sequence[float], z: Sequence[float], r: Sequence[float]
 ) -> float:
     """L1 consensus gap ``sum_i |y_i - z_i + r_i|``."""
-    require_length("z", z, len(y))
-    require_length("r", r, len(y))
     return math.fsum(abs(yi - zi + ri) for yi, zi, ri in zip(y, z, r))
 
 

@@ -2,7 +2,10 @@
 raise one of its errors: :func:`require_integer`, :func:`require_finite`,
 :func:`require_float` and :func:`require_length`.  Each rule is written
 here once; the constructors and entry points that check their inputs call
-it rather than a copy of their own."""
+it rather than a copy of their own.  The helpers of the ADMM loop check
+nothing: their one caller, :func:`~hquc.admm.admm_steps`, passes them
+what :class:`~hquc.admm.AdmmConfig` and :class:`~hquc.ucmodel.UCInstance`
+have checked already."""
 
 import math
 import operator

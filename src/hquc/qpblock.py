@@ -54,9 +54,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
-from .errors import (
-    InfeasibleRelaxation, InvariantViolation, require_finite, require_length
-)
+from .errors import InfeasibleRelaxation, InvariantViolation
 from .ucmodel import (
     GeneratorParams,
     UCInstance,
@@ -70,9 +68,10 @@ from .ucmodel import (
 class Block1Problem:
     """Frozen data for one first-block solve.
 
-    ``rho`` and ``beta`` must be finite, and ``z``, ``r`` and ``lam`` of the
-    instance's length.  Their entries are not checked here: a problem is
-    built at every ADMM iteration, from iterates that are checked already.
+    Nothing is checked here: :func:`~hquc.admm.admm_steps` builds a problem
+    at every iteration, and the helpers of the loop trust it.  It passes a
+    finite ``rho > beta > 0`` from :class:`~hquc.admm.AdmmConfig`, and
+    ``z``, ``r`` and ``lam`` of the instance's length.
     """
 
     instance: UCInstance
@@ -81,14 +80,6 @@ class Block1Problem:
     lam: tuple[float, ...]
     rho: float
     beta: float = 0.0
-
-    def __post_init__(self) -> None:
-        for name in ("z", "r", "lam"):
-            require_length(name, getattr(self, name), self.instance.n)
-        for name in ("rho", "beta"):
-            require_finite(name, getattr(self, name))
-        if self.rho <= 0.0:
-            raise InvariantViolation(f"rho {self.rho} <= 0")
 
 
 @dataclass(frozen=True)
@@ -132,8 +123,6 @@ def block1_objective(
     problem: Block1Problem, y: Sequence[float], p: Sequence[float]
 ) -> float:
     """Full augmented Lagrangian value at ``(y, p)`` with the frozen iterates."""
-    require_length("y", y, problem.instance.n)
-    require_length("p", p, problem.instance.n)
     return augmented_lagrangian(
         problem.instance.generators, y, p,
         problem.z, problem.r, problem.lam, problem.rho, problem.beta,
@@ -293,10 +282,8 @@ def solve_block1(
     Raises InfeasibleRelaxation when the load exceeds the fleet capacity; then
     the original binary problem is infeasible as well and the caller should stop.
     Raises InvariantViolation, naming the load, when no float price clears
-    it, and naming the start when it is not finite.
+    it.  ``start`` is not checked: the previous clearing price is finite.
     """
-    if start is not None and not math.isfinite(start):
-        raise InvariantViolation(f"block 1 start price {start} is not finite")
     inst = problem.instance
     load = inst.load
     cap = inst.total_p_max()

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvariantViolation, require_finite, require_float, require_length
+from .errors import require_float, require_length
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,6 @@ def build_qubo(
     rho: float,
 ) -> QuboProblem:
     """Assemble the second-block QUBO from the frozen iterates."""
-    require_length("r", r, len(y))
-    require_length("lam", lam, len(y))
-    require_finite("rho", rho)
-    if rho <= 0.0:
-        raise InvariantViolation(f"rho {rho} <= 0")
     a = [yi + ri for yi, ri in zip(y, r)]
     linear = tuple(-li + rho * (0.5 - ai) for li, ai in zip(lam, a))
     constant = math.fsum(li * ai + (rho / 2.0) * ai * ai for li, ai in zip(lam, a))

@@ -26,23 +26,22 @@ from helpers import (
 )
 
 from hquc import (
-    Block1Problem,
     Commitment,
     QaoaConfig,
     QaoaParams,
     QuboProblem,
-    build_qubo,
     default_config,
     economic_dispatch,
     enumerate_uc,
     evaluate_cost,
     run_admm,
     run_circuit,
-    solve_block1,
     solve_qubo_perbit,
     solve_qubo_qaoa,
-    update_r,
 )
+from hquc.admm import update_r
+from hquc.qpblock import Block1Problem, solve_block1
+from hquc.qubo import build_qubo
 
 LOAD_SUITE = (100.0, 200.0, 400.0, 800.0, 1000.0)
 
