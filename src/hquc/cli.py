@@ -10,7 +10,9 @@ Three modes:
 Outputs land in the chosen directory: ``solution.csv`` always (when a
 solution exists), ``trace.csv`` with every ``TraceRow`` column for the ADMM
 modes, and per-iteration ``histogram_iter<k>.csv`` bitstring probabilities
-for s2 when requested; those stop at 16 units.
+for s2 when requested; those stop at 16 units.  A run whose inputs pass
+their checks first removes these files from the directory, so it holds
+the latest run's outputs only.
 Exit codes: 0 success, 1 input error (usage errors included), 2 infeasible,
 3 not converged.
 """
@@ -49,10 +51,10 @@ EXIT_NOT_CONVERGED = 3
 
 
 def _read_text(path: str, role: str) -> str:
-    """The UTF-8 text of the ``role`` file at ``path``; an unreadable file
-    raises :class:`SolverError` naming both."""
+    """The UTF-8 text of the ``role`` file at ``path``, less a leading byte
+    order mark; an unreadable file raises :class:`SolverError` naming both."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise SolverError(f"{role} {path}: not UTF-8 text ({exc})") from exc
@@ -184,7 +186,11 @@ def _run(args: argparse.Namespace) -> int:
     instance = UCInstance(parse_generators(text), args.load)
     # Built in every mode, so every setting is checked; baseline uses none.
     config = build_admm_config(args, _load_file_overrides(args.config))
+    if config.backend == BACKEND_QAOA and args.emit_histograms:
+        check_dense_size(instance.n)  # histograms read all 2**n probabilities
     out = Path(args.out)
+    for stale in (out / "solution.csv", out / "trace.csv", *out.glob("histogram_iter*.csv")):
+        stale.unlink(missing_ok=True)
 
     if args.mode == "baseline":
         solution = solve_uc_exact(instance)
@@ -195,8 +201,6 @@ def _run(args: argparse.Namespace) -> int:
         )
         return EXIT_OK
 
-    if config.backend == BACKEND_QAOA and args.emit_histograms:
-        check_dense_size(instance.n)  # histograms read all 2**n probabilities
     report = run_admm(instance, config)
     _atomic_write(out / "trace.csv", trace_to_csv(report))
     if args.emit_histograms and report.qaoa_diagnostics:

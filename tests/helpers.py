@@ -98,6 +98,27 @@ def sweep_instance(rng, n):
     return UCInstance(tuple(gens), float(rng.uniform(0.0, 1.05)) * cap)
 
 
+#: The smallest zero-start run known whose block-2 bits change after
+#: iteration 1: under the preset penalties they last change at iteration 3,
+#: and the loop ends costlier than the polish of iteration 1's bits.
+THREE_UNIT_LATE_MOVER = UCInstance(
+    (
+        GeneratorParams(
+            1, 958.8179384514074, 29.45685087481652, 0.004680897819254569,
+            21.615050148008123, 62.96447617927291,
+        ),
+        GeneratorParams(
+            2, 177.06939593091175, 27.048217174424416, 0.0018295546588110475,
+            9.17296590545602, 126.58810443488481,
+        ),
+        GeneratorParams(
+            3, 702.4874536412506, 26.577892023335536, 0.0019104036117088266,
+            40.6928109665401, 200.6283723538267,
+        ),
+    ),
+    174.1236783066871,
+)
+
 def reference_bisect(supply, load, lo, hi):
     """Plain price bisection, the oracle of :func:`hquc.ucmodel.bisect_price`.
 

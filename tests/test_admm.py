@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from helpers import dense_energy, dense_run_circuit, random_instance
+from helpers import THREE_UNIT_LATE_MOVER, dense_energy, dense_run_circuit, random_instance
 
 import hquc.admm
 import hquc.qaoa
 from hquc.admm import admm_steps, residual, update_dual, update_r
+from hquc.ucmodel import polish
 from hquc import (
     AdmmConfig,
     Commitment,
@@ -32,6 +33,7 @@ from hquc import (
     UCInstance,
     run_admm,
     solve_qubo_perbit,
+    solve_uc_exact,
 )
 
 LOAD_SUITE = (100.0, 200.0, 400.0, 800.0, 1000.0)
@@ -369,6 +371,24 @@ class TestRunAdmm:
             assert starts == [None] + [s.price for s in solutions[:-1]]
         outcomes = report.qaoa_diagnostics
         assert warms == [None] + [outcome.params for outcome in outcomes[:-1]]
+
+    def test_zero_start_run_that_moves_after_iteration_1(self):
+        # Iteration 1's bits polish to the optimum; the loop moves on from
+        # them and ends on a costlier commitment.
+        inst = THREE_UNIT_LATE_MOVER
+        config = default_config(inst.load)
+        report = run_admm(inst, config)
+        assert (report.converged, report.iterations) == (True, 48)
+        assert report.commitment_fixed_at == 3
+        assert report.terminal_commitment.bits == (0, 1, 0)
+        assert report.final.commitment.bits == (0, 1, 1)
+        assert report.final.cost == 5562.777834615801
+        optimum = solve_uc_exact(inst)
+        assert optimum.commitment.bits == (0, 0, 1)
+        assert optimum.cost == 5388.249407220998
+        first = next(admm_steps(inst, config))
+        assert first.bits == (0, 1, 1)
+        assert polish(inst, first.bits) == optimum
 
     def test_commitment_fixed_at_is_one_when_the_bits_never_change(self, ten_unit):
         report = run_admm(ten_unit(800.0), default_config(800.0, max_iters=1))

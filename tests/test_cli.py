@@ -422,6 +422,65 @@ class TestAdmmModes:
         assert code == EXIT_OK
 
 
+class TestReusedOutDirectory:
+    """A run into a used ``--out`` leaves what a run into a fresh one leaves;
+    a run refused for its inputs leaves the directory as it was."""
+
+    @pytest.mark.parametrize(
+        "fleet, first, second, code",
+        [
+            ("gen_csv", ("s1", 800), ("s1", 5), EXIT_INFEASIBLE),
+            ("gen_csv", ("s1", 800), ("baseline", 800), EXIT_OK),
+            (
+                "four_unit_csv",
+                ("s2", 50, "--emit-histograms", "--max-iters", "3"),
+                ("s2", 50, "--emit-histograms", "--max-iters", "1"),
+                EXIT_NOT_CONVERGED,
+            ),
+        ],
+        ids=["unservable-after-s1", "baseline-after-s1", "fewer-histograms"],
+    )
+    def test_holds_the_latest_run_only(
+        self, request, tmp_path, capsys, fleet, first, second, code
+    ):
+        csv = request.getfixturevalue(fleet)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        main(_args(first[0], csv, first[1], reused, *first[2:]))
+        assert main(_args(second[0], csv, second[1], reused, *second[2:])) == code
+        assert main(_args(second[0], csv, second[1], fresh, *second[2:])) == code
+        capsys.readouterr()
+        assert _files(reused) == _files(fresh)
+
+    @pytest.mark.parametrize(
+        "fleet, argv",
+        [
+            ("gen_csv", ("s1", 800, "--max-iters", "0")),
+            ("four_unit_csv", ("s2", 50, "--config", "missing.json")),
+            ("twenty_unit_csv", ("s2", 1000, "--emit-histograms")),
+            ("bad_csv", ("baseline", 800)),
+        ],
+        ids=["bad-flag", "missing-config", "histograms-past-guard", "bad-generators"],
+    )
+    def test_input_error_leaves_it_as_it_was(
+        self, request, four_unit_csv, tmp_path, capsys, fleet, argv
+    ):
+        if fleet == "bad_csv":
+            csv = tmp_path / "bad.csv"
+            csv.write_text("id,a,b,c,p_min,p_max\n1,2,3\n")
+        else:
+            csv = request.getfixturevalue(fleet)
+        out = tmp_path / "out"
+        extra = ("--emit-histograms", "--max-iters", "2")
+        assert main(_args("s2", four_unit_csv, 50, out, *extra)) == EXIT_NOT_CONVERGED
+        before = _files(out)
+        assert set(before) == {
+            "solution.csv", "trace.csv", "histogram_iter1.csv", "histogram_iter2.csv"
+        }
+        assert main(_args(argv[0], csv, argv[1], out, *argv[2:])) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: ")
+        assert _files(out) == before
+
+
 class TestInputErrors:
     def test_missing_file(self, tmp_path, capsys):
         code = main(_args("baseline", tmp_path / "nope.csv", 100, tmp_path / "o"))
@@ -603,6 +662,21 @@ class TestInputErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "error:" in err and "latin1.json" in err
+
+    @pytest.mark.parametrize("mode", ["baseline", "s1"])
+    def test_byte_order_mark_is_read(self, gen_csv, tmp_path, capsys, mode):
+        bom = b"\xef\xbb\xbf"
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_bytes(bom + TEN_UNIT_CSV.read_bytes())
+        assert main(_args(mode, gen_csv, 800, tmp_path / "plain")) == EXIT_OK
+        assert main(_args(mode, bom_csv, 800, tmp_path / "bom")) == EXIT_OK
+        assert _files(tmp_path / "bom") == _files(tmp_path / "plain")
+
+        config = tmp_path / "cfg.json"
+        config.write_bytes(bom + json.dumps({"max_iters": 2}).encode())
+        code = main(_args(mode, gen_csv, 800, tmp_path / "o", "--config", str(config)))
+        assert code == (EXIT_OK if mode == "baseline" else EXIT_NOT_CONVERGED)
+        assert "error" not in capsys.readouterr().err
 
     def test_negative_load(self, gen_csv, tmp_path, capsys):
         # Non-finite loads are bad input too, never "infeasible".
