@@ -68,8 +68,8 @@ from .ucmodel import (
 class Block1Problem:
     """Frozen data for one first-block solve.
 
-    Nothing is checked here: :func:`~hquc.admm.admm_steps` builds a problem
-    at every iteration, and the helpers of the loop trust it.  It passes a
+    Nothing is checked here.  :func:`~hquc.admm.admm_steps` builds a problem
+    at every iteration, and the helpers of the loop trust what it passes: a
     finite ``rho > beta > 0`` from :class:`~hquc.admm.AdmmConfig`, and
     ``z``, ``r`` and ``lam`` of the instance's length.
     """
