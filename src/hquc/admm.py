@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 from .errors import InvariantViolation, require_finite, require_integer, require_length
 from .qaoa import QaoaConfig, QaoaOutcome, solve_qubo_qaoa
-from .qpblock import Block1Problem, augmented_lagrangian, solve_block1
+from .qpblock import augmented_lagrangian, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
 from .ucmodel import Commitment, UCInstance, UCSolution, polish
 
@@ -206,9 +206,7 @@ def admm_steps(instance: UCInstance, config: AdmmConfig) -> Iterator[AdmmStep]:
     price = warm = None
 
     for it in count(1):
-        block1 = solve_block1(
-            Block1Problem(instance, z, r, lam, rho=config.rho, beta=config.beta), price
-        )
+        block1 = solve_block1(instance, z, r, lam, config.rho, config.beta, price)
         y, p, price = block1.y, block1.p, block1.price
 
         qubo = build_qubo(y, r, lam, config.rho)

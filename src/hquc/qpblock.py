@@ -65,24 +65,6 @@ from .ucmodel import (
 
 
 @dataclass(frozen=True)
-class Block1Problem:
-    """Frozen data for one first-block solve.
-
-    Nothing is checked here.  :func:`~hquc.admm.admm_steps` builds a problem
-    at every iteration, and the helpers of the loop trust what it passes: a
-    finite ``rho > beta > 0`` from :class:`~hquc.admm.AdmmConfig`, and
-    ``z``, ``r`` and ``lam`` of the instance's length.
-    """
-
-    instance: UCInstance
-    z: tuple[float, ...]
-    r: tuple[float, ...]
-    lam: tuple[float, ...]
-    rho: float
-    beta: float = 0.0
-
-
-@dataclass(frozen=True)
 class Block1Solution:
     """Optimal point with its augmented Lagrangian value and KKT certificate."""
 
@@ -117,16 +99,6 @@ def augmented_lagrangian(
             half_rho * slack * slack,
         )
     return math.fsum(terms)
-
-
-def block1_objective(
-    problem: Block1Problem, y: Sequence[float], p: Sequence[float]
-) -> float:
-    """Full augmented Lagrangian value at ``(y, p)`` with the frozen iterates."""
-    return augmented_lagrangian(
-        problem.instance.generators, y, p,
-        problem.z, problem.r, problem.lam, problem.rho, problem.beta,
-    )
 
 
 def _unit_constants(
@@ -211,7 +183,8 @@ def _profile(units, mu: float) -> tuple[list[float], list[float]]:
 
 
 def _kkt_residual(
-    problem: Block1Problem,
+    instance: UCInstance,
+    rho: float,
     y: Sequence[float],
     p: Sequence[float],
     g_lin: Sequence[float],
@@ -223,9 +196,8 @@ def _kkt_residual(
     Once two normals certify that the gradient is in the cone, the unit's
     distance is exactly 0, and its other pairs and rays are not tested.
     """
-    rho = problem.rho
     worst = 0.0
-    for g, yi, pi, gi in zip(problem.instance.generators, y, p, g_lin):
+    for g, yi, pi, gi in zip(instance.generators, y, p, g_lin):
         # The per-unit closed forms land exactly on their active constraints,
         # so a tight activity window keeps complementarity honest.
         scale = 1e-9 * max(1.0, g.p_max)
@@ -251,14 +223,26 @@ def _kkt_residual(
                 if wy * u + wp * v > 0.0:
                     res = min(res, abs(wy * v - wp * u) / math.hypot(u, v))
             worst = max(worst, res)
-    balance = abs(math.fsum(p) - problem.instance.load)
+    balance = abs(math.fsum(p) - instance.load)
     return max(worst, balance)
 
 
 def solve_block1(
-    problem: Block1Problem, start: float | None = None
+    instance: UCInstance,
+    z: Sequence[float],
+    r: Sequence[float],
+    lam: Sequence[float],
+    rho: float,
+    beta: float,
+    start: float | None = None,
 ) -> Block1Solution:
-    """Solve the first block by a price search; the result carries its KKT residual.
+    """Solve the first block at the frozen iterates ``z``, ``r`` and ``lam``
+    by a price search; the result carries its KKT residual and its
+    :func:`augmented_lagrangian` value.
+
+    Nothing is checked here.  The one caller, :func:`~hquc.admm.admm_steps`,
+    passes a finite ``rho > beta > 0`` from :class:`~hquc.admm.AdmmConfig`,
+    and ``z``, ``r`` and ``lam`` of the instance's length.
 
     The clearing price is bracketed and narrowed by
     :func:`hquc.ucmodel.bisect_price` to adjacent floats; the outputs at the
@@ -282,22 +266,17 @@ def solve_block1(
     Raises InfeasibleRelaxation when the load exceeds the fleet capacity; then
     the original binary problem is infeasible as well and the caller should stop.
     Raises InvariantViolation, naming the load, when no float price clears
-    it.  ``start`` is not checked: the previous clearing price is finite.
+    it.  ``start`` is the previous clearing price, which is finite.
     """
-    inst = problem.instance
-    load = inst.load
-    cap = inst.total_p_max()
+    load = instance.load
+    cap = instance.total_p_max()
     if load > cap:
         raise InfeasibleRelaxation(
             f"load {load} outside [0, {cap}]: relaxed block infeasible"
         )
 
-    gens = inst.generators
-    rho = problem.rho
-    g_lin = [
-        g.a + problem.lam[i] + rho * (problem.r[i] - problem.z[i])
-        for i, g in enumerate(gens)
-    ]
+    gens = instance.generators
+    g_lin = [g.a + li + rho * (ri - zi) for g, zi, ri, li in zip(gens, z, r, lam)]
     units = [
         _unit_constants(g_lin[i], g.b, g.c, g.p_min, g.p_max, rho)
         for i, g in enumerate(gens)
@@ -347,7 +326,7 @@ def solve_block1(
     return Block1Solution(
         y=tuple(y),
         p=tuple(p),
-        objective=block1_objective(problem, y, p),
-        kkt_residual=_kkt_residual(problem, y, p, g_lin, mu),
+        objective=augmented_lagrangian(gens, y, p, z, r, lam, rho, beta),
+        kkt_residual=_kkt_residual(instance, rho, y, p, g_lin, mu),
         price=mu,
     )

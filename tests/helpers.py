@@ -288,7 +288,7 @@ def three_edge_unit_response(g_lin, b, c, pmin, pmax, rho, mu):
     return best_y, best_p
 
 
-def reference_kkt_residual(problem, y, p, g_lin, mu):
+def reference_kkt_residual(instance, rho, y, p, g_lin, mu):
     """Block 1's KKT residual with every pair and ray of every unit tested:
     the oracle of :func:`hquc.qpblock._kkt_residual`, which must match it
     bit for bit.
@@ -299,8 +299,7 @@ def reference_kkt_residual(problem, y, p, g_lin, mu):
     ``|w x n| / |n|`` (or ``|w|``); the largest of these, or the balance
     gap if larger.
     """
-    gens = problem.instance.generators
-    rho = problem.rho
+    gens = instance.generators
     worst = 0.0
     for i, g in enumerate(gens):
         scale = 1e-9 * max(1.0, g.p_max)
@@ -325,7 +324,7 @@ def reference_kkt_residual(problem, y, p, g_lin, mu):
             if wy * u + wp * v > 0.0:
                 res = min(res, abs(wy * v - wp * u) / math.hypot(u, v))
         worst = max(worst, res)
-    balance = abs(math.fsum(p) - problem.instance.load)
+    balance = abs(math.fsum(p) - instance.load)
     return max(worst, balance)
 
 

@@ -40,7 +40,7 @@ from hquc import (
     solve_qubo_qaoa,
 )
 from hquc.admm import update_r
-from hquc.qpblock import Block1Problem, solve_block1
+from hquc.qpblock import solve_block1
 from hquc.qubo import build_qubo
 
 LOAD_SUITE = (100.0, 200.0, 400.0, 800.0, 1000.0)
@@ -262,8 +262,7 @@ def test_criterion_7_block1_kkt_and_grid_oracle(ten_unit):
         z = tuple(float(b) for b in rng.integers(0, 2, 2))
         r = tuple(rng.normal(0.0, 0.3, 2))
         lam = tuple(rng.normal(0.0, rho / 10.0, 2))
-        problem = Block1Problem(inst, z, r, lam, rho=rho, beta=beta)
-        sol = solve_block1(problem)
+        sol = solve_block1(inst, z, r, lam, rho, beta)
         worst_kkt = max(worst_kkt, sol.kkt_residual)
         grid = grid_min_two_unit(inst, z, r, lam, rho, beta, step=1e-3)
         # The grid is feasible everywhere it is evaluated, so it can only

@@ -352,9 +352,9 @@ class TestRunAdmm:
         starts, solutions, warms = [], [], []
         block1, qaoa = hquc.admm.solve_block1, hquc.admm.solve_qubo_qaoa
 
-        def recorded_block1(problem, start):
-            starts.append(start)
-            solutions.append(block1(problem, start))
+        def recorded_block1(*args):
+            starts.append(args[-1])
+            solutions.append(block1(*args))
             return solutions[-1]
 
         def recorded_qaoa(qubo, config, *, warm, iteration):

@@ -23,23 +23,25 @@ from hquc import (
     run_admm,
 )
 from hquc import admm, qpblock
-from hquc.qpblock import Block1Problem, block1_objective, solve_block1
+from hquc.qpblock import augmented_lagrangian, solve_block1
 from hquc.ucmodel import price_past
 
 
 def _random_problem(rng, inst, rho=None, beta=None):
+    """``solve_block1``'s arguments ``(instance, z, r, lam, rho, beta)``
+    with random iterates."""
     n = inst.n
     if rho is None:
         rho = float(rng.choice([10.0, 1001.0, 4000.0]))
     if beta is None:
         beta = float(rng.uniform(0.0, rho * 0.9))
-    return Block1Problem(
+    return (
         inst,
         tuple(float(b) for b in rng.integers(0, 2, n)),
         tuple(rng.normal(0.0, 0.3, n)),
         tuple(rng.normal(0.0, rho / 10.0, n)),
-        rho=rho,
-        beta=beta,
+        rho,
+        beta,
     )
 
 
@@ -67,37 +69,39 @@ def _random_feasible_point(rng, inst):
 
 
 class TestObjective:
+    """``augmented_lagrangian(generators, y, p, z, r, lam, rho, beta)``, the
+    value ``solve_block1`` returns as its objective."""
+
     def test_zero_point_is_zero(self, ten_unit):
-        inst = ten_unit(0.0)
-        prob = Block1Problem(inst, (0.0,) * 10, (0.0,) * 10, (0.0,) * 10, rho=2.0)
-        assert block1_objective(prob, (0.0,) * 10, (0.0,) * 10) == 0.0
+        gens, zeros = ten_unit(0.0).generators, (0.0,) * 10
+        assert augmented_lagrangian(gens, *(zeros,) * 5, 2.0, 0.0) == 0.0
 
     def test_hand_expanded_single_unit(self):
-        inst = UCInstance((GeneratorParams(1, 1.0, 0.0, 0.0, 0.0, 10.0),), 0.0)
-        prob = Block1Problem(inst, (0.0,), (0.0,), (0.0,), rho=2.0, beta=0.0)
+        gens = (GeneratorParams(1, 1.0, 0.0, 0.0, 0.0, 10.0),)
+        one, zero = (1.0,), (0.0,)
         # a*y + penalty (rho/2) * y^2 = 1 + 1
-        assert block1_objective(prob, (1.0,), (0.0,)) == pytest.approx(2.0, rel=1e-12)
+        value = augmented_lagrangian(gens, one, zero, zero, zero, zero, 2.0, 0.0)
+        assert value == pytest.approx(2.0, rel=1e-12)
 
     def test_zero_slack_kills_dual_and_penalty_terms(self):
-        inst = UCInstance((GeneratorParams(1, 0.0, 0.0, 0.0, 0.0, 10.0),), 0.0)
+        gens = (GeneratorParams(1, 0.0, 0.0, 0.0, 0.0, 10.0),)
+        one, zero = (1.0,), (0.0,)
         for rho in (1.0, 100.0, 4000.0):
-            prob = Block1Problem(inst, (1.0,), (0.0,), (5.0,), rho=rho)
-            assert block1_objective(prob, (1.0,), (0.0,)) == 0.0
+            assert augmented_lagrangian(gens, one, zero, one, zero, (5.0,), rho, 0.0) == 0.0
 
     def test_includes_beta_term(self):
-        inst = UCInstance((GeneratorParams(1, 0.0, 0.0, 0.0, 0.0, 10.0),), 0.0)
-        prob = Block1Problem(inst, (0.0,), (2.0,), (0.0,), rho=1.0, beta=3.0)
+        gens = (GeneratorParams(1, 0.0, 0.0, 0.0, 0.0, 10.0),)
+        zero = (0.0,)
         # (beta/2) r^2 + (rho/2)(y - z + r)^2 = 6 + 2
-        assert block1_objective(prob, (0.0,), (0.0,)) == pytest.approx(8.0)
+        value = augmented_lagrangian(gens, zero, zero, zero, (2.0,), zero, 1.0, 3.0)
+        assert value == pytest.approx(8.0)
 
 
 class TestSolveBlock1:
     def test_load_above_capacity_is_infeasible(self, ten_unit):
-        prob = Block1Problem(
-            ten_unit(2000.0), (0.0,) * 10, (0.0,) * 10, (0.0,) * 10, rho=4000.0
-        )
+        zeros = (0.0,) * 10
         with pytest.raises(InfeasibleRelaxation):
-            solve_block1(prob)
+            solve_block1(ten_unit(2000.0), zeros, zeros, zeros, 4000.0, 0.0)
 
     def test_no_float_price_names_the_load(self):
         # Unit 1 must be fully on, which it is only above a / p_max = 1e311.
@@ -106,9 +110,8 @@ class TestSolveBlock1:
             GeneratorParams(2, 0.0, 1.0, 0.0, 0.0, 100.0),
         )
         zeros = (0.0, 0.0)
-        problem = Block1Problem(UCInstance(gens, 100.001), zeros, zeros, zeros, 10.0)
         with pytest.raises(InvariantViolation, match="clears load 100.001 in block 1"):
-            solve_block1(problem)
+            solve_block1(UCInstance(gens, 100.001), zeros, zeros, zeros, 10.0, 0.0)
 
     def test_prices_near_the_float_limit_still_clear(self, brackets):
         # With b = -1e308 and 1e308 the cold bracket's width is inf, a c = 0
@@ -120,7 +123,7 @@ class TestSolveBlock1:
         )
         inst = UCInstance(gens, 1.5e-10)
         ones, zeros = (1.0, 1.0), (0.0, 0.0)
-        sol = solve_block1(Block1Problem(inst, ones, zeros, zeros, rho=4.0))
+        sol = solve_block1(inst, ones, zeros, zeros, 4.0, 0.0)
         assert brackets[-1][:2] == (1e308, math.nextafter(1e308, math.inf))
         assert sol.price == 1e308 and sol.kkt_residual == 0.0
         assert math.fsum(sol.p) == inst.load
@@ -129,8 +132,7 @@ class TestSolveBlock1:
 
     def test_single_unit_huge_penalty_tracks_z(self, ten_unit_generators):
         inst = UCInstance(ten_unit_generators[:1], 30.0)
-        prob = Block1Problem(inst, (1.0,), (0.0,), (0.0,), rho=1e6)
-        sol = solve_block1(prob)
+        sol = solve_block1(inst, (1.0,), (0.0,), (0.0,), 1e6, 0.0)
         # Stationarity in y gives y = 1 - a/rho; p is forced by the balance.
         assert sol.p[0] == pytest.approx(30.0, abs=1e-9)
         assert sol.y[0] == pytest.approx(1.0 - 660.0 / 1e6, abs=1e-12)
@@ -138,10 +140,8 @@ class TestSolveBlock1:
         assert sol.kkt_residual <= 1e-9
 
     def test_zero_load_zero_start_is_stationary(self, ten_unit):
-        prob = Block1Problem(
-            ten_unit(0.0), (0.0,) * 10, (0.0,) * 10, (0.0,) * 10, rho=4000.0
-        )
-        sol = solve_block1(prob)
+        zeros = (0.0,) * 10
+        sol = solve_block1(ten_unit(0.0), zeros, zeros, zeros, 4000.0, 0.0)
         assert sol.y == (0.0,) * 10
         assert sol.p == (0.0,) * 10
         assert sol.objective == 0.0
@@ -150,8 +150,7 @@ class TestSolveBlock1:
         rng = np.random.default_rng(23)
         for _ in range(100):
             inst = random_instance(rng, allow_zero_c=True)
-            prob = _random_problem(rng, inst)
-            sol = solve_block1(prob)
+            sol = solve_block1(*_random_problem(rng, inst))
             p_min = np.array([g.p_min for g in inst.generators])
             p_max = np.array([g.p_max for g in inst.generators])
             y = np.array(sol.y)
@@ -165,8 +164,8 @@ class TestSolveBlock1:
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(29)
         inst = random_instance(rng, n=5, load_frac=0.4)
-        prob = _random_problem(rng, inst, rho=100.0)
-        sol = solve_block1(prob)
+        args = _random_problem(rng, inst, rho=100.0)
+        sol = solve_block1(*args)
         tried = 0
         while tried < 100:
             point = _random_feasible_point(rng, inst)
@@ -174,18 +173,17 @@ class TestSolveBlock1:
                 break
             y, p = point
             tried += 1
-            assert sol.objective <= block1_objective(prob, y, p) + 1e-9
+            value = augmented_lagrangian(inst.generators, y, p, *args[1:])
+            assert sol.objective <= value + 1e-9
         assert tried == 100
 
     def test_two_unit_grid_oracle(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
             inst = random_instance(rng, n=2, load_frac=float(rng.uniform(0.1, 0.9)))
-            prob = _random_problem(rng, inst, rho=float(rng.uniform(10.0, 2000.0)))
-            sol = solve_block1(prob)
-            grid_min = grid_min_two_unit(
-                inst, prob.z, prob.r, prob.lam, prob.rho, prob.beta
-            )
+            args = _random_problem(rng, inst, rho=float(rng.uniform(10.0, 2000.0)))
+            sol = solve_block1(*args)
+            grid_min = grid_min_two_unit(*args)
             # Every grid point is feasible, so the exact optimum can only be
             # lower; it must never be higher than the grid by more than noise.
             assert sol.objective <= grid_min + 1e-6
@@ -193,8 +191,8 @@ class TestSolveBlock1:
     def test_permutation_invariance(self):
         rng = np.random.default_rng(37)
         inst = random_instance(rng, n=6, load_frac=0.5)
-        prob = _random_problem(rng, inst, rho=500.0)
-        sol = solve_block1(prob)
+        _, z, r, lam, rho, beta = args = _random_problem(rng, inst, rho=500.0)
+        sol = solve_block1(*args)
 
         perm = rng.permutation(6)
         gens = tuple(
@@ -208,15 +206,14 @@ class TestSolveBlock1:
             )
             for i, j in enumerate(perm)
         )
-        shuffled = Block1Problem(
+        sol2 = solve_block1(
             UCInstance(gens, inst.load),
-            tuple(prob.z[j] for j in perm),
-            tuple(prob.r[j] for j in perm),
-            tuple(prob.lam[j] for j in perm),
-            rho=prob.rho,
-            beta=prob.beta,
+            tuple(z[j] for j in perm),
+            tuple(r[j] for j in perm),
+            tuple(lam[j] for j in perm),
+            rho,
+            beta,
         )
-        sol2 = solve_block1(shuffled)
         assert sol2.objective == pytest.approx(sol.objective, abs=1e-8)
         for i, j in enumerate(perm):
             assert sol2.y[i] == pytest.approx(sol.y[j], abs=1e-8)
@@ -228,8 +225,7 @@ class TestSolveBlock1:
         gaps = []
         rho = 4000.0
         for _ in range(8):
-            prob = Block1Problem(inst, z, (0.0,) * 10, (0.0,) * 10, rho=rho)
-            sol = solve_block1(prob)
+            sol = solve_block1(inst, z, (0.0,) * 10, (0.0,) * 10, rho, 0.0)
             gaps.append(math.fsum(abs(yi - zi) for yi, zi in zip(sol.y, z)))
             rho *= 2.0
         for previous, current in zip(gaps, gaps[1:]):
@@ -243,8 +239,7 @@ class TestSolveBlock1:
             GeneratorParams(2, 10.0, 15.0, 0.0, 5.0, 50.0),
         )
         inst = UCInstance(gens, 60.0)
-        prob = Block1Problem(inst, (1.0, 1.0), (0.0, 0.0), (0.0, 0.0), rho=50.0)
-        sol = solve_block1(prob)
+        sol = solve_block1(inst, (1.0, 1.0), (0.0, 0.0), (0.0, 0.0), 50.0, 0.0)
         assert math.fsum(sol.p) == pytest.approx(60.0, abs=1e-8)
         assert sol.kkt_residual <= 1e-9
 
@@ -289,7 +284,7 @@ def _warm_problem(rng, zero_c):
 def _starts(rng, problem, price):
     """Start prices at the cold price, 1 ulp either side, 10**-k of it
     either side, far below and far above the cold bracket, and 0.0."""
-    gens = problem.instance.generators
+    gens = problem[0].generators
     lo = price_past(min(g.b for g in gens), -1.0)
     hi = price_past(max(g.marginal_cost(g.p_max) for g in gens), 1.0)
     k = int(rng.integers(1, 16))
@@ -307,14 +302,12 @@ def _starts(rng, problem, price):
 
 def _units(problem):
     """Block 1's per-unit constants, built as ``solve_block1`` builds them."""
-    rho = problem.rho
+    instance, zs, rs, lams, rho, _ = problem
     return [
         qpblock._unit_constants(
             g.a + lam + rho * (r - z), g.b, g.c, g.p_min, g.p_max, rho
         )
-        for g, z, r, lam in zip(
-            problem.instance.generators, problem.z, problem.r, problem.lam
-        )
+        for g, z, r, lam in zip(instance.generators, zs, rs, lams)
     ]
 
 
@@ -381,17 +374,17 @@ class TestWarmStart:
                 11.462247083875749, 32.485230442391455,
             ),
         )
-        problem = Block1Problem(
+        problem = (
             UCInstance(gens, 5.229855327696306),
             (0.0, 1.0),
             (0.1540553405251019, 0.4645435893773976),
             (145982.6994900088, 83876.51003164148),
-            rho=1000001.0,
-            beta=789308.1676906693,
+            1000001.0,
+            789308.1676906693,
         )
-        cold = solve_block1(problem)
+        cold = solve_block1(*problem)
         assert brackets[-1][0].hex() == "0x1.1fcf4e8d730fbp+5"
-        assert _hex(solve_block1(problem, 39.5738)) == _hex(cold)
+        assert _hex(solve_block1(*problem, 39.5738)) == _hex(cold)
         assert cold.kkt_residual <= 1e-12
         supply = []
         mu = float.fromhex("0x1.1fcf4e8d730fbp+5")
@@ -400,7 +393,7 @@ class TestWarmStart:
             mu = math.nextafter(mu, math.inf)
         assert len(supply) == 0x276 - 0x0FB + 1
         assert supply == sorted(supply)
-        assert supply[0] <= problem.instance.load < supply[1]
+        assert supply[0] <= problem[0].load < supply[1]
 
     def test_plateau_at_the_load_keeps_the_cold_bracket(self):
         # With y held at 1, the unit's supply equals the load exactly for
@@ -410,19 +403,18 @@ class TestWarmStart:
         # the cold low end 9, inside the bracket or above its high end, and
         # a step reaching the capacity counts as crossing it.
         gens = (GeneratorParams(1, 0.0, 10.0, 0.01, 0.0, 50.0),)
-        problem = Block1Problem(UCInstance(gens, 50.0), (1.0,), (0.0,), (0.0,), rho=1e6)
-        cold = solve_block1(problem)
+        problem = (UCInstance(gens, 50.0), (1.0,), (0.0,), (0.0,), 1e6, 0.0)
+        cold = solve_block1(*problem)
         assert (cold.y, cold.p) == ((1.0,), (50.0,))
         for start in (-1e6, 0.0, 8.5, 10.5, 11.0, 11.25, 11.75, 12.5, 20.0, 1e6):
-            assert _hex(solve_block1(problem, start)) == _hex(cold)
+            assert _hex(solve_block1(*problem, start)) == _hex(cold)
 
     def test_hint_above_the_cold_end_starts_there(self, ten_unit, monkeypatch):
         # At 1500 MW block 1 clears near 64, above the cold bracket's high
         # end price_past(27.74 + 2 * 0.0079 * 85, 1) = 30.083: the cold
         # search steps past it, a start up there is priced first.
-        problem = Block1Problem(
-            ten_unit(1500.0), (0.0,) * 10, (0.0,) * 10, (0.0,) * 10, rho=4000.0
-        )
+        zeros = (0.0,) * 10
+        problem = (ten_unit(1500.0), zeros, zeros, zeros, 4000.0, 0.0)
         prices = []
         profile = qpblock._profile
 
@@ -431,13 +423,13 @@ class TestWarmStart:
             return profile(units, mu)
 
         monkeypatch.setattr(qpblock, "_profile", recorded)
-        cold = solve_block1(problem)
+        cold = solve_block1(*problem)
         cold_evaluations = len(prices)
         hi = price_past(27.74 + 2.0 * 0.0079 * 85.0, 1.0)
         assert prices[:2] == [price_past(16.19, -1.0), hi] and cold.price > 2.0 * hi
         for start in (cold.price, 1.01 * cold.price, 60.0):
             prices.clear()
-            assert _hex(solve_block1(problem, start)) == _hex(cold)
+            assert _hex(solve_block1(*problem, start)) == _hex(cold)
             assert prices[0] == start
             assert len(prices) < cold_evaluations
 
@@ -445,10 +437,10 @@ class TestWarmStart:
 def _assert_starts_give_the_cold_solve(problem, rng, brackets):
     """Every start gives the cold solve's floats and ends on adjacent floats
     with ``supply(lo) <= load < supply(hi)``."""
-    load = problem.instance.load
-    cold = solve_block1(problem)
+    load = problem[0].load
+    cold = solve_block1(*problem)
     for start in _starts(rng, problem, cold.price):
-        assert _hex(solve_block1(problem, start)) == _hex(cold), (problem, start)
+        assert _hex(solve_block1(*problem, start)) == _hex(cold), (problem, start)
         lo, hi, s_lo, s_hi = brackets[-1]
         assert hi == math.nextafter(lo, math.inf)
         assert s_lo <= load < s_hi
@@ -537,9 +529,9 @@ class TestZeroQuadraticEdgeRule:
         for _ in range(300):
             problem = _warm_problem(rng, zero_c=True)
             units = _units(problem)
-            gens = problem.instance.generators
+            gens = problem[0].generators
             centres = [g.b for g in gens if g.c == 0.0]
-            centres.append(solve_block1(problem).price)
+            centres.append(solve_block1(*problem).price)
             for mu in centres:
                 for _ in range(64):
                     mu = math.nextafter(mu, -math.inf)
@@ -652,13 +644,12 @@ class TestKktResidual:
     def test_matches_nnls(self, case):
         p_min, p_max, y, p, normals = ACTIVE_SETS[case]
         inst = UCInstance((GeneratorParams(1, 0.0, 0.0, 0.0, p_min, p_max),), p)
-        prob = Block1Problem(inst, (0.0,), (0.0,), (0.0,), rho=1.0)
         rng = np.random.default_rng(41)
         for wy, wp in _cone_points(rng, normals, 2000):
             # With a = b = c = 0 and rho = 1 the gradient is (y + g_lin, -mu);
             # the oracle forms it as _kkt_residual does, so both see one point.
             g_lin, mu = -float(wy) - y, float(wp)
-            got = qpblock._kkt_residual(prob, (y,), (p,), (g_lin,), mu)
+            got = qpblock._kkt_residual(inst, 1.0, (y,), (p,), (g_lin,), mu)
             grad = np.array((1.0 * y + g_lin, 2.0 * 0.0 * p + 0.0 - mu))
             if normals:
                 want = nnls(np.array(normals).T, -grad)[1]
@@ -699,13 +690,10 @@ class TestKktResidual:
                 ys.append(y)
                 ps.append(p)
                 g_lin.append(-wy - rho * y)
-            problem = Block1Problem(
-                UCInstance(tuple(gens), math.fsum(ps)),
-                (0.0,) * len(gens), (0.0,) * len(gens), (0.0,) * len(gens), rho,
-            )
-            got = qpblock._kkt_residual(problem, ys, ps, g_lin, mu)
-            want = reference_kkt_residual(problem, ys, ps, g_lin, mu)
-            assert got.hex() == want.hex(), (problem, ys, ps, g_lin, mu)
+            inst = UCInstance(tuple(gens), math.fsum(ps))
+            got = qpblock._kkt_residual(inst, rho, ys, ps, g_lin, mu)
+            want = reference_kkt_residual(inst, rho, ys, ps, g_lin, mu)
+            assert got.hex() == want.hex(), (inst, rho, ys, ps, g_lin, mu)
             zeros += got == 0.0
         assert zeros >= 400, zeros
 
