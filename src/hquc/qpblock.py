@@ -59,6 +59,7 @@ from .ucmodel import (
     GeneratorParams,
     UCInstance,
     bisect_price,
+    fsum_or_sum,
     price_past,
     settle_bracket,
 )
@@ -87,7 +88,8 @@ def augmented_lagrangian(
     beta: float,
 ) -> float:
     """The augmented Lagrangian at ``(y, p, z, r, lam)``, summed by one
-    exactly rounded ``math.fsum``, so the order of its terms does not matter."""
+    exactly rounded ``math.fsum``, so the order of its terms does not matter,
+    or past the float range by :func:`~hquc.ucmodel.fsum_or_sum`."""
     half_beta, half_rho = beta / 2.0, rho / 2.0
     terms = []
     for g, yi, pi, zi, ri, li in zip(generators, y, p, z, r, lam):
@@ -98,7 +100,7 @@ def augmented_lagrangian(
             li * slack,
             half_rho * slack * slack,
         )
-    return math.fsum(terms)
+    return fsum_or_sum(terms)
 
 
 def _unit_constants(

@@ -18,12 +18,12 @@ The problem is pure Python, and so are the phase slopes
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 from .errors import require_float, require_length
+from .ucmodel import fsum_or_sum
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ def build_qubo(
     """Assemble the second-block QUBO from the frozen iterates."""
     a = [yi + ri for yi, ri in zip(y, r)]
     linear = tuple(-li + rho * (0.5 - ai) for li, ai in zip(lam, a))
-    constant = math.fsum(li * ai + (rho / 2.0) * ai * ai for li, ai in zip(lam, a))
+    constant = fsum_or_sum([li * ai + (rho / 2.0) * ai * ai for li, ai in zip(lam, a)])
     return QuboProblem(linear, constant)
 
 

@@ -776,6 +776,16 @@ def _dual_bound(
     return mu, _bound_sum(terms)
 
 
+def fsum_or_sum(terms: Sequence[float]) -> float:
+    """``math.fsum(terms)``, or the plain float sum, ``inf``, ``-inf`` or
+    NaN, where a partial sum leaves the float range or the terms hold
+    ``inf - inf``: at extreme penalties the ADMM's sums overflow."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms)
+
+
 def _bound_sum(terms: Iterable[float]) -> float:
     """``fsum(terms)`` as a lower bound: ``-inf``, which is valid and never
     prunes, where a partial sum overflows, the terms hold ``inf - inf`` or

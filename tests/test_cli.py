@@ -1034,6 +1034,30 @@ class TestContract:
         assert main(_args(mode, path, 240, tmp_path / "o")) == EXIT_OK
         assert "commitment |111> cost 1e+308\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "mode, load, rho, beta, code",
+        [
+            ("s1", 1300, "1e308", "5e307", EXIT_OK),
+            ("s1", 1500, "1e308", "5e307", EXIT_OK),
+            ("s1", 1000, "1.7e308", "8.5e307", EXIT_OK),
+            ("s2", 100, "1e308", "5e307", EXIT_NOT_CONVERGED),
+        ],
+    )
+    def test_penalties_near_the_float_limit(
+        self, mode, load, rho, beta, code, gen_csv, tmp_path, capsys
+    ):
+        # The augmented Lagrangian and the QUBO constant overflow here; the
+        # trace reads inf or nan where they do, and the run goes on.
+        out = tmp_path / "o"
+        assert main(_args(mode, gen_csv, load, out, "--rho", rho, "--beta", beta)) == code
+        assert not capsys.readouterr().err.startswith("error:")
+        with open(out / "trace.csv") as fh:
+            assert "inf" in fh.read()
+        if code == EXIT_OK:
+            sol = solution_from_csv((out / "solution.csv").read_text())
+            inst = UCInstance(parse_generators(gen_csv.read_text()), float(load))
+            assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
         "rows, load, bits, dispatch, cost", _HUGE_PRICE_CASES, ids=["150MW", "50MW"]

@@ -96,6 +96,15 @@ class TestObjective:
         value = augmented_lagrangian(gens, zero, zero, zero, (2.0,), zero, 1.0, 3.0)
         assert value == pytest.approx(8.0)
 
+    def test_past_the_float_range(self):
+        # lam y + (rho/2) y^2 overflows; inf - inf is NaN.
+        gens = (GeneratorParams(1, 0.0, 0.0, 0.0, 0.0, 10.0),)
+        one, zero = (1.0,), (0.0,)
+        value = augmented_lagrangian(gens, one, zero, zero, zero, (1e308,), 1.7e308, 0.0)
+        assert value == math.inf
+        value = augmented_lagrangian(gens, one, zero, zero, (1e300,), (-1e308,), 1.0, 0.0)
+        assert math.isnan(value)
+
 
 class TestSolveBlock1:
     def test_load_above_capacity_is_infeasible(self, ten_unit):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,12 @@ class TestBuildQubo:
     def test_symmetry_point_gives_zero_slope(self):
         qubo = build_qubo((0.5,), (0.0,), (0.0,), rho=123.0)
         assert qubo.linear[0] == pytest.approx(0.0)
+
+    def test_constant_past_the_float_range(self):
+        # Two finite terms sum past the float range; inf - inf is NaN.
+        ones, zeros = (1.0, 1.0), (0.0, 0.0)
+        assert build_qubo(ones, zeros, (1e308, 1e308), 1.0).constant == math.inf
+        assert math.isnan(build_qubo(ones, ones, (-1e308, 1e308), 1.0).constant)
 
     def test_matches_direct_evaluation_everywhere(self):
         rng = np.random.default_rng(101)
