@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from helpers import THREE_UNIT_LATE_MOVER, dense_energy, dense_run_circuit, random_instance
+from helpers import (
+    THREE_UNIT_LATE_MOVER,
+    dense_energy,
+    dense_run_circuit,
+    random_generators,
+    random_instance,
+)
 
 import hquc.admm
 import hquc.qaoa
@@ -37,6 +43,42 @@ from hquc import (
 )
 
 LOAD_SUITE = (100.0, 200.0, 400.0, 800.0, 1000.0)
+
+# Late movers: zero-start runs whose block-2 bits change after iteration 1.
+# Seeds 0-2999 of _seeded_fleet give 23 of them; these are the first 20, each
+# with its commitment_fixed_at, iteration count, final bits, final cost's hex
+# digits, and whether the final answer is the enumerated optimum.
+LATE_MOVERS = {
+    16: (3, 48, (0, 0, 0, 0, 1, 1, 0), "0x1.73cb8fd6e49b2p+11", False),
+    34: (2, 46, (1, 1), "0x1.c9d54659a7cacp+12", False),
+    124: (4, 49, (0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0), "0x1.70d408bec5bb4p+11", False),
+    162: (2, 46, (0, 0, 1, 1, 0, 0, 0), "0x1.21336ba343a4cp+11", True),
+    402: (4, 49, (1, 0, 0, 0, 0, 0, 0, 0, 1), "0x1.858e837b6155ap+11", False),
+    588: (3, 48, (1, 1, 0), "0x1.0fb9e8e59c9b4p+12", True),
+    753: (3, 48, (0, 1, 1, 0, 0), "0x1.29672cc353f64p+12", False),
+    916: (7, 53, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0), "0x1.91abafcb7459dp+11", True),
+    936: (10, 56, (0, 0, 1, 0, 0, 0, 0, 0, 1, 1), "0x1.8d53560e5332fp+11", False),
+    969: (9, 55, (1, 1, 0, 0, 0), "0x1.61e201184271ep+11", True),
+    1203: (2, 46, (0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0), "0x1.ce892b522048ap+10", False),
+    1261: (5, 51, (1, 0, 0, 0, 0, 0, 0, 0, 1, 0), "0x1.ebb9730309334p+10", False),
+    1378: (4, 49, (0, 0, 1, 1, 0, 0), "0x1.912c2a0c805bbp+11", True),
+    1426: (9, 55, (0, 0, 0, 1, 0, 0, 1, 0, 0), "0x1.1c51eab36ffd8p+11", True),
+    1991: (8, 54, (0, 0, 0, 0, 1, 1, 1), "0x1.ea646e98933f6p+11", True),
+    2149: (9, 55, (0, 1, 1, 0), "0x1.074b9e9d2d8f5p+12", True),
+    2175: (4, 49, (0, 0, 1, 0, 1, 0), "0x1.9d54cf1f9c3f5p+11", True),
+    2334: (15, 62, (0, 0, 1, 0, 0, 1, 0, 0, 0), "0x1.32262d564e438p+11", False),
+    2582: (4, 49, (1, 1, 0), "0x1.169642dbfbda9p+12", False),
+    2745: (5, 51, (1, 1, 0, 0, 0, 0, 0), "0x1.ca5f067513fdfp+11", False),
+}
+
+
+def _seeded_fleet(seed):
+    """2-12 random units at a load of 100-200 MW, or None where the load
+    exceeds 0.95 of the fleet's capacity."""
+    rng = np.random.default_rng(seed)
+    gens = random_generators(rng, int(rng.integers(2, 13)))
+    load = float(rng.uniform(100, 200))
+    return UCInstance(gens, load) if load <= 0.95 * sum(g.p_max for g in gens) else None
 
 
 def _r_component_objective(y, z, lam, rho, beta):
@@ -389,6 +431,19 @@ class TestRunAdmm:
         first = next(admm_steps(inst, config))
         assert first.bits == (0, 1, 1)
         assert polish(inst, first.bits) == optimum
+
+    @pytest.mark.parametrize("seed", list(LATE_MOVERS))
+    def test_late_mover_corpus(self, seed):
+        fixed_at, iterations, bits, cost, optimal = LATE_MOVERS[seed]
+        inst = _seeded_fleet(seed)
+        report = run_admm(inst, default_config(inst.load))
+        assert report.converged
+        assert (report.commitment_fixed_at, report.iterations) == (fixed_at, iterations)
+        assert report.final.commitment.bits == bits
+        assert report.final.cost.hex() == cost
+        optimum = solve_uc_exact(inst)
+        found = (report.final.commitment, report.final.cost)
+        assert (found == (optimum.commitment, optimum.cost)) == optimal
 
     def test_commitment_fixed_at_is_one_when_the_bits_never_change(self, ten_unit):
         report = run_admm(ten_unit(800.0), default_config(800.0, max_iters=1))
