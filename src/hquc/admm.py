@@ -16,10 +16,10 @@ then takes the dual step ``lam += (rho / 2) (y - z + r)``.
 :class:`AdmmStep` per iteration: its :class:`TraceRow`, its block-2 bits
 and the qaoa backend's outcome.  :func:`run_admm` is its consumer: it stops
 once the L1 consensus residual ``sum_i |y_i - z_i + r_i|`` falls below the
-tolerance (the residual test of Boyd et al., 2011, section 3.3.1) or at
-``max_iters``, and builds the report from the steps.  The same L1 quantity
-drives both the stopping rule and the reported trace so the two can never
-disagree.
+tolerance (the residual test of Boyd et al., 2011, section 3.3.1), at a
+NaN residual or at ``max_iters``, and builds the report from the steps.
+The same L1 quantity drives both the stopping rule and the reported trace
+so the two can never disagree.
 
 Convergence of this splitting is heuristic (the middle block is binary); the
 penalties must satisfy ``rho > beta > 0`` and are load-dependent in practice,
@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 from .errors import InvariantViolation, require_finite, require_integer, require_length
 from .qaoa import QaoaConfig, QaoaOutcome, solve_qubo_qaoa
-from .qpblock import augmented_lagrangian, solve_block1
+from .qpblock import Block1Constants, augmented_lagrangian, solve_block1
 from .qubo import build_qubo, solve_qubo_perbit
 from .ucmodel import Commitment, UCInstance, UCSolution, polish
 
@@ -204,9 +204,10 @@ def admm_steps(instance: UCInstance, config: AdmmConfig) -> Iterator[AdmmStep]:
     r = _initial_vector(config.initial_r, n, "initial_r")
     lam = _initial_vector(config.initial_lambda, n, "initial_lambda")
     price = warm = None
+    block1_constants = Block1Constants(instance, config.rho)
 
     for it in count(1):
-        block1 = solve_block1(instance, z, r, lam, config.rho, config.beta, price)
+        block1 = solve_block1(block1_constants, z, r, lam, config.rho, config.beta, price)
         y, p, price = block1.y, block1.p, block1.price
 
         qubo = build_qubo(y, r, lam, config.rho)
@@ -233,9 +234,11 @@ def admm_steps(instance: UCInstance, config: AdmmConfig) -> Iterator[AdmmStep]:
 
 
 def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
-    """Take :func:`admm_steps` until the residual is at most ``epsilon`` or
-    ``max_iters`` steps are taken; their errors, InfeasibleRelaxation among
-    them, propagate.
+    """Take :func:`admm_steps` until the residual is at most ``epsilon``,
+    is NaN, or ``max_iters`` steps are taken; their errors,
+    InfeasibleRelaxation among them, propagate.  A NaN residual, which the
+    iterates reach once they overflow at extreme penalties, can never meet
+    the test again, so the run ends there, not converged.
 
     The relaxed ``y`` does not satisfy the original problem, so the
     report's final solution is :func:`~hquc.ucmodel.polish` of the terminal
@@ -248,7 +251,8 @@ def run_admm(instance: UCInstance, config: AdmmConfig) -> SolveReport:
     steps: list[AdmmStep] = []
     for step in admm_steps(instance, config):
         steps.append(step)
-        if step.row.residual <= config.epsilon or len(steps) == config.max_iters:
+        res = step.row.residual
+        if res <= config.epsilon or math.isnan(res) or len(steps) == config.max_iters:
             break
 
     terminal = Commitment(steps[-1].bits)

@@ -34,7 +34,11 @@ class QuboProblem:
     constant: float = 0.0
 
     def __post_init__(self) -> None:
-        linear = tuple(require_float(f"linear[{i}]", q) for i, q in enumerate(self.linear))
+        try:
+            linear = tuple(map(float, self.linear))
+        except (TypeError, ValueError, OverflowError):
+            # Name the first entry float refuses.
+            linear = tuple(require_float(f"linear[{i}]", q) for i, q in enumerate(self.linear))
         object.__setattr__(self, "linear", linear)
         object.__setattr__(self, "constant", require_float("constant", self.constant))
 

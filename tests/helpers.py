@@ -140,6 +140,17 @@ def reference_bisect(supply, load, lo, hi):
     return lo, hi
 
 
+def count_evaluations(search, supply, load, lo, hi, *args):
+    """The bracket ``search`` returns and the number of supply evaluations."""
+    calls = []
+
+    def counted(mu):
+        calls.append(mu)
+        return supply(mu)
+
+    return search(counted, load, lo, hi, *args), len(calls)
+
+
 def reference_dispatch(instance, bits):
     """The exact dispatch by :func:`hquc.ucmodel.bisect_price` over the
     whole price range, with no breakpoint search: the oracle of
@@ -237,12 +248,16 @@ def reference_unit_response(
     pmax: float,
     rho: float,
     mu: float,
-) -> tuple[float, float]:
+) -> tuple[float, float, float]:
     """Minimize ``c p^2 + (b - mu) p + (rho/2) y^2 + g_lin y`` over the triangle.
 
-    Returns the minimizing ``(y, p)``; when the minimum in ``p`` is a flat
-    segment (c == 0 at its price step) the low end is returned.  The oracle
-    of :func:`hquc.qpblock._profile`, which must match it bit for bit.
+    Returns the minimizing ``(y, p)``, and ``dp/dmu`` on the piece that
+    holds it: ``1/(2c)`` at the stationary point or strictly inside the
+    ``y = 1`` edge's range, ``e^2/(2 quad)`` on the edge ``p = e y`` with
+    ``0 < y < 1``, and 0 where the unit is clamped.  When the minimum in
+    ``p`` is a flat segment (c == 0 at its price step) the low end is
+    returned.  The oracle of :func:`hquc.qpblock._profile`, which must
+    match it bit for bit.
 
     A c == 0 unit's minimum lies on the edge ``p = e y`` that the price
     favours, ``e = pmax`` above ``b`` and ``pmin`` at or below it, so only
@@ -255,8 +270,13 @@ def reference_unit_response(
         # (b - mu) * 0 is NaN where b - mu overflows; the term is 0.
         lin = (b - mu) * edge + g_lin if edge else g_lin
         ye = min(max(-lin / (2.0 * (rho / 2.0)), 0.0), 1.0)
-        return ye, edge * ye
-    return three_edge_unit_response(g_lin, b, c, pmin, pmax, rho, mu)
+        return ye, edge * ye, _edge_slope(c, edge, rho) if 0.0 < ye < 1.0 else 0.0
+    return _three_edge(g_lin, b, c, pmin, pmax, rho, mu)
+
+
+def _edge_slope(c, edge, rho):
+    """``dp/dmu`` on the edge ``p = edge y`` inside ``0 < y < 1``."""
+    return edge * edge / (2.0 * (c * edge * edge + rho / 2.0))
 
 
 def three_edge_unit_response(g_lin, b, c, pmin, pmax, rho, mu):
@@ -265,16 +285,22 @@ def three_edge_unit_response(g_lin, b, c, pmin, pmax, rho, mu):
     on a tie.  For c == 0 this is block 1's rule before the edge rule of
     :func:`reference_unit_response`, kept to bound what that rule moved.
     """
+    return _three_edge(g_lin, b, c, pmin, pmax, rho, mu)[:2]
+
+
+def _three_edge(g_lin, b, c, pmin, pmax, rho, mu):
+    """:func:`three_edge_unit_response` with the slope of its piece."""
     if c > 0.0:
         y0 = -g_lin / rho
         p0 = (mu - b) / (2.0 * c)
         if 0.0 <= y0 <= 1.0 and pmin * y0 <= p0 <= pmax * y0:
-            return y0, p0
+            return y0, p0, 1.0 / (2.0 * c)
 
     # Edge y = 1.
     p1 = _step_output(b, c, pmin, pmax, mu)
     best_y, best_p = 1.0, p1
     best_val = c * p1 * p1 + (b - mu) * p1 + rho / 2.0 + g_lin
+    slope = 1.0 / (2.0 * c) if c > 0.0 and pmin < p1 < pmax else 0.0
 
     # Edges p = pmin * y and p = pmax * y (cover the apex (0, 0) via clamping).
     for edge in (pmin, pmax):
@@ -285,7 +311,8 @@ def three_edge_unit_response(g_lin, b, c, pmin, pmax, rho, mu):
         val = quad * ye * ye + lin * ye
         if val < best_val:
             best_y, best_p, best_val = ye, pe, val
-    return best_y, best_p
+            slope = _edge_slope(c, edge, rho) if 0.0 < ye < 1.0 else 0.0
+    return best_y, best_p, slope
 
 
 def reference_kkt_residual(instance, rho, y, p, g_lin, mu):

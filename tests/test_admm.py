@@ -253,6 +253,16 @@ class TestRunAdmm:
         assert report.iterations == 3
         assert len(report.trace) == 3
 
+    def test_nan_residual_ends_the_run(self, ten_unit):
+        # At rho near 1e308 the qaoa iterates overflow, and from iteration 2
+        # the residual is NaN, which never meets epsilon: the run ends there.
+        config = AdmmConfig(rho=1.5e308, beta=0.75e308, backend="qaoa")
+        report = run_admm(ten_unit(1300.0), config)
+        assert not report.converged
+        assert report.iterations == len(report.trace) == 2
+        assert math.isfinite(report.trace[0].residual)
+        assert math.isnan(report.trace[1].residual)
+
     def test_trace_is_finite_and_fully_populated(self, ten_unit):
         report = run_admm(ten_unit(800.0), default_config(800.0))
         assert [row.iter for row in report.trace] == list(

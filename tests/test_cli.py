@@ -1058,6 +1058,18 @@ class TestContract:
             inst = UCInstance(parse_generators(gen_csv.read_text()), float(load))
             assert check_feasible(inst, sol.commitment, sol.dispatch).feasible
 
+    def test_nan_residual_exits_not_converged(self, gen_csv, tmp_path, capsys):
+        # The qaoa iterates overflow here and the residual is NaN from
+        # iteration 2; the run ends there instead of at max_iters.
+        out = tmp_path / "o"
+        args = _args("s2", gen_csv, 1300, out, "--rho", "1.5e308", "--beta", "7.5e307")
+        assert main(args) == EXIT_NOT_CONVERGED
+        assert re.fullmatch(
+            r"not converged after 2 iterations \(residual nan\); "
+            r"terminal commitment \|[01]{10}>\n",
+            capsys.readouterr().err,
+        )
+
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
         "rows, load, bits, dispatch, cost", _HUGE_PRICE_CASES, ids=["150MW", "50MW"]

@@ -94,6 +94,14 @@ def test_qubo_entries_are_floats(field, build, value, rendered):
     assert f"{field}{rendered}" in str(info.value)
 
 
+def test_qubo_names_the_entry_float_refuses():
+    # The entries convert in one pass; a refusal is named by its index.
+    with pytest.raises(InvariantViolation, match=r"^linear\[1\]='x' is not a real number$"):
+        QuboProblem((1.0, "x"))
+    with pytest.raises(InvariantViolation, match=r"^linear\[0\] is past the float range$"):
+        QuboProblem((10**400,))
+
+
 def test_qubo_keeps_non_finite_entries():
     # At extreme penalties build_qubo overflows to them, and the per-bit
     # rule still resolves each bit.

@@ -6,15 +6,18 @@ import pytest
 from scipy.optimize import nnls
 
 from helpers import (
+    count_evaluations,
     grid_min_two_unit,
     random_generators,
     random_instance,
+    reference_bisect,
     reference_kkt_residual,
     reference_unit_response,
     three_edge_unit_response,
 )
 
 from hquc import (
+    AdmmConfig,
     GeneratorParams,
     InfeasibleRelaxation,
     InvariantViolation,
@@ -256,25 +259,39 @@ class TestSolveBlock1:
         # Every supply evaluation of a block-1 solve: the start, the steps
         # out to the bracket and the search.  Plain bisection takes about 52
         # here, the interpolating search from the cold low end about 12, and
-        # from the previous iteration's price about 7 (7.02 in all).
-        solves = evaluations = 0
-        solve, profile = admm.solve_block1, qpblock._profile
-
-        def counted_solve(*args):
-            nonlocal solves
-            solves += 1
-            return solve(*args)
-
-        def counted_profile(*args):
-            nonlocal evaluations
-            evaluations += 1
-            return profile(*args)
-
-        monkeypatch.setattr(admm, "solve_block1", counted_solve)
-        monkeypatch.setattr(qpblock, "_profile", counted_profile)
+        # from the previous iteration's price about 7 (7.02 in all); with
+        # Newton steps on the supply's slope, 4.84 in all.
+        counts = _count_evaluations(monkeypatch)
         for load in range(200, 1501, 100):
             run_admm(ten_unit(float(load)), default_config(float(load)))
-        assert evaluations / solves <= 7.1
+        assert counts["evaluations"] / counts["solves"] <= 5.5
+
+    def test_price_search_evaluations_at_small_penalties(self, ten_unit, monkeypatch):
+        # At (rho, beta) = (1, 0.5) the clearing price moves far between
+        # iterations: the fixed warm step doubled its way out in 20.55
+        # evaluations a solve, Newton steps take 2.85.
+        counts = _count_evaluations(monkeypatch)
+        for load in range(200, 1501, 100):
+            run_admm(ten_unit(float(load)), AdmmConfig(rho=1.0, beta=0.5))
+        assert counts["evaluations"] / counts["solves"] <= 4.0
+
+
+def _count_evaluations(monkeypatch):
+    """Count ADMM block-1 solves and their supply evaluations."""
+    counts = {"solves": 0, "evaluations": 0}
+    solve, profile = admm.solve_block1, qpblock._profile
+
+    def counted_solve(*args):
+        counts["solves"] += 1
+        return solve(*args)
+
+    def counted_profile(*args):
+        counts["evaluations"] += 1
+        return profile(*args)
+
+    monkeypatch.setattr(admm, "solve_block1", counted_solve)
+    monkeypatch.setattr(qpblock, "_profile", counted_profile)
+    return counts
 
 
 def _warm_problem(rng, zero_c):
@@ -309,13 +326,17 @@ def _starts(rng, problem, price):
     ]
 
 
+def _unit(g_lin, b, c, p_min, p_max, rho):
+    """One unit's ``_profile`` tuple, built as ``solve_block1`` builds it."""
+    static = qpblock._static_constants(b, c, p_min, p_max, rho)
+    return qpblock._unit_constants(g_lin, static, rho)
+
+
 def _units(problem):
     """Block 1's per-unit constants, built as ``solve_block1`` builds them."""
     instance, zs, rs, lams, rho, _ = problem
     return [
-        qpblock._unit_constants(
-            g.a + lam + rho * (r - z), g.b, g.c, g.p_min, g.p_max, rho
-        )
+        _unit(g.a + lam + rho * (r - z), g.b, g.c, g.p_min, g.p_max, rho)
         for g, z, r, lam in zip(instance.generators, zs, rs, lams)
     ]
 
@@ -443,6 +464,35 @@ class TestWarmStart:
             assert len(prices) < cold_evaluations
 
 
+class TestSearchBound:
+    """``bisect_price``'s stated bound with Newton trials: at most twice
+    plain bisection's supply evaluations plus 14."""
+
+    @pytest.mark.parametrize("zero_c", [False, True])
+    def test_every_start_keeps_the_bound(self, zero_c, monkeypatch):
+        # Each search's evaluations against plain bisection's on the same
+        # bracket, which must also end where the search does.
+        searches = []
+        search = qpblock.bisect_price
+
+        def recorded(supply, load, lo, hi, *args):
+            got, evaluations = count_evaluations(search, supply, load, lo, hi, *args)
+            want, halvings = count_evaluations(reference_bisect, supply, load, lo, hi)
+            assert got == want
+            searches.append((evaluations, halvings))
+            return got
+
+        monkeypatch.setattr(qpblock, "bisect_price", recorded)
+        rng = np.random.default_rng(11 + zero_c)
+        for _ in range(300):
+            problem = _warm_problem(rng, zero_c)
+            cold = solve_block1(*problem)
+            for start in _starts(rng, problem, cold.price):
+                solve_block1(*problem, start)
+        assert len(searches) == 300 * 9
+        assert all(evaluations <= 2 * halvings + 14 for evaluations, halvings in searches)
+
+
 def _assert_starts_give_the_cold_solve(problem, rng, brackets):
     """Every start gives the cold solve's floats and ends on adjacent floats
     with ``supply(lo) <= load < supply(hi)``."""
@@ -500,20 +550,21 @@ def _breakpoint_price(rng, unit):
 class TestProfileKernel:
     def test_matches_reference_unit_response(self):
         # 4000 prices over 4 units each: 16,000 (unit, price) cases, every
-        # output compared by its hex digits, so -0.0 and NaN count too.
+        # output compared by its hex digits, so -0.0 and NaN count too, and
+        # the summed slope with the oracle's slopes summed in unit order.
         rng = np.random.default_rng(61)
         seen = {"interior": 0, "y=1": 0, "edge": 0, "apex": 0}
         for _ in range(4000):
             units = [_random_unit(rng) for _ in range(4)]
             mu = _breakpoint_price(rng, units[rng.integers(4)])
-            ys, ps = qpblock._profile(
-                [qpblock._unit_constants(*u) for u in units], mu
-            )
+            ys, ps, slope = qpblock._profile([_unit(*u) for u in units], mu)
+            want_slope = 0.0
             for unit, y, p in zip(units, ys, ps):
-                want_y, want_p = reference_unit_response(*unit, mu)
+                want_y, want_p, want_d = reference_unit_response(*unit, mu)
                 assert (y.hex(), p.hex()) == (want_y.hex(), want_p.hex()), (
                     unit, mu
                 )
+                want_slope += want_d
                 p_min, p_max = unit[3], unit[4]
                 if y == 0.0:
                     seen["apex"] += 1
@@ -523,7 +574,38 @@ class TestProfileKernel:
                     seen["edge"] += 1
                 else:
                     seen["interior"] += 1
+            assert slope.hex() == want_slope.hex(), (units, mu)
         assert min(seen.values()) >= 100, seen
+
+    def test_slope_is_the_difference_quotient_on_an_affine_piece(self):
+        # Prices near every breakpoint; where the kernel reports one slope
+        # at mu - h, mu and mu + h and both one-sided quotients of p agree,
+        # the three lie on one affine piece, and the slope is its quotient.
+        rng = np.random.default_rng(62)
+        seen = {"1/(2c)": 0, "edge": 0, "clamped": 0}
+        for _ in range(6000):
+            unit = _random_unit(rng)
+            g_lin, b, c, p_min, p_max, rho = unit
+            mu = _breakpoint_price(rng, unit) + rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 0.0)
+            h = 1e-6 * max(1.0, abs(mu))
+            prices = (mu - h, mu, mu + h)
+            (p_lo, p, p_hi), (d_lo, d, d_hi) = zip(*(
+                qpblock._profile([_unit(*unit)], m)[1:] for m in prices
+            ))
+            if not d_lo == d == d_hi:
+                continue
+            q_lo = (p[0] - p_lo[0]) / (prices[1] - prices[0])
+            q_hi = (p_hi[0] - p[0]) / (prices[2] - prices[1])
+            if abs(q_hi - q_lo) > 1e-6 * max(1.0, abs(q_hi)):
+                continue  # a kink or a step lies between them
+            assert abs(q_hi - d) <= 1e-6 * max(1.0, d), (unit, mu)
+            if d == 0.0:
+                seen["clamped"] += 1
+            elif c > 0.0 and d == 1.0 / (2.0 * c):
+                seen["1/(2c)"] += 1
+            else:
+                seen["edge"] += 1
+        assert min(seen.values()) >= 200, seen
 
 
 class TestZeroQuadraticEdgeRule:
@@ -576,14 +658,17 @@ class TestZeroQuadraticEdgeRule:
         edge = [run(inst) for inst in instances]
 
         def three_edge_profile(units, mu):
+            # No slope: the search takes no Newton step on this supply.
             ys, ps = [], []
-            for unit in units:
-                y, p = three_edge_unit_response(*unit, mu)
+            for g_lin, (b, c, _, p_min, p_max, *_), rho in units:
+                y, p = three_edge_unit_response(g_lin, b, c, p_min, p_max, rho, mu)
                 ys.append(y)
                 ps.append(p)
-            return ys, ps
+            return ys, ps, 0.0
 
-        monkeypatch.setattr(qpblock, "_unit_constants", lambda *unit: unit)
+        monkeypatch.setattr(
+            qpblock, "_unit_constants", lambda g_lin, static, rho: (g_lin, static, rho)
+        )
         monkeypatch.setattr(qpblock, "_profile", three_edge_profile)
         moved = 0
         for inst, new in zip(instances, edge):
@@ -658,7 +743,8 @@ class TestKktResidual:
             # With a = b = c = 0 and rho = 1 the gradient is (y + g_lin, -mu);
             # the oracle forms it as _kkt_residual does, so both see one point.
             g_lin, mu = -float(wy) - y, float(wp)
-            got = qpblock._kkt_residual(inst, 1.0, (y,), (p,), (g_lin,), mu)
+            constants = qpblock.Block1Constants(inst, 1.0)
+            got = qpblock._kkt_residual(constants, (y,), (p,), (g_lin,), mu)
             grad = np.array((1.0 * y + g_lin, 2.0 * 0.0 * p + 0.0 - mu))
             if normals:
                 want = nnls(np.array(normals).T, -grad)[1]
@@ -700,7 +786,7 @@ class TestKktResidual:
                 ps.append(p)
                 g_lin.append(-wy - rho * y)
             inst = UCInstance(tuple(gens), math.fsum(ps))
-            got = qpblock._kkt_residual(inst, rho, ys, ps, g_lin, mu)
+            got = qpblock._kkt_residual(qpblock.Block1Constants(inst, rho), ys, ps, g_lin, mu)
             want = reference_kkt_residual(inst, rho, ys, ps, g_lin, mu)
             assert got.hex() == want.hex(), (inst, rho, ys, ps, g_lin, mu)
             zeros += got == 0.0

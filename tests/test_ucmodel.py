@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     _dual_term,
     _step_output,
+    count_evaluations,
     random_generators,
     random_instance,
     reference_bisect,
@@ -582,17 +583,6 @@ def _seed(instance):
     return polish(instance, seed.bits)
 
 
-def _evaluations(search, supply, load, lo, hi, *ends):
-    """The bracket ``search`` returns and the number of supply evaluations."""
-    mus = []
-
-    def counted(mu):
-        mus.append(mu)
-        return supply(mu)
-
-    return search(counted, load, lo, hi, *ends), len(mus)
-
-
 def _piecewise_affine(pieces):
     """A nondecreasing piecewise-affine supply from ``(x, width, slope, jump,
     closed)`` pieces: a ramp of ``slope`` over ``[x, x + width]`` plus a jump
@@ -608,6 +598,16 @@ def _piecewise_affine(pieces):
         return math.fsum(terms)
 
     return supply
+
+
+def _piecewise_slope(pieces):
+    """The slope of :func:`_piecewise_affine`'s supply on the piece at
+    ``mu``: the sum of the ramps with ``x <= mu < x + width``."""
+
+    def slope(mu):
+        return math.fsum(s for x, width, s, _, _ in pieces if x <= mu < x + width)
+
+    return slope
 
 
 class TestBisectPrice:
@@ -678,16 +678,25 @@ class TestBisectPrice:
                 st.floats(0.0, 1.0).map(lambda f: f * top),
             )
         )
-        got, evaluations = _evaluations(bisect_price, supply, load, lo, hi)
-        want, halvings = _evaluations(reference_bisect, supply, load, lo, hi)
+        got, evaluations = count_evaluations(bisect_price, supply, load, lo, hi)
+        want, halvings = count_evaluations(reference_bisect, supply, load, lo, hi)
         assert got == want
         assert evaluations <= 2 * halvings + 2
         # With the end supplies known the first trial interpolates; the
         # result and the bound stay, a top plateau at the load included.
         ends = supply(lo), supply(hi)
-        got, evaluations = _evaluations(bisect_price, supply, load, lo, hi, *ends)
+        got, evaluations = count_evaluations(bisect_price, supply, load, lo, hi, *ends)
         assert got == want
         assert evaluations <= 2 * halvings + 2
+        # With the slope, exact or off by 1000x either way, the trials start
+        # with Newton steps; the result stays, and the bound is 14 more.
+        slope = _piecewise_slope(pieces)
+        for scale in (1.0, 1e-3, 1e3):
+            got, evaluations = count_evaluations(
+                bisect_price, supply, load, lo, hi, *ends, lambda mu: scale * slope(mu)
+            )
+            assert got == want
+            assert evaluations <= 2 * halvings + 14
 
     @pytest.mark.parametrize("fraction", [1e-9, 0.0108, 0.5, 0.99])
     def test_step_supply_costs_at_most_twice_bisection(self, fraction):
@@ -699,8 +708,8 @@ class TestBisectPrice:
             return 1.0 if mu > 1732897.9667147014 else 0.0
 
         lo, hi = 32.5485929044289, 5787758.052073539
-        got, evaluations = _evaluations(bisect_price, supply, fraction, lo, hi)
-        want, halvings = _evaluations(reference_bisect, supply, fraction, lo, hi)
+        got, evaluations = count_evaluations(bisect_price, supply, fraction, lo, hi)
+        want, halvings = count_evaluations(reference_bisect, supply, fraction, lo, hi)
         assert got == want
         assert evaluations <= 2 * halvings + 2
 
